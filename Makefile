@@ -5,13 +5,13 @@ GO ?= go
 # `staticcheck` is on PATH and skips with an install hint otherwise.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench docs-check demo chaos fuzz-short cover-resultstore
+.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench docs-check demo chaos fuzz-short cover-resultstore bench-module
 
 # The full tier-1 gate: formatting, vet, staticcheck, build, tests
 # (race-enabled — the scheduler/simd coalescing paths are explicitly
-# concurrent), docs, a deterministic fuzz pass over segment replay, and
-# the result-store coverage floor.
-check: fmt vet staticcheck build race docs-check fuzz-short cover-resultstore
+# concurrent), docs, deterministic fuzz passes, the result-store
+# coverage floor, and the benchmark module's own vet and tests.
+check: fmt vet staticcheck build race docs-check fuzz-short cover-resultstore bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -82,6 +82,12 @@ bench-short:
 bench-full:
 	$(GO) test -bench=. -benchtime=1x .
 
+# bench/ is a Go module of its own (replace repro => ../), so the root
+# `go vet ./...` and `go test ./...` never reach it; vet and test it in
+# place.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Headless end-to-end demo: the distributed serving tier through every
 # failure mode (failover, cache tiers, fleet restart, self-managing
 # ring).  Exits non-zero if the lifecycle leaks a client-visible error,
@@ -89,14 +95,16 @@ bench-full:
 demo:
 	$(GO) run ./examples/distributed
 
-# Deterministic fuzz smoke: 10 seconds of native fuzzing over disk
-# segment replay (differential against an independent reference
-# decoder).  Catches framing regressions in CI without the open-ended
-# runtime of a real fuzz campaign; run `go test -fuzz FuzzSegmentReplay
-# ./pkg/resultstore` with no -fuzztime to hunt for longer.
+# Deterministic fuzz smoke: 10 seconds of native fuzzing per target —
+# disk segment replay (differential against an independent reference
+# decoder) and the request JSON round trip through the canonical key.
+# Catches framing and canonicalization regressions in CI without the
+# open-ended runtime of a real fuzz campaign; run `go test -fuzz
+# <target> <package>` with no -fuzztime to hunt for longer.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to

@@ -11,8 +11,7 @@
 //	     [-compact-threshold 0.5] [-compact-interval 30s]
 //	     [-max-queue 64] [-queue-wait 5s] [-partial-results]
 //	     [-announce SCHED_URL] [-self SELF_URL]
-//	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-warmup-concurrency 8]
-//	     [-antientropy-interval D]
+//	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-antientropy-interval D]
 //	     [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
 //
 // Admission control: at most -workers simulations run concurrently; up
@@ -33,22 +32,25 @@
 // graceful shutdown — a restarted backend rejoins the ring by itself,
 // even after the scheduler evicted it.
 //
-// With -warmup-peer, a joining replica pulls its ring slice of stored
-// results from a live peer's store plane (GET /v1/store/keys +
-// /v1/store/entries/{key}) before reporting ready: /healthz answers 503
-// and the ring announcement waits until the warm-up completes, so the
-// scheduler never routes to a cold replica.  The slice is computed from
-// the scheduler's current ring (-announce) plus this replica; without
-// -announce every peer key is pulled.  A warm-up that exhausts
-// -warmup-timeout logs the shortfall and serves cold rather than never
-// joining.
+// Peers' stored results reach this replica through one repair engine,
+// anti-entropy: per-bucket key-set digest exchanges over the peers'
+// store planes that pull the entries this replica is missing.
 //
-// With -antientropy-interval > 0, a background repair loop periodically
-// exchanges per-bucket key-set digests with a ring neighbor and pulls
-// entries this replica is missing — divergence from missed writes heals
-// in the background instead of surfacing as recomputation.  Peers come
-// from the scheduler ring (-announce) or, without one, the static
-// -warmup-peer list.
+// With -warmup-peer, a joining replica first runs anti-entropy to
+// convergence over its own ring slice — every reachable -warmup-peer,
+// pass after pass, until a pass fails no pull under a stable ring epoch
+// — before reporting ready: /healthz answers 503 and the ring
+// announcement waits, so the scheduler never routes to a cold replica.
+// The slice is computed from the scheduler's current ring (-announce)
+// plus this replica; without -announce every peer key is pulled.
+// Convergence that exhausts -warmup-timeout logs the shortfall and
+// serves cold rather than never joining.
+//
+// With -antientropy-interval > 0, the same engine then runs as a
+// background loop against a ring neighbor, so divergence from missed
+// writes heals in the background instead of surfacing as recomputation.
+// Its peers come from the scheduler ring (-announce) or, without one,
+// the static -warmup-peer list.
 //
 // Store backends (-store):
 //
@@ -186,9 +188,8 @@ func main() {
 		interval  = flag.Uint64("interval", 0, "default interval cycles (0 = paper default)")
 		announce  = flag.String("announce", "", "scheduler base URL to join on startup and depart on shutdown (empty disables)")
 		self      = flag.String("self", "", "advertised base URL of this backend (required with -announce)")
-		warmPeers = flag.String("warmup-peer", "", "comma-separated peer simd base URLs to pull this replica's ring slice from before reporting ready (empty disables)")
-		warmTO    = flag.Duration("warmup-timeout", 2*time.Minute, "join-time warm-up deadline; on expiry the replica logs the shortfall and serves cold")
-		warmConc  = flag.Int("warmup-concurrency", 8, "concurrent entry pulls during join-time warm-up")
+		warmPeers = flag.String("warmup-peer", "", "comma-separated peer simd base URLs to converge this replica's ring slice from before reporting ready (empty disables)")
+		warmTO    = flag.Duration("warmup-timeout", 2*time.Minute, "join-time convergence deadline; on expiry the replica logs the shortfall and serves cold")
 		aeIvl     = flag.Duration("antientropy-interval", 0, "background digest-exchange repair period (0 disables; needs -self plus -announce or -warmup-peer)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	)
@@ -273,7 +274,7 @@ func main() {
 		srv.Shutdown(shutdownCtx)
 	}()
 
-	// Startup sequencing: warm the store from peers first (the replica
+	// Startup sequencing: converge the store from peers first (the replica
 	// answers /healthz 503 the whole time, so probes keep it out of
 	// rotation), then flip ready, then announce — the scheduler never
 	// sees a joined-but-cold replica.
@@ -299,18 +300,11 @@ func main() {
 	for i, p := range peerList {
 		peerList[i] = strings.TrimRight(p, "/")
 	}
-	var antiEntropy *simd.AntiEntropy
-	if *aeIvl > 0 {
-		// Prefer live ring discovery; fall back to the static peer list
-		// when no scheduler is announced.
-		aePeers := []string(nil)
-		if *announce == "" {
-			aePeers = peerList
-		}
-		antiEntropy, err = api.NewAntiEntropy(simd.AntiEntropyConfig{
+	newAntiEntropy := func(peers []string) *simd.AntiEntropy {
+		ae, err := api.NewAntiEntropy(simd.AntiEntropyConfig{
 			SelfURL:  *self,
 			RingURL:  *announce,
-			Peers:    aePeers,
+			Peers:    peers,
 			Interval: *aeIvl,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -320,42 +314,46 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		defer antiEntropy.Close()
+		return ae
 	}
-	if len(peerList) > 0 {
-		api.SetReady(false)
-		go func() {
-			res, err := api.Warmup(ctx, simd.WarmupConfig{
-				Peers:       peerList,
-				SelfURL:     *self,
-				RingURL:     *announce,
-				Timeout:     *warmTO,
-				Concurrency: *warmConc,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: warm-up incomplete, serving cold: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "simd: warm-up done: pulled %d, already present %d\n",
-					res.Pulled, res.Skipped)
-			}
-			api.SetReady(true)
-			if antiEntropy != nil {
-				antiEntropy.Start()
-			}
-			if *announce != "" {
-				announceLoop()
-			}
-		}()
-	} else {
-		if antiEntropy != nil {
-			antiEntropy.Start()
+	var repair *simd.AntiEntropy
+	if *aeIvl > 0 {
+		// Prefer live ring discovery; fall back to the static peer list
+		// when no scheduler is announced.
+		aePeers := []string(nil)
+		if *announce == "" {
+			aePeers = peerList
+		}
+		repair = newAntiEntropy(aePeers)
+		defer repair.Close()
+	}
+	join := func() {
+		if repair != nil {
+			repair.Start()
 		}
 		if *announce != "" {
-			go announceLoop()
+			announceLoop()
 		}
+	}
+	if len(peerList) > 0 {
+		// Join-time convergence pulls from exactly the -warmup-peer
+		// list; the ring (with -announce) only picks the slice.
+		joiner := newAntiEntropy(peerList)
+		api.SetReady(false)
+		go func() {
+			convergeCtx, cancel := context.WithTimeout(ctx, *warmTO)
+			pulled, err := joiner.Converge(convergeCtx)
+			cancel()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "simd: join-time convergence incomplete, serving cold: %v\n", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "simd: join-time convergence done: pulled %d\n", pulled)
+			}
+			api.SetReady(true)
+			join()
+		}()
+	} else {
+		go join()
 	}
 
 	fmt.Fprintf(os.Stderr, "simd: listening on %s, %s store (%s)\n",

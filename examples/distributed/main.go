@@ -43,9 +43,9 @@
 //     keeps answering, and
 //  8. the fleet shards its storage — per-replica stores, no shared
 //     tier — so a killed replica takes its slice's results with it;
-//     the replacement rejoins through join-time warm-up (`simd
-//     -warmup-peer`): /healthz held at 503 while it pulls the slice it
-//     is about to own from the survivors' store planes, then it flips
+//     the replacement rejoins through join-time convergence (`simd
+//     -warmup-peer`): /healthz held at 503 while anti-entropy pulls the
+//     slice it is about to own from the survivors' store planes, then it flips
 //     ready and serves that slice entirely from store — X-Cache: HIT
 //     on every request, zero engine runs.
 package main
@@ -725,16 +725,17 @@ func main() {
 	}
 	fmt.Println()
 
-	// --- Act 8: churn and repair — rejoin with join-time warm-up. ---
+	// --- Act 8: churn and repair — rejoin through join-time convergence. ---
 	// Every act so far healed through a shared store.  Real fleets also
 	// shard: each replica owns its store, so a dead replica takes its
 	// slice's results with it and a cold replacement would recompute
 	// them all.  The self-healing path is `simd -warmup-peer`, run here
-	// in process: the replacement holds /healthz at 503, pulls the keys
-	// of the slice it is about to own from the survivors' store planes
-	// (GET /v1/store/keys + GET /v1/store/entries/{key}), and only then
-	// flips ready and joins.
-	fmt.Println("Join-time warm-up (simd -warmup-peer): per-replica stores, kill -> rejoin warm:")
+	// in process: the replacement holds /healthz at 503, runs
+	// anti-entropy to convergence over the slice it is about to own
+	// (digest exchange with the survivors' store planes, then GET
+	// /v1/store/entries/{key} for each missing key), and only then flips
+	// ready and joins.
+	fmt.Println("Join-time convergence (simd -warmup-peer): per-replica stores, kill -> rejoin warm:")
 	opts8 := []frontendsim.Option{
 		frontendsim.WithWarmupOps(12_000),
 		frontendsim.WithMeasureOps(25_000),
@@ -807,26 +808,31 @@ func main() {
 	defer freshSrv.Close()
 	freshAPI.SetReady(false)
 	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
-		fatal(fmt.Errorf("cold replacement /healthz = %d, want 503 before warm-up", code))
+		fatal(fmt.Errorf("cold replacement /healthz = %d, want 503 before convergence", code))
 	}
-	res8, err := freshAPI.Warmup(ctx, simd.WarmupConfig{
-		Peers:   []string{srvA.URL, srvB.URL},
+	ae8, err := freshAPI.NewAntiEntropy(simd.AntiEntropyConfig{
 		SelfURL: freshSrv.URL,
+		Peers:   []string{srvA.URL, srvB.URL},
 		RingURL: schedSrv8.URL,
-		Timeout: 30 * time.Second,
 	})
 	if err != nil {
-		fatal(fmt.Errorf("warm-up: %w", err))
+		fatal(err)
 	}
-	if res8.Pulled == 0 {
-		fatal(fmt.Errorf("warm-up pulled nothing: %+v", res8))
+	convergeCtx, cancel8 := context.WithTimeout(ctx, 30*time.Second)
+	pulled8, err := ae8.Converge(convergeCtx)
+	cancel8()
+	if err != nil {
+		fatal(fmt.Errorf("join-time convergence: %w", err))
+	}
+	if pulled8 == 0 {
+		fatal(fmt.Errorf("join-time convergence pulled nothing"))
 	}
 	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
-		fatal(fmt.Errorf("/healthz = %d after warm-up, want 503 until the ready flip", code))
+		fatal(fmt.Errorf("/healthz = %d after convergence, want 503 until the ready flip", code))
 	}
 	freshAPI.SetReady(true)
-	fmt.Printf("  replacement warmed behind its 503 readiness gate: pulled %d keys from the survivors at ring epoch %d; /healthz now %d\n",
-		res8.Pulled, res8.Epoch, healthzCode(freshSrv.URL))
+	fmt.Printf("  replacement converged behind its 503 readiness gate: pulled %d keys from the survivors at ring epoch %d; /healthz now %d\n",
+		pulled8, members8.Epoch(), healthzCode(freshSrv.URL))
 
 	// The warmed replica must serve the slice it now owns — the ring the
 	// scheduler will route once it announces — without a single engine
@@ -866,7 +872,7 @@ func main() {
 	}
 	fmt.Printf("  rejoined replica serves its %d-key slice: every request X-Cache=HIT, 0 new engine runs\n", served8)
 	for _, line := range strings.Split(warmReg.Render(), "\n") {
-		if strings.HasPrefix(line, "simd_warmup_keys_total") {
+		if strings.HasPrefix(line, "simd_antientropy_pulled_total") {
 			fmt.Printf("  /metrics: %s\n", line)
 		}
 	}

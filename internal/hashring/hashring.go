@@ -1,8 +1,8 @@
 // Package hashring implements the consistent-hash ring shared by the
-// scheduler's dispatch path and the backends' warm-up / anti-entropy
-// machinery.  It lives under internal/ so simd can compute "which keys
-// hash to my slice" with exactly the arithmetic the scheduler routes
-// by, without importing pkg/scheduler (whose tests import simd).
+// scheduler's dispatch path and the backends' anti-entropy repair.  It
+// lives under internal/ so simd can compute "which keys hash to my
+// slice" with exactly the arithmetic the scheduler routes by, without
+// importing pkg/scheduler (whose tests import simd).
 package hashring
 
 import (
@@ -59,9 +59,13 @@ func New(nodes []string, replicas int) (*Ring, error) {
 		points: make([]ringPoint, 0, len(distinct)*replicas),
 	}
 	for i, n := range distinct {
+		// One label hash per node; each virtual point mixes it with its
+		// index.  Hashing "label#v" strings instead clusters the points of
+		// labels that differ only in a port digit, skewing load up to ~30×.
+		h := hash64(n)
 		for v := 0; v < replicas; v++ {
 			r.points = append(r.points, ringPoint{
-				hash: hash64(fmt.Sprintf("%s#%d", n, v)),
+				hash: splitmix64(h + uint64(v)*0x9e3779b97f4a7c15),
 				node: i,
 			})
 		}
@@ -82,6 +86,14 @@ func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
+}
+
+// splitmix64 is the SplitMix64 output mix: a bijection on uint64 whose
+// every output bit depends on every input bit.
+func splitmix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Nodes returns the distinct node names, sorted.

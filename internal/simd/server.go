@@ -74,11 +74,9 @@ type Server struct {
 	// in-flight simulation (reported by /v1/cache/stats).
 	coalesced atomic.Uint64
 
-	// Self-healing counters: entries pulled (and pull failures) during
-	// join-time warm-up, anti-entropy repair rounds and the entries they
-	// pulled, and repair writes accepted through PUT /v1/store/entries.
-	warmupKeys   atomic.Uint64
-	warmupErrs   atomic.Uint64
+	// Self-healing counters: anti-entropy digest exchanges (periodic and
+	// join-time), the entries they pulled and their failures, and repair
+	// writes accepted through PUT /v1/store/entries.
 	aeRounds     atomic.Uint64
 	aePulled     atomic.Uint64
 	aeErrs       atomic.Uint64
@@ -228,19 +226,11 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 				emit(nil, 0)
 			}
 		})
-	reg.Sampled("simd_warmup_keys_total", "Entries pulled from peers during join-time warm-up.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.warmupKeys.Load()))
-		})
-	reg.Sampled("simd_warmup_errors_total", "Warm-up pulls that failed on every peer.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.warmupErrs.Load()))
-		})
 	reg.Sampled("simd_antientropy_rounds_total", "Completed anti-entropy digest exchanges.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.aeRounds.Load()))
 		})
-	reg.Sampled("simd_antientropy_pulled_total", "Entries pulled from peers by anti-entropy repair.",
+	reg.Sampled("simd_antientropy_pulled_total", "Entries pulled from peers by anti-entropy repair, join-time convergence included.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.aePulled.Load()))
 		})

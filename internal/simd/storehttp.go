@@ -14,11 +14,11 @@ import (
 // Store plane: the response store exposed over HTTP so peers can repair
 // each other.  GET /v1/store/keys and /v1/store/digest require the
 // store's optional Scanner capability (501 without it — a remote-backed
-// replica cannot enumerate the shared tier, and a warming peer falls
+// replica cannot enumerate the shared tier, and a converging peer falls
 // back to a replica that can); GET and PUT /v1/store/entries/{key} work
-// against any store.  The warm-up and anti-entropy clients in this
-// package are the intended consumers, but the endpoints are plain HTTP:
-// an operator can inspect or reseed a store with curl.
+// against any store.  The anti-entropy client in this package and the
+// scheduler's hint replay are the intended consumers, but the endpoints
+// are plain HTTP: an operator can inspect or reseed a store with curl.
 
 // maxStoreKeyLen bounds the key path element of /v1/store/entries —
 // canonical request keys are short hex strings, so anything longer is a
@@ -153,10 +153,10 @@ func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStorePutEntry writes one entry into the store — the repair
-// write path used by warm-up pulls (on the puller's side it is a plain
-// Set), hinted-handoff replay and anti-entropy.  The body is stored
-// verbatim, so a replayed entry serves byte-identical to the original
-// computation.
+// write path used by hinted-handoff replay (an anti-entropy pull is a
+// plain Set on the puller's side) and operator reseeding.  The body is
+// stored verbatim, so a replayed entry serves byte-identical to the
+// original computation.
 func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if err := storeKeyError(key); err != nil {

@@ -30,7 +30,10 @@ func TestRunMatchesSimRun(t *testing.T) {
 	prof, _ := workload.ByName("gzip")
 	opt := sim.DefaultOptions()
 	opt.WarmupOps, opt.MeasureOps = 30_000, 60_000
-	want := sim.Run(core.DefaultConfig().WithBankHopping(), prof, opt)
+	want, err := sim.RunHooked(core.DefaultConfig().WithBankHopping(), prof, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if res.MeasCycles != want.MeasCycles || res.MeasOps != want.MeasOps {
 		t.Errorf("engine run (%d cycles, %d ops) != sim.Run (%d cycles, %d ops)",

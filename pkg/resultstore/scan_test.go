@@ -57,7 +57,7 @@ func TestScanKeysFilter(t *testing.T) {
 	}
 }
 
-// TestScanKeysTieredSkipsRemoteTier pins the warm-up fallback shape: a
+// TestScanKeysTieredSkipsRemoteTier pins the repair fallback shape: a
 // memory-over-remote store scans as just its memory tier instead of
 // refusing outright.
 func TestScanKeysTieredSkipsRemoteTier(t *testing.T) {

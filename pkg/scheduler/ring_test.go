@@ -39,6 +39,29 @@ func TestRingAssignmentIsOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestRingPlacementPinned pins the home node of a few digest-shaped keys
+// on a fixed port set.  Virtual-point placement decides where every
+// cached result lives, so changing it remaps the whole fleet's keys
+// once; this test makes such a change a deliberate edit.
+func TestRingPlacementPinned(t *testing.T) {
+	r, err := NewRing([]string{"http://127.0.0.1:8731", "http://127.0.0.1:8732", "http://127.0.0.1:8733"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"c8d77bf4d8b1a10d": "http://127.0.0.1:8733",
+		"d1c53a62be2ad340": "http://127.0.0.1:8733",
+		"d493f8869139bac7": "http://127.0.0.1:8731",
+		"94f0fa7f897ccce6": "http://127.0.0.1:8733",
+		"d3cec99112255db9": "http://127.0.0.1:8732",
+		"846e1b9373d9e08e": "http://127.0.0.1:8732",
+	} {
+		if got := r.Node(key); got != want {
+			t.Errorf("key %s homes on %s, pinned %s", key, got, want)
+		}
+	}
+}
+
 func TestRingSpreadsKeys(t *testing.T) {
 	r, err := NewRing([]string{"n1", "n2", "n3"}, 0)
 	if err != nil {
