@@ -526,7 +526,7 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	sink := func(sh frontendsim.ShardResult) { emit(shardLine(sh)) }
+	sink := func(sh frontendsim.ShardResult) { emit(sh.Line()) }
 	var res *frontendsim.SuiteResult
 	if s.partial {
 		res, err = s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, sink)
@@ -538,27 +538,6 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	emit(frontendsim.SuiteStreamLine{Type: "aggregate", Suite: res})
-}
-
-// shardLine renders one sink emission as its NDJSON line: a completed
-// shard as {"type":"shard"}, a failed shard of a partial run as
-// {"type":"shard-error"}.
-func shardLine(sh frontendsim.ShardResult) frontendsim.SuiteStreamLine {
-	if sh.Err != "" {
-		return frontendsim.SuiteStreamLine{
-			Type:      "shard-error",
-			Positions: sh.Positions,
-			Benchmark: sh.Benchmark,
-			Error:     sh.Err,
-		}
-	}
-	return frontendsim.SuiteStreamLine{
-		Type:      "shard",
-		Positions: sh.Positions,
-		Benchmark: sh.Benchmark,
-		Source:    sh.Source,
-		Result:    sh.Result,
-	}
 }
 
 // streamLine is one NDJSON line of the streaming endpoint.

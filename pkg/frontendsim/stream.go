@@ -62,6 +62,27 @@ type SuiteStreamLine struct {
 	Error     string       `json:"error,omitempty"`
 }
 
+// Line renders the shard as its NDJSON stream line: a completed shard
+// as {"type":"shard"}, a failed shard of a partial run as
+// {"type":"shard-error"}.
+func (sh ShardResult) Line() SuiteStreamLine {
+	if sh.Err != "" {
+		return SuiteStreamLine{
+			Type:      "shard-error",
+			Positions: sh.Positions,
+			Benchmark: sh.Benchmark,
+			Error:     sh.Err,
+		}
+	}
+	return SuiteStreamLine{
+		Type:      "shard",
+		Positions: sh.Positions,
+		Benchmark: sh.Benchmark,
+		Source:    sh.Source,
+		Result:    sh.Result,
+	}
+}
+
 // RunSuiteStream runs the suite through dispatch exactly like
 // RunSuiteVia — same sharding, same bounded worker pool, same
 // deterministic suite-order aggregation — but additionally emits every

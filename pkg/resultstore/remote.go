@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,8 +451,8 @@ func readValues(br *bufio.Reader) (map[string][]byte, error) {
 		if size < 0 || size > maxValLen {
 			return nil, fmt.Errorf("implausible value length %d", size)
 		}
-		block := make([]byte, size+2)
-		if _, err := readFull(br, block); err != nil {
+		block, err := readBlock(br, size+2)
+		if err != nil {
 			return nil, err
 		}
 		if block[size] != '\r' || block[size+1] != '\n' {
@@ -467,16 +469,21 @@ func trimCRLF(s string) string {
 	return s
 }
 
-func readFull(br *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := br.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
+// readBlock reads exactly n bytes from r, growing the buffer as the
+// bytes arrive instead of trusting n up front: a corrupt or hostile
+// length costs what the server actually sends, not an n-byte
+// allocation.
+func readBlock(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		from := len(buf)
+		buf = slices.Grow(buf, min(n-from, from))
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(r, buf[from:]); err != nil {
+			return nil, err
 		}
 	}
-	return n, nil
+	return buf, nil
 }
 
 // Set stores val under key with the configured TTL.  Sets are

@@ -256,8 +256,7 @@ func garbageServer(t *testing.T) string {
 					var exptime int64
 					var size int
 					if n, _ := fmt.Sscanf(line, "set %s %d %d %d", &key, &flags, &exptime, &size); n == 4 {
-						io := make([]byte, size+2)
-						if _, err := readFull(br, io); err != nil {
+						if _, err := readBlock(br, size+2); err != nil {
 							return
 						}
 					}

@@ -260,6 +260,44 @@ func TestSchedulerBackoffSpacing(t *testing.T) {
 	}
 }
 
+// TestHedgedWalkSkipsOpenNodesWithoutBackoff pins that hedging does not
+// change what a breaker skip costs: when the only attempt fails and
+// every remaining node's circuit is open, the walk ends at once — no
+// backoff is slept before finding nothing left to try.
+func TestHedgedWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
+		}))
+		defer srv.Close()
+		nodes = append(nodes, srv.URL)
+	}
+	sched, err := New(frontendsim.New(testOpts()...), Config{
+		Backends:         nodes,
+		HedgeDelay:       time.Hour, // armed, never fires during the test
+		RetryBackoff:     10 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.sleep = func(context.Context, time.Duration) error { return nil }
+	req, _ := homedRequest(t, sched, nodes[0])
+	sched.brk.record(nodes[1], outcomeFailure) // the failover node is open
+
+	_, err = sched.Dispatch(context.Background(), req)
+	var ee *ExhaustedError
+	if !errors.As(err, &ee) || ee.Attempts != 1 {
+		t.Fatalf("err = %v, want ExhaustedError after 1 attempt", err)
+	}
+	st := sched.Stats()
+	if st.Backoffs != 0 || st.Retried != 0 || st.BreakerSkips != 1 {
+		t.Errorf("stats = %+v, want 0 backoffs, 0 retries, 1 breaker skip", st)
+	}
+}
+
 // TestSchedulerReportDispatch asserts the passive membership feed: every
 // attempt that says something about a backend — success or failure — is
 // reported with that verdict.

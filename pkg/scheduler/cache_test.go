@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/memcachetest"
+	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 )
@@ -282,6 +286,113 @@ func TestSchedulerCachedSuiteByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s suite response is not byte-identical to the serial reference", name)
+		}
+	}
+}
+
+// teeWriter copies a response body as the handler writes it.
+type teeWriter struct {
+	http.ResponseWriter
+	buf *bytes.Buffer
+}
+
+func (w teeWriter) Write(p []byte) (int, error) {
+	w.buf.Write(p)
+	return w.ResponseWriter.Write(p)
+}
+
+// postRaw posts body to url and returns the X-Cache header and the raw
+// response body; a failed request is reported and returns empty values.
+// Safe to call from any goroutine.
+func postRaw(t *testing.T, url, body string) (string, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return "", nil
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("POST %s: status %d, err %v: %s", url, resp.StatusCode, err, raw)
+		return "", nil
+	}
+	return resp.Header.Get("X-Cache"), raw
+}
+
+// TestSharedRemoteStoreBytesIdentical runs one simd replica and one
+// scheduler over one memcached-protocol store, as a deployment with a
+// single -remote-servers list does: both tiers cache a key under the
+// same canonical name, so whichever writes last decides what the other
+// serves.  Every body for the key — simd's own MISS, the scheduler's
+// MISS, COALESCED and HIT, and simd's HIT after the scheduler's
+// write-through — must be the same bytes.
+func TestSharedRemoteStoreBytesIdentical(t *testing.T) {
+	mc := memcachetest.Start(t)
+	remote := func() resultstore.Store {
+		r, err := resultstore.NewRemote(resultstore.RemoteConfig{Servers: []string{mc.Addr()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	inner := simd.NewServerWithStore(frontendsim.New(testOpts()...), remote())
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var simdMiss []byte
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-gate // hold the first dispatch until the second caller has joined it
+		var buf bytes.Buffer
+		inner.ServeHTTP(teeWriter{w, &buf}, r)
+		if w.Header().Get("X-Cache") == "MISS" {
+			mu.Lock()
+			simdMiss = buf.Bytes()
+			mu.Unlock()
+		}
+	}))
+	t.Cleanup(backend.Close)
+	sched, err := New(frontendsim.New(testOpts()...), Config{Backends: []string{backend.URL}, Cache: remote()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(NewServer(sched))
+	t.Cleanup(front.Close)
+
+	const req = `{"benchmark":"gzip"}`
+	bodies := map[string][]byte{}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, body := postRaw(t, front.URL+"/v1/simulations", req)
+			mu.Lock()
+			bodies["scheduler "+src] = body
+			mu.Unlock()
+		}()
+	}
+	// Give the second caller time to join the single flight, then let
+	// the one backend run complete.
+	time.Sleep(200 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	src, body := postRaw(t, front.URL+"/v1/simulations", req)
+	bodies["scheduler "+src] = body
+	src, body = postRaw(t, backend.URL+"/v1/simulations", req)
+	bodies["simd "+src] = body
+
+	if len(simdMiss) == 0 {
+		t.Fatal("simd never answered a MISS")
+	}
+	for _, name := range []string{"scheduler MISS", "scheduler COALESCED", "scheduler HIT", "simd HIT"} {
+		got, ok := bodies[name]
+		if !ok {
+			t.Errorf("no %s response (got %d distinct sources)", name, len(bodies))
+			continue
+		}
+		if !bytes.Equal(got, simdMiss) {
+			t.Errorf("%s body (%d bytes) differs from simd's MISS body (%d bytes)", name, len(got), len(simdMiss))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"repro/pkg/frontendsim"
 )
@@ -48,16 +49,20 @@ func NewClient(hc *http.Client) *Client {
 	return &Client{hc: hc}
 }
 
-// Simulate posts req to node's POST /v1/simulations and decodes the
-// result.  Cancellation of ctx aborts the in-flight HTTP request.
-func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) (*frontendsim.Result, error) {
-	body, err := json.Marshal(req)
+// Simulate posts req to node's POST /v1/simulations and returns the
+// response body verbatim — simd's stored representation of the result —
+// together with its decoding.  The decode validates bytes from another
+// process before the scheduler caches or serves them: a body that does
+// not decode is a retryable failure.  Cancellation of ctx aborts the
+// in-flight HTTP request.
+func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) ([]byte, *frontendsim.Result, error) {
+	reqBody, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("scheduler: marshal request: %w", err)
+		return nil, nil, fmt.Errorf("scheduler: marshal request: %w", err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/simulations", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/simulations", bytes.NewReader(reqBody))
 	if err != nil {
-		return nil, fmt.Errorf("scheduler: build request: %w", err)
+		return nil, nil, fmt.Errorf("scheduler: build request: %w", err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if budget := frontendsim.EncodeDeadlineBudget(ctx); budget != "" {
@@ -69,20 +74,37 @@ func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Requ
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		// Transport failure: wrap with the node so retries are traceable.
-		return nil, fmt.Errorf("scheduler: backend %s: %w", node, err)
+		return nil, nil, fmt.Errorf("scheduler: backend %s: %w", node, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &BackendError{Node: node, Status: resp.StatusCode, Msg: backendMessage(resp.Body)}
+		return nil, nil, &BackendError{Node: node, Status: resp.StatusCode, Msg: backendMessage(resp.Body)}
+	}
+	body, err := readBody(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scheduler: backend %s: read result: %w", node, err)
 	}
 	var res frontendsim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("scheduler: backend %s: decode result: %w", node, err)
+	if err := json.Unmarshal(body, &res); err != nil {
+		return nil, nil, fmt.Errorf("scheduler: backend %s: decode result: %w", node, err)
 	}
-	// Drain the trailing newline so the keep-alive connection returns to
-	// the pool instead of being torn down.
-	io.Copy(io.Discard, resp.Body)
-	return &res, nil
+	return body, &res, nil
+}
+
+// bodyBufs recycles the buffers backend responses are read into (a
+// sync.Pool drops its entries across GCs, so one outsized body is not
+// kept alive).
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r to EOF, so the keep-alive connection returns to the
+// pool, and copies the body out at its exact size: cached bytes carry no
+// slack capacity, and a read costs one allocation in the steady state.
+func readBody(r io.Reader) ([]byte, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	_, err := buf.ReadFrom(r)
+	return bytes.Clone(buf.Bytes()), err
 }
 
 // backendMessage extracts the error string from simd's JSON envelope,

@@ -10,7 +10,9 @@
 //
 //   - Response cache (Config.Cache, a resultstore.Store): a fully
 //     cached suite is answered without contacting a single backend;
-//     Served/Source report the X-Cache accounting.
+//     Served/Source report the X-Cache accounting.  Entries are the
+//     backends' response bodies verbatim, so a key's bytes are the
+//     same in both tiers and the two may share one store.
 //   - Single-flight (internal/singleflight): identical concurrent
 //     dispatches — across suites and plain simulations — resolve to
 //     one store lookup and at most one backend call, with

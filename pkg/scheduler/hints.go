@@ -3,7 +3,6 @@ package scheduler
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
 )
 
@@ -195,22 +193,15 @@ func (h *hintQueue) put(ctx context.Context, member, key string, body []byte) er
 
 // hintResult buffers the write-through owed to a quarantined member:
 // when hinted handoff is enabled and key's full-ring home is
-// quarantined, the result is serialized exactly as the backend stores
-// it (newline-terminated JSON) and queued for replay.  The marshal
-// happens only on this cold path.
-func (s *Scheduler) hintResult(key string, res *frontendsim.Result) {
+// quarantined, the backend's body — exactly what the member's store
+// would have received — is queued for replay.
+func (s *Scheduler) hintResult(key string, body []byte) {
 	if s.hints == nil {
 		return
 	}
-	home, quarantined := s.hints.quarantinedHome(key)
-	if !quarantined {
-		return
+	if home, quarantined := s.hints.quarantinedHome(key); quarantined {
+		s.hints.enqueue(home, key, body)
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	s.hints.enqueue(home, key, append(body, '\n'))
 }
 
 // replayHints drains member's backlog into its store, oldest first.  A

@@ -175,8 +175,12 @@ type Scheduler struct {
 }
 
 // outcome is one single-flighted dispatch's result plus whether the
-// scheduler-tier store served it.
+// scheduler-tier store served it.  body is simd's response body
+// verbatim — the one representation the scheduler caches, hints and
+// serves, so a result's bytes stay those the backend computed — and res
+// is its decoding, for suite aggregation.
 type outcome struct {
+	body   []byte
 	res    *frontendsim.Result
 	cached bool
 }
@@ -490,26 +494,32 @@ func (s *Scheduler) Dispatch(ctx context.Context, req frontendsim.Request) (*fro
 	return res, err
 }
 
-// DispatchSource is Dispatch plus how the request was served.  The
-// single-flight group stays in front of the store: concurrent identical
-// requests resolve to one store lookup and (on a miss) one backend
-// dispatch, whose result is written back to the store.
+// DispatchSource is Dispatch plus how the request was served.
 func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, Source, error) {
+	out, src, err := s.serve(ctx, req)
+	return out.res, src, err
+}
+
+// serve is DispatchSource returning the whole outcome, body bytes
+// included.  The single-flight group stays in front of the store:
+// concurrent identical requests resolve to one store lookup and (on a
+// miss) one backend dispatch, whose body is written back to the store.
+func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) (outcome, Source, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
-		return nil, SourceDispatched, err
+		return outcome{}, SourceDispatched, err
 	}
 	out, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
-		if res := s.cacheGet(runCtx, key); res != nil {
-			return outcome{res: res, cached: true}, nil
+		if out, ok := s.cacheGet(runCtx, key); ok {
+			return out, nil
 		}
-		res, err := s.dispatchKey(runCtx, key, req)
+		out, err := s.dispatchKey(runCtx, key, req)
 		if err != nil {
 			return outcome{}, err
 		}
-		s.cacheSet(runCtx, key, res)
-		s.hintResult(key, res)
-		return outcome{res: res}, nil
+		s.cacheSet(runCtx, key, out.body)
+		s.hintResult(key, out.body)
+		return out, nil
 	})
 	if err != nil {
 		// A joined execution that failed served nobody: the caller was
@@ -520,7 +530,7 @@ func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request)
 		if shared {
 			src = SourceCoalesced
 		}
-		return nil, src, err
+		return outcome{}, src, err
 	}
 	// A caller that joined an execution the store answered was still
 	// served by the store — no backend was contacted on its behalf — so
@@ -530,43 +540,38 @@ func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request)
 	switch {
 	case out.cached:
 		s.cacheHits.Add(1)
-		return out.res, SourceCached, nil
+		return out, SourceCached, nil
 	case shared:
 		s.coalesced.Add(1)
-		return out.res, SourceCoalesced, nil
+		return out, SourceCoalesced, nil
 	}
-	return out.res, SourceDispatched, nil
+	return out, SourceDispatched, nil
 }
 
 // cacheGet reads one result from the scheduler-tier store; any failure
 // (store error, undecodable entry) is a miss — the ring can always
 // recompute.
-func (s *Scheduler) cacheGet(ctx context.Context, key string) *frontendsim.Result {
+func (s *Scheduler) cacheGet(ctx context.Context, key string) (outcome, bool) {
 	if s.cache == nil {
-		return nil
+		return outcome{}, false
 	}
 	body, ok, err := s.cache.Get(ctx, key)
 	if err != nil || !ok {
-		return nil
+		return outcome{}, false
 	}
 	var res frontendsim.Result
 	if json.Unmarshal(body, &res) != nil {
-		return nil
+		return outcome{}, false
 	}
-	return &res
+	return outcome{body: body, res: &res, cached: true}, true
 }
 
-// cacheSet writes one dispatched result back to the scheduler-tier
-// store, best-effort: a store failure only costs a later recompute.
-func (s *Scheduler) cacheSet(ctx context.Context, key string, res *frontendsim.Result) {
-	if s.cache == nil {
-		return
+// cacheSet writes one dispatched body back to the scheduler-tier store
+// verbatim, best-effort: a store failure only costs a later recompute.
+func (s *Scheduler) cacheSet(ctx context.Context, key string, body []byte) {
+	if s.cache != nil {
+		s.cache.Set(ctx, key, body)
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	s.cache.Set(ctx, key, body)
 }
 
 // attempts resolves the Config.Retries semantics against the current
@@ -602,65 +607,123 @@ func permanent(ctx context.Context, err error) bool {
 }
 
 // dispatchKey walks the key's ring sequence: the home node first, then
-// up to retries failover nodes.  Request errors (4xx — every backend
-// would refuse) and the caller's own cancellation abort the walk
-// immediately.  Nodes whose circuit breaker is open are skipped without
-// burning an attempt; retries after the first attempt wait out the
-// jittered backoff.  With hedging enabled, a slow first attempt
-// additionally fires a speculative attempt to the next ring node
-// (dispatchHedged).
-func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, error) {
+// up to retries failover nodes.  Nodes whose circuit breaker is open are
+// skipped without costing an attempt or a backoff; when every permitted
+// node is open, the home node is forced (it doubles as a breaker probe)
+// rather than failing with nothing tried.  Once every in-flight attempt
+// has failed, the next node fires after the jittered retry backoff.
+// Request errors (4xx — every backend would refuse) and the caller's own
+// cancellation abort the walk immediately.
+//
+// With HedgeDelay > 0 the walk also hedges tail latency: while an
+// attempt is in flight, a timer at hedgeAfter() fires the next node
+// speculatively; the first successful response wins and the losers'
+// requests are cancelled.
+func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (outcome, error) {
 	s.dispatched.Add(1)
 	nodes := s.Ring().Sequence(key)
-	attempts := s.attempts(len(nodes))
+	nodes = nodes[:s.attempts(len(nodes))]
+
+	// Without hedging one attempt is in flight at a time, so the walk
+	// never returns with a loser to reap and attempts run under ctx.
+	actx := ctx
+	var timer *time.Timer
+	var hedge <-chan time.Time // nil, so never ready, without hedging
 	if s.hedgeDelay > 0 {
-		return s.dispatchHedged(ctx, nodes[:attempts], req)
+		var cancel context.CancelFunc
+		actx, cancel = context.WithCancel(ctx)
+		defer cancel() // reap every losing attempt on return
+		timer = time.NewTimer(s.hedgeAfter())
+		defer timer.Stop()
+		hedge = timer.C
 	}
+
+	type attempt struct {
+		hedged bool
+		out    outcome
+		err    error
+		took   time.Duration
+	}
+	resc := make(chan attempt, len(nodes))
+	launched, pending, fired := 0, 0, 0
+	// next advances to the next node whose circuit admits a request, or
+	// returns -1 when every remaining node is breaker-open.
+	next := func() int {
+		for launched < len(nodes) {
+			idx := launched
+			launched++
+			if s.allowNode(nodes[idx]) {
+				return idx
+			}
+		}
+		return -1
+	}
+	fire := func(idx int, hedged bool) {
+		fired++
+		pending++
+		go func(actx context.Context, node string) {
+			start := time.Now()
+			body, res, err := s.client.Simulate(actx, node, req)
+			s.reportAttempt(ctx, node, err)
+			resc <- attempt{hedged: hedged, out: outcome{body: body, res: res}, err: err, took: time.Since(start)}
+		}(actx, nodes[idx])
+	}
+	home := next()
+	if home < 0 {
+		// Refusing outright would make a fleet-wide blip self-sustaining:
+		// no requests, no probes, no recovery.
+		home = 0
+	}
+	fire(home, false)
+
 	var lastErr error
-	tried := 0
-	for i := 0; i < attempts; i++ {
-		if !s.allowNode(nodes[i]) {
-			continue
-		}
-		if tried > 0 {
-			s.retried.Add(1)
-			if err := s.backoff(ctx, tried); err != nil {
-				return nil, err
+	for pending > 0 {
+		select {
+		case a := <-resc:
+			pending--
+			if a.err == nil {
+				s.lat.observe(a.took)
+				if a.hedged {
+					s.hedgeWins.Add(1)
+				}
+				return a.out, nil
 			}
-		}
-		tried++
-		res, err := s.client.Simulate(ctx, nodes[i], req)
-		s.reportAttempt(ctx, nodes[i], err)
-		if err == nil {
-			return res, nil
-		}
-		if permanent(ctx, err) {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
+			if permanent(ctx, a.err) {
+				if ctxErr := ctx.Err(); ctxErr != nil {
+					return outcome{}, ctxErr
+				}
+				return outcome{}, a.err
 			}
-			return nil, err
+			lastErr = a.err
+			if pending > 0 {
+				continue
+			}
+			// Every in-flight attempt failed: retry on the next admitted
+			// node after the backoff (nothing is pending, so sleeping here
+			// stalls no other attempt).  The timer may have expired while
+			// we waited on resc, leaving a stale tick in timer.C —
+			// stop-drain-reset, or the next iteration hedges instantly.
+			if idx := next(); idx >= 0 {
+				s.retried.Add(1)
+				if err := s.backoff(ctx, fired); err != nil {
+					return outcome{}, err
+				}
+				fire(idx, false)
+				if timer != nil {
+					rearmTimer(timer, s.hedgeAfter())
+				}
+			}
+		case <-hedge:
+			if idx := next(); idx >= 0 {
+				s.hedged.Add(1)
+				fire(idx, true)
+				timer.Reset(s.hedgeAfter())
+			}
+		case <-ctx.Done():
+			return outcome{}, ctx.Err()
 		}
-		lastErr = err
 	}
-	if tried == 0 && attempts > 0 {
-		// Every permitted node's circuit is open.  Refusing outright
-		// would make a fleet-wide blip self-sustaining (no requests, no
-		// probes, no recovery) — force one attempt at the home node; it
-		// doubles as a breaker probe.
-		res, err := s.client.Simulate(ctx, nodes[0], req)
-		s.reportAttempt(ctx, nodes[0], err)
-		if err == nil {
-			return res, nil
-		}
-		if permanent(ctx, err) {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
-		}
-		lastErr, tried = err, 1
-	}
-	return nil, &ExhaustedError{Benchmark: req.Benchmark, Attempts: tried, Last: lastErr}
+	return outcome{}, &ExhaustedError{Benchmark: req.Benchmark, Attempts: fired, Last: lastErr}
 }
 
 // ExhaustedError reports that every permitted ring node failed to serve

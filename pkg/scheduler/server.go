@@ -29,7 +29,8 @@ import (
 //	POST   /v1/simulations   JSON frontendsim.Request -> JSON Result, served
 //	                         from the scheduler store or routed to the
 //	                         request's home backend (ring passthrough);
-//	                         X-Cache: HIT|MISS|COALESCED
+//	                         either way the body is the backend's bytes
+//	                         verbatim; X-Cache: HIT|MISS|COALESCED
 //	GET    /v1/ring          ring topology, per-member health state and
 //	                         dispatch counters
 //	POST   /v1/ring/members  join a backend at runtime ({"url": ...})
@@ -39,12 +40,11 @@ import (
 //	GET    /metrics          Prometheus text exposition (with WithMetrics)
 //	GET    /healthz          liveness
 type Server struct {
-	sched      *Scheduler
-	members    *membership.Registry
-	metrics    *obs.Registry
-	mux        *http.ServeMux
-	routeNames []string
-	maxBody    int64
+	sched   *Scheduler
+	members *membership.Registry
+	metrics *obs.Registry
+	mux     *http.ServeMux
+	maxBody int64
 	// ready gates /healthz: SetReady(false) flips it to 503 so load
 	// balancers stop routing here while srv.Shutdown drains in-flight
 	// suites.
@@ -111,7 +111,6 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 	})
 	if s.metrics != nil {
 		s.mux.Handle("GET /metrics", s.metrics.Handler())
-		s.routeNames = append(s.routeNames, "GET /metrics")
 	}
 	return s
 }
@@ -120,16 +119,12 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 // configured.  The handler label is the route pattern, so the duration
 // histograms split by endpoint.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.routeNames = append(s.routeNames, pattern)
 	if s.metrics != nil {
 		s.mux.Handle(pattern, s.metrics.InstrumentHandlerFunc(pattern, h))
 		return
 	}
 	s.mux.HandleFunc(pattern, h)
 }
-
-// Routes returns the mounted route patterns (startup logging).
-func (s *Server) Routes() string { return strings.Join(s.routeNames, ", ") }
 
 // SetReady flips the /healthz verdict.  cmd/simsched calls
 // SetReady(false) when shutdown begins, so load balancers drain this
@@ -250,26 +245,9 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, _, err := s.sched.RunSuiteStream(ctx, suite, func(sh frontendsim.ShardResult) {
-		if sh.Err != "" {
-			// A failed shard of a partial-results run: the stream keeps
-			// going and the terminal aggregate excludes this shard.
-			emit(frontendsim.SuiteStreamLine{
-				Type:      "shard-error",
-				Positions: sh.Positions,
-				Benchmark: sh.Benchmark,
-				Error:     sh.Err,
-			})
-			return
-		}
-		emit(frontendsim.SuiteStreamLine{
-			Type:      "shard",
-			Positions: sh.Positions,
-			Benchmark: sh.Benchmark,
-			Source:    sh.Source,
-			Result:    sh.Result,
-		})
-	})
+	// A failed shard of a partial-results run becomes a "shard-error"
+	// line: the stream keeps going and the terminal aggregate excludes it.
+	res, _, err := s.sched.RunSuiteStream(ctx, suite, func(sh frontendsim.ShardResult) { emit(sh.Line()) })
 	if err != nil {
 		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
 		return
@@ -285,14 +263,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, source, err := s.sched.DispatchSource(ctx, req)
+	out, source, err := s.sched.serve(ctx, req)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", source.String())
-	json.NewEncoder(w).Encode(res)
+	w.Write(out.body)
 }
 
 // handleCacheStats reports the scheduler-tier response store's
