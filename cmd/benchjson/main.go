@@ -6,7 +6,9 @@
 //
 // Each benchmark line becomes one record with the iteration count and
 // every reported metric (ns/op, B/op, allocs/op, custom ReportMetric
-// units) keyed by unit name.
+// units) keyed by unit name.  Record names drop the trailing
+// -<GOMAXPROCS> suffix, so rows from hosts with different CPU counts
+// diff against each other.
 //
 // When a baseline report exists (-baseline, default: the previous
 // contents of the -o file — normally the committed BENCH_results.json),
@@ -80,6 +82,9 @@ func readBaseline(path string) []Record {
 	if json.Unmarshal(b, &records) != nil {
 		return nil
 	}
+	for i := range records {
+		records[i].Name = trimProcs(records[i].Name)
+	}
 	return records
 }
 
@@ -140,7 +145,23 @@ func formatVal(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// parseLine parses one "BenchmarkX-8  3  123 ns/op  4 B/op ..." line.
+// trimProcs drops the -<GOMAXPROCS> suffix go test appends to a
+// benchmark name ("BenchmarkX/case-8" -> "BenchmarkX/case").  go test
+// omits the suffix at GOMAXPROCS=1, so a name already ending in -<digits>
+// is ambiguous; no benchmark here is named that way.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.ParseUint(name[i+1:], 10, 0); err != nil {
+		return name
+	}
+	return name[:i]
+}
+
+// parseLine parses one "BenchmarkX-8  3  123 ns/op  4 B/op ..." line
+// into a record named without the -8.
 func parseLine(line string) (Record, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -150,7 +171,7 @@ func parseLine(line string) (Record, bool) {
 	if err != nil {
 		return Record{}, false
 	}
-	r := Record{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	r := Record{Name: trimProcs(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 	// Remaining fields come in value/unit pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	simd [-addr :8723] [-cache 512] [-workers N] [-max-body-bytes N]
+//	simd [-addr :8723] [-cache 512] [-workers N]
 //	     [-store memory|disk|tiered|remote|tiered-remote] [-store-dir DIR]
 //	     [-store-max-bytes N] [-remote-servers HOST:PORT,...] [-remote-ttl D]
 //	     [-compact-threshold 0.5] [-compact-interval 30s]
@@ -179,7 +179,6 @@ func main() {
 		compactTh = flag.Float64("compact-threshold", resultstore.DefaultCompactThreshold, "rewrite a sealed disk segment when its live-byte ratio falls below this")
 		compactIv = flag.Duration("compact-interval", 30*time.Second, "disk-store compaction scan period (0 disables the compactor)")
 		workers   = flag.Int("workers", 0, "max concurrent simulations (default: GOMAXPROCS)")
-		maxBody   = flag.Int64("max-body-bytes", simd.DefaultMaxBodyBytes, "request-body size cap in bytes (oversized bodies get 413)")
 		maxQueue  = flag.Int("max-queue", 64, "max requests waiting for a simulation slot; excess is shed with 503 (0 = unbounded)")
 		queueWait = flag.Duration("queue-wait", 5*time.Second, "max time a request waits for a simulation slot before being shed with 503 (0 = unbounded)")
 		partial   = flag.Bool("partial-results", false, "degrade suite runs gracefully: per-shard error entries and X-Cache: PARTIAL-ERROR instead of failing the whole suite")
@@ -240,7 +239,6 @@ func main() {
 	)
 	apiOpts := []simd.Option{
 		simd.WithMetrics(obs.NewRegistry()),
-		simd.WithMaxBodyBytes(*maxBody),
 		simd.WithAdmission(*maxQueue, *queueWait),
 	}
 	if *partial {

@@ -27,9 +27,8 @@
 //	simsched -backends http://sim-1:8723,http://sim-2:8723 [-addr :8724]
 //	         [-replicas 128] [-retries -1] [-cache 512] [-workers N]
 //	         [-store memory|remote|tiered-remote] [-remote-servers HOST:PORT,...]
-//	         [-remote-ttl D] [-max-body-bytes N]
-//	         [-timeout 10m] [-probe-interval 2s] [-probe-timeout 1s]
-//	         [-quarantine-threshold 3] [-evict-after 1m] [-hedge-delay 0]
+//	         [-remote-ttl D] [-timeout 10m] [-probe-interval 2s]
+//	         [-probe-timeout 1s] [-quarantine-threshold 3] [-evict-after 1m]
 //	         [-retry-backoff 5ms] [-breaker-threshold 3] [-breaker-cooldown 5s]
 //	         [-hint-limit 256] [-partial-results]
 //	         [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
@@ -130,13 +129,11 @@ func main() {
 		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list (required for -store=remote|tiered-remote)")
 		remoteTTL = flag.Duration("remote-ttl", 0, "expiry stored with remote-store writes (0 = no expiry)")
 		workers   = flag.Int("workers", 0, "max concurrent backend dispatches per suite (default: GOMAXPROCS)")
-		maxBody   = flag.Int64("max-body-bytes", scheduler.DefaultMaxBodyBytes, "request-body size cap in bytes (oversized bodies get 413)")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-backend-request timeout")
 		probeInt  = flag.Duration("probe-interval", 2*time.Second, "backend health-probe interval")
 		probeTO   = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 		quarAfter = flag.Int("quarantine-threshold", 3, "consecutive probe failures before a backend is quarantined")
 		evictAft  = flag.Duration("evict-after", time.Minute, "quarantine time before permanent eviction (negative disables)")
-		hedge     = flag.Duration("hedge-delay", 0, "hedged-request floor: speculative retry to the next ring node after max(p95, this) in flight (0 disables hedging)")
 		backoff   = flag.Duration("retry-backoff", 5*time.Millisecond, "jittered exponential backoff base between ring-walk retries (0 disables)")
 		brkThresh = flag.Int("breaker-threshold", 3, "consecutive dispatch failures that open a backend's circuit (0 disables the breaker)")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "time an open circuit diverts traffic before a half-open probe")
@@ -187,7 +184,6 @@ func main() {
 		Retries:          *retries,
 		HTTPClient:       &http.Client{Timeout: *timeout},
 		Cache:            store,
-		HedgeDelay:       *hedge,
 		Metrics:          metrics,
 		RetryBackoff:     *backoff,
 		BreakerThreshold: *brkThresh,
@@ -224,8 +220,7 @@ func main() {
 	defer members.Close()
 
 	api := scheduler.NewServer(sched,
-		scheduler.WithMembership(members), scheduler.WithMetrics(metrics),
-		scheduler.WithMaxBodyBytes(*maxBody))
+		scheduler.WithMembership(members), scheduler.WithMetrics(metrics))
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,

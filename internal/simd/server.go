@@ -17,10 +17,11 @@ import (
 	"repro/pkg/resultstore"
 )
 
-// DefaultMaxBodyBytes caps request bodies: simulation and suite
-// requests are a few KB even with a full config override, so 1 MiB is
+// DefaultMaxBodyBytes caps every request body (http.MaxBytesReader):
+// simulation and suite requests are a few KB even with a full config
+// override, and a repair write carries one stored result, so 1 MiB is
 // generous headroom while keeping a hostile multi-GB POST from being
-// read to the end by the JSON decoder.
+// read to the end by the JSON decoder.  An oversized body gets 413.
 const DefaultMaxBodyBytes = 1 << 20
 
 // Server is the HTTP API of the simulation service.
@@ -47,9 +48,6 @@ type Server struct {
 	store   resultstore.Store
 	mux     *http.ServeMux
 	metrics *obs.Registry
-	// maxBody bounds every request body (http.MaxBytesReader); an
-	// oversized POST is refused with 413 instead of decoded to the end.
-	maxBody int64
 	// ready gates /healthz: SetReady(false) flips the health check to
 	// 503 so the scheduler's probes quarantine this backend (draining)
 	// while in-flight and even new requests still complete.
@@ -93,17 +91,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.metrics = reg }
 }
 
-// WithMaxBodyBytes overrides the request-body cap (default
-// DefaultMaxBodyBytes; n < 1 keeps the default — the cap is a
-// correctness guard, not a feature to disable).
-func WithMaxBodyBytes(n int64) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBody = n
-		}
-	}
-}
-
 // WithAdmission bounds the slot wait queue: at most maxQueue requests
 // may wait for a simulation slot (further arrivals are shed
 // immediately), and no request waits longer than maxWait.  Shed
@@ -143,11 +130,10 @@ func NewServer(eng *frontendsim.Engine, cacheSize int, opts ...Option) *Server {
 // closes it after shutting the server down.
 func NewServerWithStore(eng *frontendsim.Engine, store resultstore.Store, opts ...Option) *Server {
 	s := &Server{
-		eng:     eng,
-		store:   store,
-		mux:     http.NewServeMux(),
-		maxBody: DefaultMaxBodyBytes,
-		adm:     newAdmission(eng.Workers(), 0, 0),
+		eng:   eng,
+		store: store,
+		mux:   http.NewServeMux(),
+		adm:   newAdmission(eng.Workers(), 0, 0),
 	}
 	s.ready.Store(true)
 	for _, opt := range opts {
@@ -345,7 +331,7 @@ func (s *Server) release() { s.adm.release() }
 // server's own (see statusFor).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (frontendsim.Request, error) {
 	var req frontendsim.Request
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -357,7 +343,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (frontend
 // decodeSuite is decodeRequest for suite requests.
 func (s *Server) decodeSuite(w http.ResponseWriter, r *http.Request) (frontendsim.SuiteRequest, error) {
 	var suite frontendsim.SuiteRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&suite); err != nil {
@@ -458,11 +444,16 @@ func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*
 	return &res, source, nil
 }
 
-// dispatch is dispatchSource without the source, the plain
-// frontendsim.Dispatcher of the blocking suite endpoint.
-func (s *Server) dispatch(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, error) {
-	res, _, err := s.dispatchSource(ctx, req)
-	return res, err
+// runSuite runs suite through dispatchSource, emitting every completed
+// shard to sink (nil for the blocking endpoint, which RunSuiteStream
+// then runs exactly like RunSuiteVia).  With WithPartialResults, shard
+// failures degrade to per-shard error entries instead of failing the
+// suite.
+func (s *Server) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink) (*frontendsim.SuiteResult, error) {
+	if s.partial {
+		return s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, sink)
+	}
+	return s.eng.RunSuiteStream(ctx, suite, s.dispatchSource, sink)
 }
 
 // handleSuite runs a whole benchmark suite in-process (single-node mode
@@ -478,12 +469,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	var res *frontendsim.SuiteResult
-	if s.partial {
-		res, err = s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, nil)
-	} else {
-		res, err = s.eng.RunSuiteVia(ctx, suite, s.dispatch)
-	}
+	res, err := s.runSuite(ctx, suite, nil)
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -526,13 +512,7 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	sink := func(sh frontendsim.ShardResult) { emit(sh.Line()) }
-	var res *frontendsim.SuiteResult
-	if s.partial {
-		res, err = s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, sink)
-	} else {
-		res, err = s.eng.RunSuiteStream(ctx, suite, s.dispatchSource, sink)
-	}
+	res, err := s.runSuite(ctx, suite, func(sh frontendsim.ShardResult) { emit(sh.Line()) })
 	if err != nil {
 		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
 		return

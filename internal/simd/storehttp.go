@@ -163,7 +163,7 @@ func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeError(w, decodeStatus(err), err)

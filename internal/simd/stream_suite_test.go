@@ -109,9 +109,11 @@ func TestBodyTooLarge(t *testing.T) {
 		frontendsim.WithWarmupOps(30_000),
 		frontendsim.WithMeasureOps(60_000),
 	)
-	srv := NewServer(eng, 16, WithMaxBodyBytes(512))
+	srv := NewServer(eng, 16)
 
-	huge := `{"benchmark":"gzip","unused":"` + strings.Repeat("x", 4096) + `"}`
+	// One byte over the cap, otherwise well-formed JSON.
+	const head, tail = `{"benchmark":"gzip","unused":"`, `"}`
+	huge := head + strings.Repeat("x", DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
 	for _, path := range []string{
 		"/v1/simulations", "/v1/simulations/stream", "/v1/suites", "/v1/suites/stream",
 	} {

@@ -20,16 +20,17 @@ const (
 	// transport error, 5xx, or a hang past the per-attempt deadline.
 	outcomeFailure
 	// outcomeUnknown: the attempt says nothing about the backend — the
-	// caller cancelled (including a hedge loser reaped by the winner) or
-	// the request itself was refused (4xx, every backend would refuse).
+	// caller cancelled or the request itself was refused (4xx, every
+	// backend would refuse).
 	outcomeUnknown
 )
 
 // classifyDispatch maps one attempt's error to its outcome.  ctx is the
-// caller's context, NOT the per-attempt one: a hedged loser cancelled by
-// the winner carries context.Canceled while ctx is still live, and must
-// not count against the backend.  A DeadlineExceeded while ctx is live
-// is the per-attempt transport timeout — a hung backend, a failure.
+// caller's context, which every attempt runs under.  A context.Canceled
+// while ctx is still live is a cancellation that leaked in from the
+// caller side; no backend produces one, so it must not count against the
+// backend.  A DeadlineExceeded while ctx is live is the HTTP client's own
+// per-attempt timeout — a hung backend, a failure.
 func classifyDispatch(ctx context.Context, err error) dispatchOutcome {
 	if err == nil {
 		return outcomeSuccess
@@ -192,8 +193,8 @@ func (s *Scheduler) allowNode(url string) bool {
 }
 
 // reportAttempt feeds one finished dispatch attempt to the breaker and
-// the passive membership feed.  ctx is the caller's context (see
-// classifyDispatch); unknown outcomes reach neither — they carry no
+// the passive membership feed.  ctx is the context the attempt ran under
+// (see classifyDispatch); unknown outcomes reach neither — they carry no
 // information about the backend.
 func (s *Scheduler) reportAttempt(ctx context.Context, node string, err error) {
 	out := classifyDispatch(ctx, err)

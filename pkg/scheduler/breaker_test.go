@@ -132,7 +132,7 @@ func TestClassifyDispatch(t *testing.T) {
 		{"attempt timeout with live caller", bg, fmt.Errorf("wrap: %w", context.DeadlineExceeded), outcomeFailure},
 		{"4xx", bg, &BackendError{Status: 400}, outcomeUnknown},
 		{"caller gone", cancelled, errors.New("anything"), outcomeUnknown},
-		{"hedge loser", bg, fmt.Errorf("wrap: %w", context.Canceled), outcomeUnknown},
+		{"stray cancel with live caller", bg, fmt.Errorf("wrap: %w", context.Canceled), outcomeUnknown},
 	}
 	for _, c := range cases {
 		if got := classifyDispatch(c.ctx, c.err); got != c.want {
@@ -260,11 +260,11 @@ func TestSchedulerBackoffSpacing(t *testing.T) {
 	}
 }
 
-// TestHedgedWalkSkipsOpenNodesWithoutBackoff pins that hedging does not
-// change what a breaker skip costs: when the only attempt fails and
-// every remaining node's circuit is open, the walk ends at once — no
-// backoff is slept before finding nothing left to try.
-func TestHedgedWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
+// TestWalkSkipsOpenNodesWithoutBackoff pins what a breaker skip costs:
+// when the only attempt fails and every remaining node's circuit is
+// open, the walk ends at once — no backoff is slept before finding
+// nothing left to try.
+func TestWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
 	var nodes []string
 	for i := 0; i < 2; i++ {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -275,7 +275,6 @@ func TestHedgedWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
 	}
 	sched, err := New(frontendsim.New(testOpts()...), Config{
 		Backends:         nodes,
-		HedgeDelay:       time.Hour, // armed, never fires during the test
 		RetryBackoff:     10 * time.Millisecond,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,

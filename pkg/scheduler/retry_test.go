@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,94 +132,9 @@ func homedRequest(t *testing.T, sched *Scheduler, node string) (frontendsim.Requ
 	return frontendsim.Request{}, ""
 }
 
-// slowFastPair builds two canned backends, one answering after delay,
-// one immediately.
-func slowFastPair(t *testing.T, delay time.Duration) (slow, fast *httptest.Server, slowHits, fastHits *atomic.Int64) {
-	t.Helper()
-	body, _ := json.Marshal(&frontendsim.Result{Benchmark: "gzip"})
-	mk := func(d time.Duration, hits *atomic.Int64) *httptest.Server {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.Copy(io.Discard, r.Body)
-			hits.Add(1)
-			if d > 0 {
-				select {
-				case <-time.After(d):
-				case <-r.Context().Done():
-					return
-				}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-		}))
-		t.Cleanup(srv.Close)
-		return srv
-	}
-	slowHits, fastHits = new(atomic.Int64), new(atomic.Int64)
-	return mk(delay, slowHits), mk(0, fastHits), slowHits, fastHits
-}
-
-// TestHedgedDispatchWins pins the tail-latency path: the home node is
-// slow, the hedge timer fires, the next ring node answers first, and
-// the dispatch returns at hedge speed with the win accounted.
-func TestHedgedDispatchWins(t *testing.T) {
-	slow, fast, slowHits, fastHits := slowFastPair(t, 2*time.Second)
-	sched, err := New(frontendsim.New(testOpts()...), Config{
-		Backends:   []string{slow.URL, fast.URL},
-		HedgeDelay: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := homedRequest(t, sched, slow.URL)
-
-	start := time.Now()
-	res, err := sched.Dispatch(context.Background(), req)
-	took := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Benchmark != "gzip" {
-		t.Errorf("result = %+v", res)
-	}
-	if took > time.Second {
-		t.Errorf("hedged dispatch took %v — the slow node's full latency; hedge did not fire", took)
-	}
-	if slowHits.Load() != 1 || fastHits.Load() != 1 {
-		t.Errorf("hits = slow %d / fast %d, want 1/1", slowHits.Load(), fastHits.Load())
-	}
-	st := sched.Stats()
-	if st.Hedged != 1 || st.HedgeWins != 1 {
-		t.Errorf("stats = %+v, want 1 hedged + 1 hedge win", st)
-	}
-	if st.Retried != 0 {
-		t.Errorf("stats = %+v: hedges must not count as retries", st)
-	}
-}
-
-// TestHedgedDispatchPrimaryWins: a healthy-but-not-instant home node
-// still wins when the hedge fires late or the hedged node is slower.
-func TestHedgedDispatchPrimaryWins(t *testing.T) {
-	fastFirst, slowSecond, _, _ := slowFastPair(t, 0)
-	_ = slowSecond
-	sched, err := New(frontendsim.New(testOpts()...), Config{
-		Backends:   []string{fastFirst.URL, slowSecond.URL},
-		HedgeDelay: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := homedRequest(t, sched, fastFirst.URL)
-	if _, err := sched.Dispatch(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if st := sched.Stats(); st.Hedged != 0 || st.HedgeWins != 0 {
-		t.Errorf("stats = %+v, want no hedges for a fast primary", st)
-	}
-}
-
-// TestHedgedWalkStillFailsOver: with hedging enabled, hard failures
-// still walk the ring (hedge is an addition, not a replacement).
-func TestHedgedWalkStillFailsOver(t *testing.T) {
+// TestWalkFailsOverOn5xxStopsOn4xx: a 5xx walks the ring to the next
+// node, while a request error (4xx) aborts the walk at once.
+func TestWalkFailsOverOn5xxStopsOn4xx(t *testing.T) {
 	var deadHits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		deadHits.Add(1)
@@ -237,8 +151,7 @@ func TestHedgedWalkStillFailsOver(t *testing.T) {
 	t.Cleanup(healthy.Close)
 
 	sched, err := New(frontendsim.New(testOpts()...), Config{
-		Backends:   []string{dead.URL, healthy.URL},
-		HedgeDelay: 200 * time.Millisecond,
+		Backends: []string{dead.URL, healthy.URL},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +165,7 @@ func TestHedgedWalkStillFailsOver(t *testing.T) {
 		t.Errorf("result = %+v", res)
 	}
 	if st := sched.Stats(); st.Retried != 1 {
-		t.Errorf("stats = %+v, want 1 retried (5xx failover inside the hedged walk)", st)
+		t.Errorf("stats = %+v, want 1 retried (5xx failover)", st)
 	}
 
 	// And a request error still aborts everything immediately.
@@ -262,8 +175,7 @@ func TestHedgedWalkStillFailsOver(t *testing.T) {
 	}))
 	t.Cleanup(refusing.Close)
 	sched2, err := New(frontendsim.New(testOpts()...), Config{
-		Backends:   []string{refusing.URL, healthy.URL},
-		HedgeDelay: 200 * time.Millisecond,
+		Backends: []string{refusing.URL, healthy.URL},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,55 +185,4 @@ func TestHedgedWalkStillFailsOver(t *testing.T) {
 	if _, err := sched2.Dispatch(context.Background(), req2); !errors.As(err, &be) || be.Status != http.StatusBadRequest {
 		t.Errorf("err = %v, want a 400 BackendError with no failover", err)
 	}
-}
-
-// TestLatencyTrackerPercentile pins the adaptive hedge trigger.
-func TestLatencyTrackerPercentile(t *testing.T) {
-	var lt latencyTracker
-	if got := lt.percentile(0.95); got != 0 {
-		t.Errorf("empty tracker percentile = %v, want 0 (not enough samples)", got)
-	}
-	for i := 1; i <= 100; i++ {
-		lt.observe(time.Duration(i) * time.Millisecond)
-	}
-	p95 := lt.percentile(0.95)
-	if p95 < 90*time.Millisecond || p95 > 100*time.Millisecond {
-		t.Errorf("p95 = %v, want ~95ms", p95)
-	}
-	p50 := lt.percentile(0.50)
-	if p50 < 45*time.Millisecond || p50 > 55*time.Millisecond {
-		t.Errorf("p50 = %v, want ~50ms", p50)
-	}
-
-	// The hedge trigger never drops below the configured floor.
-	s := &Scheduler{hedgeDelay: time.Second}
-	for i := 1; i <= 100; i++ {
-		s.lat.observe(time.Duration(i) * time.Millisecond)
-	}
-	if got := s.hedgeAfter(); got != time.Second {
-		t.Errorf("hedgeAfter = %v, want the 1s floor", got)
-	}
-	s.hedgeDelay = time.Millisecond
-	if got := s.hedgeAfter(); got != p95 {
-		t.Errorf("hedgeAfter = %v, want the observed p95 %v", got, p95)
-	}
-}
-
-// TestConcurrentObserveAndPercentile is the tracker's -race gate.
-func TestConcurrentObserveAndPercentile(t *testing.T) {
-	var lt latencyTracker
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				lt.observe(time.Duration(j))
-				if j%100 == 0 {
-					lt.percentile(0.95)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -39,12 +39,6 @@ type Config struct {
 	// successful dispatch.  A fully cached suite is answered without
 	// contacting a single backend.  nil disables the tier.
 	Cache resultstore.Store
-	// HedgeDelay enables hedged dispatches for tail-latency control:
-	// when a shard's first attempt has been in flight longer than the
-	// observed p95 dispatch latency (never less than HedgeDelay itself),
-	// a second attempt fires to the next ring node and the first
-	// response wins.  0 disables hedging.
-	HedgeDelay time.Duration
 	// Metrics, when set, re-exports the dispatch counters and the
 	// scheduler-tier store counters on the registry (GET /metrics).
 	Metrics *obs.Registry
@@ -65,8 +59,8 @@ type Config struct {
 	// ReportDispatch, when set, receives every dispatch attempt's verdict
 	// about a backend: nil error for success, the failure otherwise.
 	// Attempts that say nothing about the backend (caller cancellation,
-	// 4xx request errors, reaped hedge losers) are not reported.  Wire it
-	// to membership.Registry.ReportDispatch so real traffic quarantines a
+	// 4xx request errors) are not reported.  Wire it to
+	// membership.Registry.ReportDispatch so real traffic quarantines a
 	// flapping backend between probe rounds.
 	ReportDispatch func(node string, err error)
 	// PartialResults switches RunSuite* to graceful degradation: shards
@@ -98,11 +92,6 @@ type Stats struct {
 	// response store without contacting a backend — directly, or by
 	// joining an in-flight store lookup another caller started.
 	CacheHits uint64 `json:"cache_hits"`
-	// Hedged counts speculative second attempts launched because the
-	// first exceeded the hedge latency threshold.
-	Hedged uint64 `json:"hedged"`
-	// HedgeWins counts dispatches where a hedged attempt answered first.
-	HedgeWins uint64 `json:"hedge_wins"`
 	// RingSwaps counts atomic ring replacements (SetBackends).
 	RingSwaps uint64 `json:"ring_swaps"`
 	// BreakerSkips counts dispatch attempts diverted around an open
@@ -142,11 +131,9 @@ type Scheduler struct {
 	// retries keeps the Config semantics (0 = all remaining, <0 = none)
 	// and is resolved against the current ring size on every dispatch —
 	// the ring can grow and shrink at runtime.
-	retries    int
-	hedgeDelay time.Duration
-	lat        latencyTracker
-	cache      resultstore.Store // nil disables the scheduler-tier store
-	flight     singleflight.Group[outcome]
+	retries int
+	cache   resultstore.Store // nil disables the scheduler-tier store
+	flight  singleflight.Group[outcome]
 
 	// Resilience plumbing: the passive per-backend breaker (nil when
 	// disabled), the jittered retry backoff, and the passive membership
@@ -167,8 +154,6 @@ type Scheduler struct {
 	retried      atomic.Uint64
 	coalesced    atomic.Uint64
 	cacheHits    atomic.Uint64
-	hedged       atomic.Uint64
-	hedgeWins    atomic.Uint64
 	ringSwaps    atomic.Uint64
 	breakerSkips atomic.Uint64
 	backoffs     atomic.Uint64
@@ -199,7 +184,6 @@ func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
 		client:         NewClient(cfg.HTTPClient),
 		replicas:       cfg.Replicas,
 		retries:        cfg.Retries,
-		hedgeDelay:     cfg.HedgeDelay,
 		cache:          cfg.Cache,
 		retryBackoff:   cfg.RetryBackoff,
 		rng:            newJitterRNG(),
@@ -229,8 +213,6 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 			emit([]string{"retried"}, float64(st.Retried))
 			emit([]string{"coalesced"}, float64(st.Coalesced))
 			emit([]string{"cache_hit"}, float64(st.CacheHits))
-			emit([]string{"hedged"}, float64(st.Hedged))
-			emit([]string{"hedge_win"}, float64(st.HedgeWins))
 		})
 	reg.Sampled("scheduler_ring_swaps_total", "Atomic ring replacements.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
@@ -319,8 +301,6 @@ func (s *Scheduler) Stats() Stats {
 		Retried:      s.retried.Load(),
 		Coalesced:    s.coalesced.Load(),
 		CacheHits:    s.cacheHits.Load(),
-		Hedged:       s.hedged.Load(),
-		HedgeWins:    s.hedgeWins.Load(),
 		RingSwaps:    s.ringSwaps.Load(),
 		BreakerSkips: s.breakerSkips.Load(),
 		Backoffs:     s.backoffs.Load(),
@@ -432,7 +412,7 @@ func (s *Scheduler) RunSuiteServed(ctx context.Context, suite frontendsim.SuiteR
 }
 
 // RunSuiteStream is the streamed fan-in: the suite's unique shards run
-// through the whole cache → singleflight → hedged-dispatch stack
+// through the whole cache → singleflight → ring-dispatch stack
 // exactly as in RunSuiteServed, but every shard is emitted to sink the
 // moment it completes — a partially cached sweep streams its cached
 // shards in the first milliseconds while only the missing shards wait
@@ -606,122 +586,64 @@ func permanent(ctx context.Context, err error) bool {
 	return errors.As(err, &be) && !be.Retryable()
 }
 
-// dispatchKey walks the key's ring sequence: the home node first, then
-// up to retries failover nodes.  Nodes whose circuit breaker is open are
-// skipped without costing an attempt or a backoff; when every permitted
-// node is open, the home node is forced (it doubles as a breaker probe)
-// rather than failing with nothing tried.  Once every in-flight attempt
-// has failed, the next node fires after the jittered retry backoff.
-// Request errors (4xx — every backend would refuse) and the caller's own
-// cancellation abort the walk immediately.
-//
-// With HedgeDelay > 0 the walk also hedges tail latency: while an
-// attempt is in flight, a timer at hedgeAfter() fires the next node
-// speculatively; the first successful response wins and the losers'
-// requests are cancelled.
+// dispatchKey walks the key's ring sequence on the caller's goroutine:
+// the home node first, then up to retries failover nodes, one attempt at
+// a time.  Nodes whose circuit breaker is open are skipped without
+// costing an attempt or a backoff; when every permitted node is open,
+// the home node is forced (it doubles as a breaker probe) rather than
+// failing with nothing tried.  After a failed attempt the next admitted
+// node is tried after the jittered retry backoff.  Request errors (4xx —
+// every backend would refuse) and the caller's own cancellation abort
+// the walk immediately.
 func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (outcome, error) {
 	s.dispatched.Add(1)
 	nodes := s.Ring().Sequence(key)
 	nodes = nodes[:s.attempts(len(nodes))]
 
-	// Without hedging one attempt is in flight at a time, so the walk
-	// never returns with a loser to reap and attempts run under ctx.
-	actx := ctx
-	var timer *time.Timer
-	var hedge <-chan time.Time // nil, so never ready, without hedging
-	if s.hedgeDelay > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithCancel(ctx)
-		defer cancel() // reap every losing attempt on return
-		timer = time.NewTimer(s.hedgeAfter())
-		defer timer.Stop()
-		hedge = timer.C
-	}
-
-	type attempt struct {
-		hedged bool
-		out    outcome
-		err    error
-		took   time.Duration
-	}
-	resc := make(chan attempt, len(nodes))
-	launched, pending, fired := 0, 0, 0
+	walked := 0
 	// next advances to the next node whose circuit admits a request, or
-	// returns -1 when every remaining node is breaker-open.
+	// returns -1 when every remaining node is breaker-open.  It asks the
+	// breaker lazily, one node at a time: allow admits half-open probes
+	// as a side effect, so a node the walk will not try is never asked.
 	next := func() int {
-		for launched < len(nodes) {
-			idx := launched
-			launched++
+		for walked < len(nodes) {
+			idx := walked
+			walked++
 			if s.allowNode(nodes[idx]) {
 				return idx
 			}
 		}
 		return -1
 	}
-	fire := func(idx int, hedged bool) {
-		fired++
-		pending++
-		go func(actx context.Context, node string) {
-			start := time.Now()
-			body, res, err := s.client.Simulate(actx, node, req)
-			s.reportAttempt(ctx, node, err)
-			resc <- attempt{hedged: hedged, out: outcome{body: body, res: res}, err: err, took: time.Since(start)}
-		}(actx, nodes[idx])
-	}
-	home := next()
-	if home < 0 {
+	idx := next()
+	if idx < 0 {
 		// Refusing outright would make a fleet-wide blip self-sustaining:
 		// no requests, no probes, no recovery.
-		home = 0
+		idx = 0
 	}
-	fire(home, false)
-
+	fired := 0
 	var lastErr error
-	for pending > 0 {
-		select {
-		case a := <-resc:
-			pending--
-			if a.err == nil {
-				s.lat.observe(a.took)
-				if a.hedged {
-					s.hedgeWins.Add(1)
-				}
-				return a.out, nil
+	for ; idx >= 0; idx = next() {
+		if fired > 0 {
+			s.retried.Add(1)
+			if err := s.backoff(ctx, fired); err != nil {
+				return outcome{}, err
 			}
-			if permanent(ctx, a.err) {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return outcome{}, ctxErr
-				}
-				return outcome{}, a.err
-			}
-			lastErr = a.err
-			if pending > 0 {
-				continue
-			}
-			// Every in-flight attempt failed: retry on the next admitted
-			// node after the backoff (nothing is pending, so sleeping here
-			// stalls no other attempt).  The timer may have expired while
-			// we waited on resc, leaving a stale tick in timer.C —
-			// stop-drain-reset, or the next iteration hedges instantly.
-			if idx := next(); idx >= 0 {
-				s.retried.Add(1)
-				if err := s.backoff(ctx, fired); err != nil {
-					return outcome{}, err
-				}
-				fire(idx, false)
-				if timer != nil {
-					rearmTimer(timer, s.hedgeAfter())
-				}
-			}
-		case <-hedge:
-			if idx := next(); idx >= 0 {
-				s.hedged.Add(1)
-				fire(idx, true)
-				timer.Reset(s.hedgeAfter())
-			}
-		case <-ctx.Done():
-			return outcome{}, ctx.Err()
 		}
+		fired++
+		node := nodes[idx]
+		body, res, err := s.client.Simulate(ctx, node, req)
+		s.reportAttempt(ctx, node, err)
+		if err == nil {
+			return outcome{body: body, res: res}, nil
+		}
+		if permanent(ctx, err) {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return outcome{}, ctxErr
+			}
+			return outcome{}, err
+		}
+		lastErr = err
 	}
 	return outcome{}, &ExhaustedError{Benchmark: req.Benchmark, Attempts: fired, Last: lastErr}
 }

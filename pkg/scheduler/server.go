@@ -44,7 +44,6 @@ type Server struct {
 	members *membership.Registry
 	metrics *obs.Registry
 	mux     *http.ServeMux
-	maxBody int64
 	// ready gates /healthz: SetReady(false) flips it to 503 so load
 	// balancers stop routing here while srv.Shutdown drains in-flight
 	// suites.
@@ -55,7 +54,7 @@ type Server struct {
 // API.  Suite requests are a benchmark list plus one configuration —
 // a megabyte is orders of magnitude above any legitimate request, and
 // the cap keeps a misbehaving client from buffering the node into the
-// ground.
+// ground.  Oversized bodies are rejected with 413.
 const DefaultMaxBodyBytes = 1 << 20
 
 // ServerOption configures NewServer.
@@ -76,20 +75,9 @@ func WithMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) { s.metrics = reg }
 }
 
-// WithMaxBodyBytes overrides the request-body cap (default
-// DefaultMaxBodyBytes).  Oversized bodies are rejected with 413.
-// Non-positive values keep the default.
-func WithMaxBodyBytes(n int64) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBody = n
-		}
-	}
-}
-
 // NewServer builds the HTTP frontend over sched.
 func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
-	s := &Server{sched: sched, mux: http.NewServeMux(), maxBody: DefaultMaxBodyBytes}
+	s := &Server{sched: sched, mux: http.NewServeMux()}
 	s.ready.Store(true)
 	for _, opt := range opts {
 		opt(s)
@@ -185,7 +173,7 @@ func decodeStatus(err error) int {
 // decodeBody caps r.Body at the configured limit and decodes one JSON
 // value into v, rejecting unknown fields.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)

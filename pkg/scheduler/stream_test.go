@@ -337,9 +337,11 @@ func TestSchedulerServerBodyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sched, WithMaxBodyBytes(512))
+	srv := NewServer(sched)
 
-	huge := `{"benchmarks":["gzip"],"pad":"` + strings.Repeat("x", 4096) + `"}`
+	// One byte over the cap, otherwise well-formed JSON.
+	const head, tail = `{"benchmarks":["gzip"],"pad":"`, `"}`
+	huge := head + strings.Repeat("x", DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
 	for _, route := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/suites"},
 		{http.MethodPost, "/v1/suites/stream"},
