@@ -93,6 +93,7 @@ func main() {
 		fmt.Printf("event queue    %d pushes, %d pops, %d store wakeups, %d polls avoided\n",
 			raw.Stats.EventPushes, raw.Stats.EventPops,
 			raw.Stats.StoreWakeups, raw.Stats.StorePollsAvoided)
+		fmt.Printf("issue select   %d ready evaluations\n", raw.Stats.ReadyEvals)
 	}
 	if *dtmOn {
 		fmt.Printf("dtm            %d engagements, %d throttled intervals, min duty %d\n",

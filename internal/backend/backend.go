@@ -9,7 +9,10 @@
 // capacity rules and their activity counters.
 package backend
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NeverReady marks a register whose value has not been produced yet.
 const NeverReady = ^uint64(0)
@@ -75,8 +78,11 @@ func (rf *RegFile) Size() int { return len(rf.readyAt) }
 // [0, n).  Subscribe grows it on demand, but pre-sizing keeps the
 // steady-state wakeup path allocation-free.
 func (rf *RegFile) EnsureWaiterTokens(n int) {
-	for len(rf.waiterNext) < n {
-		rf.waiterNext = append(rf.waiterNext, -1)
+	if k := len(rf.waiterNext); k < n {
+		rf.waiterNext = slices.Grow(rf.waiterNext, n-k)[:n]
+		for i := k; i < n; i++ {
+			rf.waiterNext[i] = -1
+		}
 	}
 	if cap(rf.notifyBuf) < n {
 		rf.notifyBuf = make([]int32, 0, n)
@@ -177,9 +183,10 @@ func (rf *RegFile) CountRead() { rf.Reads++ }
 type QueueEntry struct {
 	ID  int32  // core's in-flight op index
 	Seq uint64 // program order, for oldest-first selection
-	// Operand readiness is resolved by the core through a callback; the
-	// queue keeps a cached earliest-possible issue cycle to avoid
-	// re-evaluating entries known not to be ready.
+	// NotBefore is the core's cached earliest-possible issue cycle, so
+	// the select does not re-evaluate entries known not to be ready.
+	// NeverReady marks an entry parked on a source register's waiter
+	// list until that register's producer issues.
 	NotBefore uint64
 }
 
@@ -199,11 +206,12 @@ type IssueQueue struct {
 	prescap   int
 	window    []QueueEntry // len <= capacity; backing array never grows
 	// WakeAt is a conservative lower bound on the next cycle at which any
-	// window entry could pass its NotBefore gate.  The core's inlined
-	// wakeup scan maintains it and skips the whole window while
-	// WakeAt > now — a skipped scan would have evaluated no entry, so the
-	// activity counters are unaffected.  Advance resets it when new
-	// entries (NotBefore 0) reach the window.
+	// window entry could pass its NotBefore gate.  The core's wakeup scan
+	// maintains it and skips the whole window while WakeAt > now — a
+	// skipped scan would have evaluated no entry, so the activity
+	// counters are unaffected.  Advance resets it when new entries
+	// (NotBefore 0) reach the window; the core lowers it when it unparks
+	// an entry.
 	WakeAt uint64
 	// Activity counters: writes on insert, reads on wakeup/select.
 	Writes uint64
@@ -268,70 +276,16 @@ func (q *IssueQueue) Advance(now uint64) {
 	}
 }
 
-// ReadyFunc decides whether an entry can issue at cycle now.  It returns
-// ok, and if not ok, the earliest future cycle at which it is worth
-// re-evaluating the entry (NeverReady if unknown).
-type ReadyFunc func(id int32, now uint64) (ok bool, retry uint64)
-
-// Issue selects the oldest ready instruction in the window, removes it
-// and returns its id.  It returns (-1, false) if nothing can issue this
-// cycle.  Selection is oldest-first, matching the age-ordered schedulers
-// the paper assumes.
-//
-// The core's issueAll inlines this same scan (direct method call instead
-// of the ReadyFunc closure — measurably cheaper at wakeup-poll rates);
-// the two must stay in lockstep, including the WakeAt maintenance, so a
-// queue driven through either entry point behaves identically.
-func (q *IssueQueue) Issue(now uint64, ready ReadyFunc) (int32, bool) {
-	if q.WakeAt > now {
-		return -1, false // nothing could pass its NotBefore gate
-	}
-	best := -1
-	var bestSeq uint64
-	wake := ^uint64(0)
-	for i := range q.window {
-		e := &q.window[i]
-		if e.NotBefore > now {
-			if e.NotBefore < wake {
-				wake = e.NotBefore
-			}
-			continue
-		}
-		q.Reads++
-		ok, retry := ready(e.ID, now)
-		if !ok {
-			if retry <= now {
-				retry = now + 1
-			}
-			e.NotBefore = retry
-			if retry < wake {
-				wake = retry
-			}
-			continue
-		}
-		if best == -1 || e.Seq < bestSeq {
-			best = i
-			bestSeq = e.Seq
-		}
-		if e.NotBefore < wake {
-			wake = e.NotBefore
-		}
-	}
-	q.WakeAt = wake
-	if best == -1 {
-		return -1, false
-	}
-	return q.RemoveIssued(best), true
-}
-
-// Window exposes the issue window so the core can run the wakeup/select
-// scan inline (a direct method call per entry instead of a closure hop).
-// Callers may update entries' NotBefore and must pair each readiness
-// evaluation with CountWakeup; issue via RemoveIssued.
+// Window exposes the issue window, oldest arrival first, to the core's
+// wakeup/select scan.  Callers may update entries' NotBefore, must count
+// every entry the wakeup logic examines with CountWakeups, and issue via
+// RemoveIssued.
 func (q *IssueQueue) Window() []QueueEntry { return q.window }
 
-// CountWakeup records one wakeup-scan entry evaluation (power).
-func (q *IssueQueue) CountWakeup() { q.Reads++ }
+// CountWakeups records n wakeup-scan entry examinations (power): the
+// entries the select evaluated plus those parked on a register waiter
+// list, which the §2.1 activity counter charges every cycle as well.
+func (q *IssueQueue) CountWakeups(n uint64) { q.Reads += n }
 
 // RemoveIssued removes window entry i, counting the issue, and returns
 // its id.

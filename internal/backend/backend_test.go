@@ -44,58 +44,78 @@ func TestQueueDispatchAdvanceIssue(t *testing.T) {
 	if q.WindowOccupancy() != 1 {
 		t.Fatal("entry did not reach window")
 	}
-	allReady := func(id int32, now uint64) (bool, uint64) { return true, 0 }
-	id, issued := q.Issue(10, allReady)
-	if !issued || id != 1 {
-		t.Fatalf("issue = %d,%v", id, issued)
+	if id := q.RemoveIssued(0); id != 1 {
+		t.Fatalf("issued id %d, want 1", id)
 	}
-	if _, issued := q.Issue(10, allReady); issued {
-		t.Fatal("issued from empty window")
+	if q.WindowOccupancy() != 0 || len(q.Window()) != 0 {
+		t.Fatal("issued entry still in the window")
 	}
 	if q.IssueCount != 1 {
 		t.Fatalf("IssueCount = %d", q.IssueCount)
 	}
+	if q.Writes != 2 {
+		t.Fatalf("Writes = %d, want 2 (prescheduler insert + window insert)", q.Writes)
+	}
 }
 
+// The window keeps arrival order and RemoveIssued closes the gap without
+// reordering, so the core's oldest-by-Seq select sees a stable window.
 func TestQueueOldestFirst(t *testing.T) {
 	q := NewIssueQueue(IntQueue, 8, 8)
 	q.Dispatch(QueueEntry{ID: 10, Seq: 5}, 0)
 	q.Dispatch(QueueEntry{ID: 11, Seq: 2}, 0)
 	q.Dispatch(QueueEntry{ID: 12, Seq: 9}, 0)
 	q.Advance(0)
-	allReady := func(id int32, now uint64) (bool, uint64) { return true, 0 }
-	id, _ := q.Issue(0, allReady)
-	if id != 11 {
+	win := q.Window()
+	oldest := 0
+	for i := range win {
+		if win[i].Seq < win[oldest].Seq {
+			oldest = i
+		}
+	}
+	if id := q.RemoveIssued(oldest); id != 11 {
 		t.Fatalf("issued %d, want oldest (11)", id)
+	}
+	win = q.Window()
+	if len(win) != 2 || win[0].ID != 10 || win[1].ID != 12 {
+		t.Fatalf("window after issue = %+v, want ids 10, 12 in arrival order", win)
 	}
 }
 
+// NotBefore written through Window survives the compaction of an issue,
+// and Advance reopens the scan (WakeAt 0) when a new entry arrives.
 func TestQueueSkipsNotReady(t *testing.T) {
 	q := NewIssueQueue(IntQueue, 8, 8)
 	q.Dispatch(QueueEntry{ID: 1, Seq: 1}, 0)
 	q.Dispatch(QueueEntry{ID: 2, Seq: 2}, 0)
+	q.Dispatch(QueueEntry{ID: 3, Seq: 3}, 5)
 	q.Advance(0)
-	onlyTwo := func(id int32, now uint64) (bool, uint64) {
-		if id == 2 {
-			return true, 0
-		}
-		return false, 100
+	win := q.Window()
+	win[1].NotBefore = NeverReady // parked
+	q.WakeAt = 100
+	if id := q.RemoveIssued(0); id != 1 {
+		t.Fatalf("issued %d, want 1", id)
 	}
-	id, ok := q.Issue(0, onlyTwo)
-	if !ok || id != 2 {
-		t.Fatalf("issue = %d,%v; want 2 (out-of-order issue)", id, ok)
+	if e := q.Window()[0]; e.ID != 2 || e.NotBefore != NeverReady {
+		t.Fatalf("entry after issue = %+v, want id 2 still parked", e)
 	}
-	// Entry 1 cached its retry time: ready func must not be called again
-	// before cycle 100.
-	calls := 0
-	counting := func(id int32, now uint64) (bool, uint64) { calls++; return false, 200 }
-	q.Issue(50, counting)
-	if calls != 0 {
-		t.Fatalf("ready func called %d times before retry time", calls)
+	q.Advance(4)
+	if q.WakeAt != 100 {
+		t.Fatalf("WakeAt = %d after an Advance that moved nothing", q.WakeAt)
 	}
-	q.Issue(100, counting)
-	if calls != 1 {
-		t.Fatalf("ready func not re-evaluated at retry time (calls=%d)", calls)
+	q.Advance(5)
+	if q.WakeAt != 0 {
+		t.Fatalf("WakeAt = %d after a new entry arrived, want 0", q.WakeAt)
+	}
+}
+
+func TestQueueCountWakeups(t *testing.T) {
+	q := NewIssueQueue(MemQueue, 4, 4)
+	q.CountWakeups(3)
+	q.CountWakeups(0)
+	q.CountWakeups(4)
+	if q.Reads != 7 || q.Writes != 0 {
+		t.Fatalf("Reads/Writes = %d/%d, want 7/0", q.Reads, q.Writes)
 	}
 }
 
@@ -250,12 +270,12 @@ func TestQuickQueueConservation(t *testing.T) {
 	q := NewIssueQueue(FPQueue, 4, 4)
 	dispatched, issued := 0, 0
 	now := uint64(0)
-	allReady := func(id int32, _ uint64) (bool, uint64) { return true, 0 }
 	f := func(doIssue bool) bool {
 		now++
 		if doIssue {
 			q.Advance(now)
-			if _, ok := q.Issue(now, allReady); ok {
+			if q.WindowOccupancy() > 0 {
+				q.RemoveIssued(0)
 				issued++
 			}
 		} else if q.Dispatch(QueueEntry{ID: int32(dispatched), Seq: uint64(dispatched)}, now) {

@@ -36,6 +36,9 @@ func (s *Stats) HitRate() float64 {
 	return 1 - float64(s.Misses())/float64(a)
 }
 
+// invalid is the rank of a way that holds no line.
+const invalid = 0xFF
+
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	name      string
@@ -44,10 +47,11 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	tags      []uint64 // sets*ways, tag per way
-	valid     []bool
-	age       []uint64 // LRU timestamps
-	clock     uint64
-	Stats     Stats
+	// rank is each way's LRU position within its set: the valid ways of
+	// a set hold 0 (most recently used) up to their count minus one;
+	// invalid marks an empty way.
+	rank  []uint8
+	Stats Stats
 }
 
 // Config describes a cache geometry.
@@ -64,7 +68,7 @@ func New(cfg Config) *Cache {
 	if cfg.LineB <= 0 || cfg.LineB&(cfg.LineB-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB))
 	}
-	if cfg.Ways <= 0 {
+	if cfg.Ways <= 0 || cfg.Ways >= invalid {
 		panic(fmt.Sprintf("cache %s: %d ways", cfg.Name, cfg.Ways))
 	}
 	lines := cfg.SizeB / cfg.LineB
@@ -76,16 +80,19 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineB {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		name:      cfg.Name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*cfg.Ways),
-		valid:     make([]bool, sets*cfg.Ways),
-		age:       make([]uint64, sets*cfg.Ways),
+		rank:      make([]uint8, sets*cfg.Ways),
 	}
+	for i := range c.rank {
+		c.rank[i] = invalid
+	}
+	return c
 }
 
 // Name returns the cache's configured name.
@@ -110,7 +117,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+		if c.rank[base+w] != invalid && c.tags[base+w] == tag {
 			return true
 		}
 	}
@@ -154,50 +161,58 @@ func (c *Cache) Update(addr uint64) bool {
 func (c *Cache) touch(addr uint64) bool {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	c.clock++
 	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.age[base+w] = c.clock
+		if c.rank[base+w] != invalid && c.tags[base+w] == tag {
+			c.promote(base, base+w)
 			return true
 		}
 	}
 	return false
 }
 
-// Fill inserts the line containing addr, evicting the LRU way.  It returns
-// the evicted line address and whether an eviction happened.
+// promote makes way i of the set at base its most recently used: every
+// way more recent than i ages by one.  An invalid i ages every valid way.
+func (c *Cache) promote(base, i int) {
+	r := c.rank[i]
+	for w := base; w < base+c.ways; w++ {
+		if c.rank[w] < r {
+			c.rank[w]++
+		}
+	}
+	c.rank[i] = 0
+}
+
+// Fill inserts the line containing addr into the first invalid way of
+// its set, else over the LRU way.  It returns the evicted line address
+// and whether an eviction happened.
 func (c *Cache) Fill(addr uint64) (evicted uint64, wasValid bool) {
 	set, tag := c.index(addr)
 	base := set * c.ways
-	c.clock++
 	c.Stats.Fills++
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if !c.valid[i] {
-			victim = i
-			wasValid = false
+		if c.rank[i] == invalid {
 			c.tags[i] = tag
-			c.valid[i] = true
-			c.age[i] = c.clock
+			c.promote(base, i)
 			return 0, false
 		}
-		if c.age[i] < c.age[victim] {
+		if c.rank[i] > c.rank[victim] {
 			victim = i
 		}
 	}
 	evicted = c.tags[victim] << c.lineShift
 	c.tags[victim] = tag
-	c.age[victim] = c.clock
+	c.promote(base, victim)
 	return evicted, true
 }
 
 // InvalidateAll clears the whole cache (used when a trace-cache bank is
 // Vdd-gated: its contents are lost, §3.2.1).
 func (c *Cache) InvalidateAll() {
-	for i := range c.valid {
-		if c.valid[i] {
-			c.valid[i] = false
+	for i := range c.rank {
+		if c.rank[i] != invalid {
+			c.rank[i] = invalid
 			c.Stats.Invalidate++
 		}
 	}
@@ -206,8 +221,8 @@ func (c *Cache) InvalidateAll() {
 // ValidLines returns the number of valid lines currently held.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for _, r := range c.rank {
+		if r != invalid {
 			n++
 		}
 	}

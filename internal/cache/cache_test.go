@@ -24,6 +24,7 @@ func TestBadGeometryPanics(t *testing.T) {
 	cases := []Config{
 		{Name: "badline", SizeB: 1024, Ways: 2, LineB: 48},
 		{Name: "zeroways", SizeB: 1024, Ways: 0, LineB: 64},
+		{Name: "rankoverflow", SizeB: 256 * 64, Ways: 256, LineB: 64},
 		{Name: "badsets", SizeB: 3 * 64 * 2, Ways: 2, LineB: 64},
 	}
 	for _, cfg := range cases {
@@ -195,6 +196,89 @@ func TestQuickCapacityInvariant(t *testing.T) {
 		return c.ValidLines() <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// stampLRU is a reference true-LRU model with per-way access
+// timestamps: on a fill, the first invalid way, else the smallest stamp.
+type stampLRU struct {
+	ways  int
+	tags  []uint64
+	valid []bool
+	stamp []uint64
+	clock uint64
+}
+
+func (m *stampLRU) access(set int, tag uint64) bool {
+	m.clock++
+	for i := set * m.ways; i < (set+1)*m.ways; i++ {
+		if m.valid[i] && m.tags[i] == tag {
+			m.stamp[i] = m.clock
+			return true
+		}
+	}
+	return false
+}
+
+func (m *stampLRU) fill(set int, tag uint64) (uint64, bool) {
+	m.clock++
+	victim := set * m.ways
+	for i := set * m.ways; i < (set+1)*m.ways; i++ {
+		if !m.valid[i] {
+			m.tags[i], m.valid[i], m.stamp[i] = tag, true, m.clock
+			return 0, false
+		}
+		if m.stamp[i] < m.stamp[victim] {
+			victim = i
+		}
+	}
+	old := m.tags[victim]
+	m.tags[victim], m.stamp[victim] = tag, m.clock
+	return old, true
+}
+
+// Property: the rank-based replacement makes exactly the choices of a
+// timestamp LRU over any mix of reads, fills, updates and invalidations.
+func TestQuickRankMatchesTimestampLRU(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := New(Config{Name: "t", SizeB: 4 * 4 * 64, Ways: 4, LineB: 64})
+		m := &stampLRU{ways: 4, tags: make([]uint64, 16), valid: make([]bool, 16), stamp: make([]uint64, 16)}
+		for _, op := range ops {
+			line := uint64(op & 0x3f) // 64 lines over 4 sets
+			addr := line << 6
+			set := int(line & 3)
+			switch op >> 14 {
+			case 0:
+				if c.Read(addr) != m.access(set, line) {
+					return false
+				}
+			case 1:
+				if c.Update(addr) != m.access(set, line) {
+					return false
+				}
+			case 2:
+				ev, was := c.Fill(addr)
+				mev, mwas := m.fill(set, line)
+				if was != mwas || (was && ev != mev<<6) {
+					return false
+				}
+			default:
+				if op&0xfc0 == 0 {
+					c.InvalidateAll()
+					clear(m.valid)
+				}
+			}
+		}
+		n := 0
+		for _, v := range m.valid {
+			if v {
+				n++
+			}
+		}
+		return c.ValidLines() == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -141,6 +141,34 @@ func TestStoreWakeupEliminatesPolling(t *testing.T) {
 		float64(oldPushes)/float64(s.EventPushes))
 }
 
+// TestParkedEntriesSkipReadyEvals is the issue-select counterpart: on the
+// same gzip run, the queues' Reads — every entry the poll scheme
+// evaluated, parked ones included — must be at least 4x the ready calls
+// the parked select makes.  A drained run leaves nothing parked.
+func TestParkedEntriesSkipReadyEvals(t *testing.T) {
+	p := runBench(t, DefaultConfig(), "gzip", 50000)
+	var reads uint64
+	for _, c := range p.clusters {
+		for _, q := range c.Queues {
+			reads += q.Reads
+		}
+	}
+	evals := p.Stats.ReadyEvals
+	if evals == 0 {
+		t.Fatal("gzip run made no ready evaluations")
+	}
+	if reads < 4*evals {
+		t.Fatalf("queue reads %d are only %.1fx the %d ready evaluations, want >= 4x",
+			reads, float64(reads)/float64(evals), evals)
+	}
+	for qi, n := range p.parked {
+		if n != 0 {
+			t.Fatalf("queue %d still counts %d parked entries after drain", qi, n)
+		}
+	}
+	t.Logf("queue reads %d, ready evals %d (%.1fx)", reads, evals, float64(reads)/float64(evals))
+}
+
 // TestStoreDataReadyBoundarySweep sweeps the race between a store's
 // address half and its data producer across the subscription boundary:
 // producer chains of increasing length make the data arrive before,

@@ -20,7 +20,8 @@ type Feeder interface {
 }
 
 // copyBase offsets copy-instruction ids above op-slab ids in issue-queue
-// entries.
+// entries.  Register waiter tokens use a denser layout: slab indices for
+// ops, slabN+copy index for copies.
 const copyBase int32 = 1 << 30
 
 // Stats aggregates the performance counters of one run.
@@ -46,6 +47,10 @@ type Stats struct {
 	EventPops         uint64
 	StoreWakeups      uint64
 	StorePollsAvoided uint64
+	// ReadyEvals counts readiness evaluations by the issue select (calls
+	// to ready).  Entries parked on an unproduced source are not
+	// evaluated, so the queues' Reads exceed it by the parked polls.
+	ReadyEvals uint64
 }
 
 // IPC returns committed micro-ops per cycle.
@@ -159,6 +164,10 @@ type Processor struct {
 	copies   []copyState
 	copyFree []int32
 
+	// parked counts, per issue queue (cluster*NumQueues+kind), the
+	// window entries parked on a source register's waiter list.
+	parked []uint64
+
 	pipe      []pipeEntry // ring buffer
 	pipeHead  int
 	pipeCount int
@@ -226,12 +235,6 @@ func New(cfg Config, feeder Feeder) *Processor {
 	p.slabN = uint64(2*cfg.ROBEntries + cfg.CommitWidth*(cfg.DistributedCommitExtra+2))
 	p.slab = make([]opState, p.slabN)
 	p.readyHot = make([]readyHot, p.slabN)
-	// Wakeup subscription tokens are slab indices; pre-sizing the waiter
-	// links keeps the steady-state subscribe/notify path allocation-free.
-	for _, c := range p.clusters {
-		c.IntRF.EnsureWaiterTokens(int(p.slabN))
-		c.FPRF.EnsureWaiterTokens(int(p.slabN))
-	}
 	p.pipe = make([]pipeEntry, (cfg.FetchToDispatch+cfg.DecodeLatency+2)*cfg.FetchWidth)
 
 	// Steady-state capacity for every append-driven structure of the
@@ -241,6 +244,14 @@ func New(cfg Config, feeder Feeder) *Processor {
 	copyCap := cfg.Clusters*(cfg.Cluster.CopyQ+cfg.Cluster.Prescheduler) + 8
 	p.copies = make([]copyState, 0, copyCap)
 	p.copyFree = make([]int32, 0, copyCap)
+	p.parked = make([]uint64, cfg.Clusters*int(backend.NumQueues))
+	// Wakeup subscription tokens are slab indices, then copy indices;
+	// pre-sizing the waiter links keeps the steady-state subscribe/notify
+	// path allocation-free.
+	for _, c := range p.clusters {
+		c.IntRF.EnsureWaiterTokens(int(p.slabN) + copyCap)
+		c.FPRF.EnsureWaiterTokens(int(p.slabN) + copyCap)
+	}
 	// The event ring covers the largest completion latency the machine
 	// charges in one step — a memory access with its TLB, bus and
 	// arbitration penalties — plus slack for ALU/divider latencies and
@@ -398,16 +409,23 @@ func (p *Processor) drainEvents(now uint64) {
 	}
 }
 
-// wakeWaiters schedules the completion of every store subscribed to a
-// register whose value just became ready at cycle `ready` (now is the
-// producer's issue cycle).  Each store completes at its true ready
-// cycle — the later of its address half finishing and the data arriving
-// — where the replaced scheme would have polled every 2 cycles.
+// wakeWaiters handles every token subscribed to a register whose value
+// just became ready at cycle `ready` (now is the producer's issue
+// cycle).  A parked issue-queue entry returns to its queue's scan.  A
+// store completes at its true ready cycle — the later of its address
+// half finishing and the data arriving — where the replaced scheme
+// would have polled every 2 cycles.
 func (p *Processor) wakeWaiters(tokens []int32, ready, now uint64) {
 	for _, id := range tokens {
+		if id >= int32(p.slabN) {
+			idx := id - int32(p.slabN)
+			p.unpark(copyBase+idx, int(p.copies[idx].src), backend.CopyQueue, now)
+			continue
+		}
 		w := &p.slab[id]
 		if !w.storeWait {
-			panic("core: wakeup delivered to an op that is not waiting")
+			p.unpark(id, int(w.cluster), queueFor(w.u.Class), now)
+			continue
 		}
 		w.storeWait = false
 		at := w.waitFrom
@@ -523,38 +541,45 @@ func (p *Processor) commitEffects(id int32) {
 // ---------------------------------------------------------------------
 // Issue and execute
 
+// issueAll runs the oldest-ready select of every issue queue, in
+// cluster-major, kind-minor order.  An entry whose source producer has
+// not issued is parked on that register's waiter list instead of being
+// re-polled: it costs no ready call until the producer's SetReady
+// unparks it, while the queue still counts one Read per parked entry per
+// cycle, as the poll it replaces did.
 func (p *Processor) issueAll(now uint64) {
 	for cl := 0; cl < p.cfg.Clusters; cl++ {
 		cluster := p.clusters[cl]
 		for k := backend.QueueKind(0); k < backend.NumQueues; k++ {
 			q := cluster.Queues[k]
 			q.Advance(now)
+			qi := cl*int(backend.NumQueues) + int(k)
+			q.CountWakeups(p.parked[qi])
 			if q.WakeAt > now {
-				// No entry can pass its NotBefore gate: the scan would
-				// evaluate nothing, so skipping it is counter-neutral.
+				// No unparked entry can pass its NotBefore gate: the scan
+				// would evaluate nothing, so skipping it is counter-neutral.
 				continue
 			}
-			// The oldest-ready selection of IssueQueue.Issue, inlined over
-			// the exposed window: the wakeup poll of every waiting entry
-			// runs every cycle, and the direct p.ready call (no closure
-			// indirection) is measurably cheaper at that call rate.
 			win := q.Window()
 			best := -1
 			var bestSeq uint64
 			wake := ^uint64(0)
+			evals := uint64(0)
 			for i := range win {
 				e := &win[i]
 				if e.NotBefore > now {
+					// Not due yet, or parked (NotBefore == NeverReady).
 					if e.NotBefore < wake {
 						wake = e.NotBefore
 					}
 					continue
 				}
-				q.CountWakeup()
+				evals++
 				ok, retry := p.ready(cl, e.ID, now)
 				if !ok {
-					if retry <= now {
-						retry = now + 1
+					if retry == backend.NeverReady {
+						p.park(e, qi)
+						continue
 					}
 					e.NotBefore = retry
 					if retry < wake {
@@ -570,6 +595,8 @@ func (p *Processor) issueAll(now uint64) {
 					wake = e.NotBefore // ready, not issued: re-evaluate next cycle
 				}
 			}
+			q.CountWakeups(evals)
+			p.Stats.ReadyEvals += evals
 			q.WakeAt = wake
 			if best >= 0 {
 				p.execute(cl, q.RemoveIssued(best), now)
@@ -578,19 +605,61 @@ func (p *Processor) issueAll(now uint64) {
 	}
 }
 
+// park subscribes window entry e of queue qi to the waiter list of its
+// first source register whose producer has not issued.  NotBefore
+// NeverReady keeps the scan off the entry until unpark.
+func (p *Processor) park(e *backend.QueueEntry, qi int) {
+	e.NotBefore = backend.NeverReady
+	p.parked[qi]++
+	if e.ID >= copyBase {
+		idx := e.ID - copyBase
+		c := &p.copies[idx]
+		c.srcRF.Subscribe(c.srcPhys, int32(p.slabN)+idx)
+		return
+	}
+	op := &p.slab[e.ID]
+	s := 0
+	if *op.srcReady[0] != backend.NeverReady {
+		s = 1
+	}
+	op.srcRF[s].Subscribe(op.srcPhys[s], e.ID)
+}
+
+// unpark returns the parked entry id of cluster cl's kind-k queue to the
+// scan: the producer of its source issued at cycle now.  The poll it
+// replaces saw the producer this cycle if the queue's scan had not run
+// yet, else next cycle; NotBefore = now with WakeAt lowered reproduces
+// both, because issueAll visits queues in a fixed order.
+func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
+	q := p.clusters[cl].Queues[k]
+	win := q.Window()
+	for i := range win {
+		if win[i].ID != id {
+			continue
+		}
+		if win[i].NotBefore != backend.NeverReady {
+			break
+		}
+		win[i].NotBefore = now
+		p.parked[cl*int(backend.NumQueues)+int(k)]--
+		if q.WakeAt > now {
+			q.WakeAt = now
+		}
+		return
+	}
+	panic("core: wakeup delivered to an entry that is not parked")
+}
+
 // ready decides whether instruction id may issue in cluster cl at cycle
-// now; when not, it returns the earliest cycle worth re-checking.
-// Source readiness reads go through the pointers cached at dispatch.
+// now.  When not, it returns the earliest cycle (> now) worth
+// re-checking, or NeverReady when a source's producer has not issued
+// yet (the caller parks the entry).  Source readiness reads go through
+// the pointers cached at dispatch.
 func (p *Processor) ready(cl int, id int32, now uint64) (bool, uint64) {
 	if id >= copyBase {
-		c := &p.copies[id-copyBase]
-		at := *c.srcReady
+		at := *p.copies[id-copyBase].srcReady
 		if at <= now {
 			return true, 0
-		}
-		if at == backend.NeverReady {
-			// The producer has not issued yet; re-check every cycle.
-			return false, now + 1
 		}
 		return false, at
 	}
@@ -600,21 +669,13 @@ func (p *Processor) ready(cl int, id int32, now uint64) (bool, uint64) {
 	// store-data split: dispatch leaves its src1 nil here); it is only
 	// needed to become ready-to-commit.
 	if h.src0 != nil {
-		if at := *h.src0; at > now {
-			if at == backend.NeverReady {
-				return false, now + 1
-			}
-			retry = at
+		if retry = *h.src0; retry == backend.NeverReady {
+			return false, retry
 		}
 	}
 	if h.src1 != nil {
-		if at := *h.src1; at > now {
-			if at == backend.NeverReady {
-				return false, now + 1
-			}
-			if at > retry {
-				retry = at
-			}
+		if at := *h.src1; at > retry {
+			retry = at
 		}
 	}
 	if retry > now {
