@@ -103,8 +103,11 @@ demo:
 
 # Deterministic fuzz smoke: 10 seconds of native fuzzing per target —
 # disk segment replay and the memcached get-response reader (each
-# differential against an independent reference decoder), and the
-# request JSON round trip through the canonical key.
+# differential against an independent reference decoder), the request
+# JSON round trip through the canonical key, and the result view
+# decoder (differential against encoding/json; its seeds are
+# kilobyte-sized result bodies, so minimization is capped to leave the
+# budget to fuzzing).
 # Catches framing and canonicalization regressions in CI without the
 # open-ended runtime of a real fuzz campaign; run `go test -fuzz
 # <target> <package>` with no -fuzztime to hunt for longer.
@@ -113,6 +116,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteReadValues$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./pkg/frontendsim
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to

@@ -427,7 +427,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // dispatchSource adapts simulate to the frontendsim.SourcedDispatcher
 // signature for suite runs: each suite shard flows through the same
 // cache and single-flight group as a plain simulation, so suites and
-// concurrent single requests de-duplicate against each other too.
+// concurrent single requests de-duplicate against each other too.  Only
+// the aggregation view of the body is decoded: the suite handlers write
+// the body itself back out.
 func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
@@ -437,11 +439,11 @@ func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*
 	if err != nil {
 		return nil, "", err
 	}
-	var res frontendsim.Result
-	if err := json.Unmarshal(body, &res); err != nil {
+	res, err := frontendsim.DecodeResultView(body)
+	if err != nil {
 		return nil, "", fmt.Errorf("simd: decode cached result: %w", err)
 	}
-	return &res, source, nil
+	return res, source, nil
 }
 
 // runSuite runs suite through dispatchSource, emitting every completed
@@ -478,7 +480,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if len(res.Errors) > 0 {
 		w.Header().Set("X-Cache", "PARTIAL-ERROR")
 	}
-	json.NewEncoder(w).Encode(res)
+	frontendsim.WriteLine(w, res.AppendJSON)
 }
 
 // handleSuiteStream is handleSuite with NDJSON shard streaming: one
@@ -505,9 +507,8 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 		// (and abandon) the stream before any line arrives.
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 	emit := func(line frontendsim.SuiteStreamLine) {
-		enc.Encode(line)
+		frontendsim.WriteLine(w, line.AppendJSON)
 		if flusher != nil {
 			flusher.Flush()
 		}

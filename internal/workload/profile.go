@@ -14,6 +14,8 @@
 // package rng, so runs are exactly reproducible.
 package workload
 
+import "slices"
+
 // Profile describes a synthetic benchmark.  See the package comment for
 // the mapping between fields and the behaviours they reproduce.
 type Profile struct {
@@ -121,7 +123,13 @@ func (p Profile) defaults() Profile {
 // The five applications whose traces were shorter than 200M instructions
 // (eon, fma3d, mcf, perlbmk, swim) keep the paper's relative lengths via
 // LengthScale (127/200, 30/200, 156/200, 58/200, 112/200).
-func SPEC2000() []Profile {
+func SPEC2000() []Profile { return slices.Clone(spec2000) }
+
+// spec2000 is the defaulted profile table SPEC2000, ByName and Names
+// read, built once.
+var spec2000 = buildSPEC2000()
+
+func buildSPEC2000() []Profile {
 	ps := []Profile{
 		// ---- SPECint ----
 		{Name: "gzip", Seed: 1001, FracLoad: 0.24, FracStore: 0.12, FracBranch: 0.14,
@@ -205,7 +213,7 @@ func SPEC2000() []Profile {
 // ByName returns the SPEC2000 profile with the given name, or false if no
 // such benchmark exists.
 func ByName(name string) (Profile, bool) {
-	for _, p := range SPEC2000() {
+	for _, p := range spec2000 {
 		if p.Name == name {
 			return p, true
 		}
@@ -215,9 +223,8 @@ func ByName(name string) (Profile, bool) {
 
 // Names returns the benchmark names in suite order.
 func Names() []string {
-	ps := SPEC2000()
-	names := make([]string, len(ps))
-	for i, p := range ps {
+	names := make([]string, len(spec2000))
+	for i, p := range spec2000 {
 		names[i] = p.Name
 	}
 	return names

@@ -53,6 +53,27 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestProfileTableNotShared checks that the profile table is handed out
+// by value: mutating what ByName, SPEC2000 or Names returned leaks into
+// no later call.
+func TestProfileTableNotShared(t *testing.T) {
+	want, _ := ByName("gzip")
+	p, _ := ByName("gzip")
+	p.Seed, p.FracLoad = 0, 0.99
+	all := SPEC2000()
+	all[0].Name, all[0].HotTraces = "mutated", -1
+	Names()[0] = "mutated"
+	if got, _ := ByName("gzip"); got != want {
+		t.Fatalf("ByName(gzip) after mutation = %+v, want %+v", got, want)
+	}
+	if got := SPEC2000()[0]; got != want {
+		t.Fatalf("SPEC2000()[0] after mutation = %+v, want %+v", got, want)
+	}
+	if got := Names()[0]; got != "gzip" {
+		t.Fatalf("Names()[0] after mutation = %q, want gzip", got)
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	p, _ := ByName("gzip")
 	a := NewGenerator(p, 5000)

@@ -21,10 +21,15 @@
 //     of pkg/scheduler all key on it,
 //   - RunSuite: a bounded worker pool that parallelizes a benchmark
 //     sweep with deterministic, order-independent aggregation, de-duped
-//     on the canonical request key, and
+//     on the canonical request key,
 //   - RunSuiteVia: the same suite machinery over a caller-supplied
 //     Dispatcher, so a suite can run against remote backends (see
-//     pkg/scheduler) with an aggregate byte-identical to a local run.
+//     pkg/scheduler) with an aggregate byte-identical to a local run,
+//     and
+//   - byte-level serving: DecodeResultView decodes only the fields a
+//     suite aggregate folds from stored result bytes, and the suite
+//     encoders (SuiteResult.AppendJSON, SuiteStreamLine.AppendJSON)
+//     splice those bytes into responses instead of re-encoding them.
 //
 // The zero-cost entry point for a single paper-style run:
 //

@@ -53,6 +53,12 @@ type Result struct {
 	DTMMinDuty     int    `json:"dtm_min_duty,omitempty"`
 
 	raw *sim.Result
+	// body is the encoding a decoded Result was read from
+	// (DecodeResult, DecodeResultView); the suite encoders write it
+	// verbatim.  view marks a Result of which only the aggregation
+	// fields were decoded.
+	body []byte
+	view bool
 }
 
 // Raw returns the underlying internal simulation result, including the

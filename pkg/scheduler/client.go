@@ -51,10 +51,11 @@ func NewClient(hc *http.Client) *Client {
 
 // Simulate posts req to node's POST /v1/simulations and returns the
 // response body verbatim — simd's stored representation of the result —
-// together with its decoding.  The decode validates bytes from another
-// process before the scheduler caches or serves them: a body that does
-// not decode is a retryable failure.  Cancellation of ctx aborts the
-// in-flight HTTP request.
+// together with its full decoding (frontendsim.DecodeResult, so suite
+// responses write the body itself back out).  The decode validates
+// bytes from another process before the scheduler caches or serves
+// them: a body that does not decode is a retryable failure.
+// Cancellation of ctx aborts the in-flight HTTP request.
 func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) ([]byte, *frontendsim.Result, error) {
 	reqBody, err := json.Marshal(req)
 	if err != nil {
@@ -84,11 +85,11 @@ func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Requ
 	if err != nil {
 		return nil, nil, fmt.Errorf("scheduler: backend %s: read result: %w", node, err)
 	}
-	var res frontendsim.Result
-	if err := json.Unmarshal(body, &res); err != nil {
+	res, err := frontendsim.DecodeResult(body)
+	if err != nil {
 		return nil, nil, fmt.Errorf("scheduler: backend %s: decode result: %w", node, err)
 	}
-	return body, &res, nil
+	return body, res, nil
 }
 
 // bodyBufs recycles the buffers backend responses are read into (a

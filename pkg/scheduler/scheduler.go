@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -163,7 +162,8 @@ type Scheduler struct {
 // scheduler-tier store served it.  body is simd's response body
 // verbatim — the one representation the scheduler caches, hints and
 // serves, so a result's bytes stay those the backend computed — and res
-// is its decoding, for suite aggregation.
+// is its decoding for suite aggregation: in full for a backend body,
+// the aggregation view (frontendsim.DecodeResultView) for a stored one.
 type outcome struct {
 	body   []byte
 	res    *frontendsim.Result
@@ -426,11 +426,26 @@ func (s *Scheduler) RunSuiteServed(ctx context.Context, suite frontendsim.SuiteR
 // the suite completes with per-shard error entries — one dead shard no
 // longer fails an otherwise-servable sweep.
 func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink) (*frontendsim.SuiteResult, Served, error) {
+	return s.runSuite(ctx, suite, sink, true)
+}
+
+// runSuite is RunSuiteStream over serve.  Shards the scheduler store
+// answered carry views of the stored bytes (frontendsim.DecodeResultView);
+// with full set each is decoded in full once, in its shard's dispatch,
+// so the positions of one shard share one *Result.  The HTTP handlers
+// keep the views and splice their bytes into the response.
+func (s *Scheduler) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink, full bool) (*frontendsim.SuiteResult, Served, error) {
 	var cached, dispatched, coalesced atomic.Uint64
 	dispatch := func(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
-		r, src, err := s.DispatchSource(ctx, req)
+		out, src, err := s.serve(ctx, req)
 		if err != nil {
 			return nil, "", err
+		}
+		r := out.res
+		if full {
+			if r, err = r.Full(); err != nil {
+				return nil, "", err
+			}
 		}
 		switch src {
 		case SourceCached:
@@ -477,7 +492,11 @@ func (s *Scheduler) Dispatch(ctx context.Context, req frontendsim.Request) (*fro
 // DispatchSource is Dispatch plus how the request was served.
 func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, Source, error) {
 	out, src, err := s.serve(ctx, req)
-	return out.res, src, err
+	if err != nil {
+		return nil, src, err
+	}
+	res, err := out.res.Full()
+	return res, src, err
 }
 
 // serve is DispatchSource returning the whole outcome, body bytes
@@ -528,8 +547,10 @@ func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) (outcome
 	return out, SourceDispatched, nil
 }
 
-// cacheGet reads one result from the scheduler-tier store; any failure
-// (store error, undecodable entry) is a miss — the ring can always
+// cacheGet reads one result from the scheduler-tier store and decodes
+// only its aggregation view: the entry was decoded in full before it
+// was written.  Any failure (store error, an entry that is not JSON or
+// whose view does not decode) is a miss — the ring can always
 // recompute.
 func (s *Scheduler) cacheGet(ctx context.Context, key string) (outcome, bool) {
 	if s.cache == nil {
@@ -539,11 +560,11 @@ func (s *Scheduler) cacheGet(ctx context.Context, key string) (outcome, bool) {
 	if err != nil || !ok {
 		return outcome{}, false
 	}
-	var res frontendsim.Result
-	if json.Unmarshal(body, &res) != nil {
+	res, err := frontendsim.DecodeResultView(body)
+	if err != nil {
 		return outcome{}, false
 	}
-	return outcome{body: body, res: &res, cached: true}, true
+	return outcome{body: body, res: res, cached: true}, true
 }
 
 // cacheSet writes one dispatched body back to the scheduler-tier store

@@ -187,14 +187,14 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, served, err := s.sched.RunSuiteServed(ctx, suite)
+	res, served, err := s.sched.runSuite(ctx, suite, nil, false)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", served.XCache())
-	json.NewEncoder(w).Encode(res)
+	frontendsim.WriteLine(w, res.AppendJSON)
 }
 
 // handleSuiteStream is handleSuite with incremental delivery: NDJSON,
@@ -224,9 +224,8 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 		// (and abandon) the stream before any line arrives.
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 	emit := func(line frontendsim.SuiteStreamLine) {
-		enc.Encode(line)
+		frontendsim.WriteLine(w, line.AppendJSON)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -235,7 +234,7 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// A failed shard of a partial-results run becomes a "shard-error"
 	// line: the stream keeps going and the terminal aggregate excludes it.
-	res, _, err := s.sched.RunSuiteStream(ctx, suite, func(sh frontendsim.ShardResult) { emit(sh.Line()) })
+	res, _, err := s.sched.runSuite(ctx, suite, func(sh frontendsim.ShardResult) { emit(sh.Line()) }, false)
 	if err != nil {
 		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
 		return
