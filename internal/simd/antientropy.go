@@ -222,8 +222,9 @@ func sliceFilter(backends []string, self string, replicas int) (func(string) boo
 	return func(key string) bool { return ring.Node(key) == self }, nil
 }
 
-// httpGet fetches target's body, failing on any status but 200.
-func httpGet(ctx context.Context, client *http.Client, target string) ([]byte, error) {
+// httpGet fetches target's body, failing on any status but 200 and,
+// when limit > 0, on a body longer than limit bytes.
+func httpGet(ctx context.Context, client *http.Client, target string, limit int64) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return nil, err
@@ -236,12 +237,19 @@ func httpGet(ctx context.Context, client *http.Client, target string) ([]byte, e
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("simd: GET %s: status %d", target, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	if limit <= 0 {
+		return io.ReadAll(resp.Body)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(body)) > limit {
+		return nil, fmt.Errorf("simd: GET %s: body exceeds %d bytes", target, limit)
+	}
+	return body, err
 }
 
 // getJSON decodes target's 200 JSON body into out.
 func getJSON(ctx context.Context, client *http.Client, target string, out any) error {
-	body, err := httpGet(ctx, client, target)
+	body, err := httpGet(ctx, client, target, 0)
 	if err != nil {
 		return err
 	}
@@ -379,12 +387,24 @@ func (ae *AntiEntropy) convergePass(ctx context.Context) (int, error) {
 	return pulled, nil
 }
 
+// pullEntry fetches key's entry from peer under the rules of PUT
+// /v1/store/entries: a non-empty body of at most DefaultMaxBodyBytes.
+func (ae *AntiEntropy) pullEntry(ctx context.Context, peer, key string) ([]byte, error) {
+	target := peer + "/v1/store/entries/" + url.PathEscape(key)
+	body, err := httpGet(ctx, ae.cfg.Client, target, DefaultMaxBodyBytes)
+	if err == nil && len(body) == 0 {
+		return nil, fmt.Errorf("simd: GET %s: empty store entry", target)
+	}
+	return body, err
+}
+
 // exchange compares per-bucket digests with peer and pulls every key
 // the peer holds that local lacks and keep admits (nil admits every
 // key), adding what it pulls to local.  The error reports a peer that
 // could not be compared with at all — unreachable, or 501 from a store
 // that cannot enumerate; failed counts bucket listings and entry pulls
-// that broke mid-exchange.
+// that broke mid-exchange, including entries pullEntry refuses (nothing
+// is stored for those).
 func (ae *AntiEntropy) exchange(ctx context.Context, peer string, buckets int, local map[string]bool, keep func(string) bool) (pulled, failed int, err error) {
 	var digest storeDigestResponse
 	if err := getJSON(ctx, ae.cfg.Client, fmt.Sprintf("%s/v1/store/digest?buckets=%d", peer, buckets), &digest); err != nil {
@@ -415,7 +435,7 @@ func (ae *AntiEntropy) exchange(ctx context.Context, peer string, buckets int, l
 			if local[key] || (keep != nil && !keep(key)) {
 				continue
 			}
-			body, err := httpGet(ctx, ae.cfg.Client, peer+"/v1/store/entries/"+url.PathEscape(key))
+			body, err := ae.pullEntry(ctx, peer, key)
 			if err == nil {
 				err = ae.s.store.Set(ctx, key, body)
 			}

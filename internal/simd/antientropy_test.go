@@ -1,10 +1,12 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -172,4 +174,41 @@ func TestAntiEntropyLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("loop pulled %d of 3 before the deadline", a.api.aePulled.Load())
+}
+
+// TestAntiEntropyRefusesBadEntries pulls from a peer that serves one
+// good entry, one empty entry and one entry over DefaultMaxBodyBytes:
+// the bad two count as failed pulls and only the good one is stored,
+// the same rules PUT /v1/store/entries applies.
+func TestAntiEntropyRefusesBadEntries(t *testing.T) {
+	a, b := newReplica(t), newReplica(t)
+	good, empty, big := digestKey(0), digestKey(1), digestKey(2)
+	seedKeys(t, b.store, 0, 3)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/store/entries/" + empty:
+			w.WriteHeader(http.StatusOK)
+		case "/v1/store/entries/" + big:
+			w.Write(bytes.Repeat([]byte("x"), DefaultMaxBodyBytes+1))
+		default:
+			b.api.ServeHTTP(w, r)
+		}
+	}))
+	defer peer.Close()
+
+	ae := newAntiEntropy(t, a, AntiEntropyConfig{Peers: []string{peer.URL}})
+	pulled, failed, err := ae.exchange(context.Background(), peer.URL, ae.cfg.Buckets, map[string]bool{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pulled != 1 || failed != 2 {
+		t.Fatalf("exchange pulled %d, failed %d; want 1 and 2", pulled, failed)
+	}
+	keys := storeKeySet(t, a.store)
+	if len(keys) != 1 || !keys[good] {
+		t.Fatalf("stored keys %v, want only %s", keys, good)
+	}
+	if v, ok, _ := resultstore.Peek(context.Background(), a.store, good); !ok || string(v) != "body-"+good {
+		t.Fatalf("good entry stored as %q", v)
+	}
 }

@@ -425,16 +425,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // dispatchSource adapts simulate to the frontendsim.SourcedDispatcher
-// signature for suite runs: each suite shard flows through the same
-// cache and single-flight group as a plain simulation, so suites and
-// concurrent single requests de-duplicate against each other too.  Only
-// the aggregation view of the body is decoded: the suite handlers write
-// the body itself back out.
-func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
-	key, err := s.eng.RequestKey(req)
-	if err != nil {
-		return nil, "", err
-	}
+// signature for suite runs: each suite shard flows, under the key the
+// suite derived for it, through the same cache and single-flight group
+// as a plain simulation, so suites and concurrent single requests
+// de-duplicate against each other too.  Only the aggregation view of
+// the body is decoded: the suite handlers write the body itself back
+// out.
+func (s *Server) dispatchSource(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, string, error) {
 	body, source, err := s.simulate(ctx, key, req)
 	if err != nil {
 		return nil, "", err

@@ -153,8 +153,9 @@ func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStorePutEntry writes one entry into the store — the repair
-// write path used by hinted-handoff replay (an anti-entropy pull is a
-// plain Set on the puller's side) and operator reseeding.  The body is
+// write path used by hinted-handoff replay and operator reseeding (an
+// anti-entropy pull applies the same body rules on the puller's side,
+// in pullEntry).  The body is
 // stored verbatim, so a replayed entry serves byte-identical to the
 // original computation.
 func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {

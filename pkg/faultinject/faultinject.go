@@ -99,6 +99,25 @@ type Rule struct {
 	Injected uint64 `json:"injected"`
 }
 
+// Validate reports a rule no injection can honour: a status outside
+// 100–599 (other than 0, no status), a negative duration or budget, or
+// a probability outside [0, 1].
+func (r Rule) Validate() error {
+	switch {
+	case r.Status != 0 && (r.Status < 100 || r.Status > 599):
+		return fmt.Errorf("faultinject: status %d outside 100-599", r.Status)
+	case r.LatencyMs < 0:
+		return fmt.Errorf("faultinject: negative latency_ms %d", r.LatencyMs)
+	case r.SlowBodyMs < 0:
+		return fmt.Errorf("faultinject: negative slow_body_ms %d", r.SlowBodyMs)
+	case r.MaxCount < 0:
+		return fmt.Errorf("faultinject: negative max_count %d", r.MaxCount)
+	case r.Probability < 0 || r.Probability > 1:
+		return fmt.Errorf("faultinject: probability %g outside [0, 1]", r.Probability)
+	}
+	return nil
+}
+
 // decision is the folded outcome of every matching rule for one
 // request.
 type decision struct {

@@ -94,7 +94,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	wrapResponseBody(p.in, resp, d)
+	wrapResponseBody(r.Context(), p.in, resp, d)
 
 	for k, vs := range resp.Header {
 		for _, v := range vs {
@@ -125,7 +125,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ControlHandler serves the injector's runtime rule API:
 //
 //	GET    /rules        the rule set with per-rule injection counts
-//	POST   /rules        add a Rule (JSON body); responds {"id": ...}
+//	POST   /rules        add a Rule (JSON body); responds {"id": ...},
+//	                     or 400 for a rule that fails Rule.Validate
 //	DELETE /rules?id=ID  remove one rule
 //	POST   /reset        remove every rule
 //	GET    /stats        cumulative injection counters
@@ -140,6 +141,10 @@ func (in *Injector) ControlHandler() http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&rule); err != nil {
 			http.Error(w, fmt.Sprintf(`{"error":"faultinject: decode rule: %v"}`, err), http.StatusBadRequest)
+			return
+		}
+		if err := rule.Validate(); err != nil {
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, struct {

@@ -103,7 +103,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	wrapResponseBody(t.in, resp, d)
+	wrapResponseBody(req.Context(), t.in, resp, d)
 	return resp, nil
 }
 
@@ -125,12 +125,14 @@ func syntheticResponse(req *http.Request, status int) *http.Response {
 }
 
 // wrapResponseBody applies the body-stage injections (slow-body
-// throttling, corrupt-byte) to resp in place.
-func wrapResponseBody(in *Injector, resp *http.Response, d decision) {
+// throttling, corrupt-byte) to resp in place.  Throttling waits end
+// with ctx, the request's context.
+func wrapResponseBody(ctx context.Context, in *Injector, resp *http.Response, d decision) {
 	if d.slowBody == 0 && !d.corrupt {
 		return
 	}
 	resp.Body = &bodyInjector{
+		ctx:   ctx,
 		in:    in,
 		inner: resp.Body,
 		delay: d.slowBody,
@@ -141,6 +143,7 @@ func wrapResponseBody(in *Injector, resp *http.Response, d decision) {
 
 // bodyInjector throttles and/or corrupts a response body stream.
 type bodyInjector struct {
+	ctx   context.Context
 	in    *Injector
 	inner io.ReadCloser
 	delay time.Duration
@@ -157,7 +160,9 @@ func (b *bodyInjector) Read(p []byte) (int, error) {
 		if len(p) > slowChunk {
 			p = p[:slowChunk]
 		}
-		time.Sleep(b.delay)
+		if err := sleepCtx(b.ctx, b.delay); err != nil {
+			return 0, err
+		}
 	}
 	n, err := b.inner.Read(p)
 	if n > 0 && b.corrupt && !b.corrupted {

@@ -24,8 +24,11 @@
 //     on the canonical request key,
 //   - RunSuiteVia: the same suite machinery over a caller-supplied
 //     Dispatcher, so a suite can run against remote backends (see
-//     pkg/scheduler) with an aggregate byte-identical to a local run,
-//     and
+//     pkg/scheduler) with an aggregate byte-identical to a local run;
+//     a suite canonicalizes its template once and derives every
+//     position's key from that encoding, and the SourcedDispatcher of
+//     RunSuiteStream and RunSuitePartial is handed each shard's key
+//     (equal to RequestKey of its request), and
 //   - byte-level serving: DecodeResultView decodes only the fields a
 //     suite aggregate folds from stored result bytes, and the suite
 //     encoders (SuiteResult.AppendJSON, SuiteStreamLine.AppendJSON)

@@ -21,7 +21,7 @@ func TestRunSuitePartialRecordsShardErrors(t *testing.T) {
 
 	var shards []ShardResult
 	res, err := eng.RunSuitePartial(context.Background(), suite,
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			if req.Benchmark == "mcf" {
 				return nil, "", boom
 			}
@@ -72,7 +72,7 @@ func TestRunSuitePartialRecordsShardErrors(t *testing.T) {
 func TestRunSuitePartialCleanRunMatchesStream(t *testing.T) {
 	eng := testEngine(WithWorkers(4))
 	suite := suiteReq()
-	dispatch := func(ctx context.Context, req Request) (*Result, string, error) {
+	dispatch := func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 		r, err := eng.Run(ctx, req)
 		return r, "MISS", err
 	}
@@ -100,7 +100,7 @@ func TestRunSuitePartialCleanRunMatchesStream(t *testing.T) {
 func TestRunSuitePartialAllShardsFailed(t *testing.T) {
 	eng := testEngine(WithWorkers(2))
 	res, err := eng.RunSuitePartial(context.Background(), suiteReq(),
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			return nil, "", fmt.Errorf("no backend for %s", req.Benchmark)
 		}, nil)
 	if err == nil {
@@ -114,7 +114,7 @@ func TestRunSuitePartialCancellationStillAborts(t *testing.T) {
 	eng := testEngine(WithWorkers(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	_, err := eng.RunSuitePartial(ctx, suiteReq(),
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			cancel()
 			return nil, "", ctx.Err()
 		}, nil)

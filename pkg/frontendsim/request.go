@@ -1,6 +1,7 @@
 package frontendsim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -79,14 +80,29 @@ func (r Request) EffectiveConfig() core.Config {
 // contradictory technique toggles, and inconsistent processor
 // configurations.
 func (r Request) Validate() error {
-	if r.Benchmark == "" {
+	if err := validateBenchmark(r.Benchmark); err != nil {
+		return err
+	}
+	return r.validateTemplate()
+}
+
+// validateBenchmark checks one benchmark name: the benchmark half of
+// Validate.
+func validateBenchmark(name string) error {
+	if name == "" {
 		return fmt.Errorf("frontendsim: request has no benchmark (available: %s)",
 			strings.Join(workload.Names(), " "))
 	}
-	if _, ok := workload.ByName(r.Benchmark); !ok {
+	if _, ok := workload.ByName(name); !ok {
 		return fmt.Errorf("frontendsim: unknown benchmark %q (available: %s)",
-			r.Benchmark, strings.Join(workload.Names(), " "))
+			name, strings.Join(workload.Names(), " "))
 	}
+	return nil
+}
+
+// validateTemplate checks everything Validate checks except the
+// benchmark name, so a suite validates its shared template once.
+func (r Request) validateTemplate() error {
 	if r.BankHopping && r.BlankSilicon {
 		return fmt.Errorf("frontendsim: bank_hopping and blank_silicon are mutually exclusive")
 	}
@@ -130,6 +146,24 @@ func (e *Engine) RequestKey(req Request) (string, error) {
 	if err := req.Validate(); err != nil {
 		return "", err
 	}
+	b, err := e.canonicalJSON(req)
+	if err != nil {
+		return "", err
+	}
+	return hashKey(b), nil
+}
+
+// hashKey renders the key of a canonical encoding: its hex SHA-256,
+// encoded on the stack so the string is the only allocation.
+func hashKey(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// canonicalJSON encodes req's canonical form, the bytes its key hashes.
+func (e *Engine) canonicalJSON(req Request) ([]byte, error) {
 	opt := e.options(req)
 	// The overrides hash by value, not presence: two engines (or a DTM
 	// request toggle vs. a WithDTM default) with different controller or
@@ -149,10 +183,66 @@ func (e *Engine) RequestKey(req Request) (string, error) {
 	// encoding is canonical for a fixed struct shape.
 	b, err := json.Marshal(canon)
 	if err != nil {
-		return "", fmt.Errorf("frontendsim: canonicalize request: %w", err)
+		return nil, fmt.Errorf("frontendsim: canonicalize request: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return b, nil
+}
+
+// benchmarkField opens every canonical encoding; the benchmark name's
+// JSON string follows it.
+const benchmarkField = `{"benchmark":`
+
+// keyTemplate is the canonical encoding of one request template with
+// the benchmark left out.  The benchmark is canonicalRequest's first
+// field and the rest of the encoding does not depend on it, so the key
+// of the template run on any benchmark hashes benchmarkField, the
+// name's JSON string and tail: the bytes RequestKey hashes.  A suite
+// encodes its template once and derives every position's key from it.
+type keyTemplate struct {
+	tail []byte // the encoding after the benchmark's value
+	buf  []byte // scratch for one key's encoding
+}
+
+// newKeyTemplate encodes tmpl's canonical form; tmpl's Benchmark is
+// ignored and tmpl must pass validateTemplate.
+func (e *Engine) newKeyTemplate(tmpl Request) (keyTemplate, error) {
+	tmpl.Benchmark = ""
+	b, err := e.canonicalJSON(tmpl)
+	if err != nil {
+		return keyTemplate{}, err
+	}
+	head := benchmarkField + `""`
+	if !bytes.HasPrefix(b, []byte(head)) {
+		return keyTemplate{}, fmt.Errorf("frontendsim: canonical encoding does not open with %s", head)
+	}
+	tail := b[len(head):]
+	return keyTemplate{tail: tail, buf: make([]byte, 0, len(benchmarkField)+32+len(tail))}, nil
+}
+
+// key returns the canonical key of the template run on benchmark name.
+// It reuses the template's scratch, so one keyTemplate serves one
+// goroutine.
+func (kt *keyTemplate) key(name string) string {
+	b := append(kt.buf[:0], benchmarkField...)
+	b = appendJSONString(b, name)
+	b = append(b, kt.tail...)
+	kt.buf = b
+	return hashKey(b)
+}
+
+// appendJSONString appends s as json.Marshal encodes a string.  Names
+// of printable ASCII with nothing to escape are copied between quotes;
+// anything else goes through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Benchmarks returns the names of all available benchmark profiles,

@@ -6,11 +6,14 @@ import (
 	"sync"
 )
 
-// SourcedDispatcher is a Dispatcher that also reports how the request
-// was served — the per-shard `source` of the streaming suite API.  The
-// conventional spellings are the X-Cache values ("HIT", "COALESCED",
-// "MISS"); an empty string means the dispatcher does not say.
-type SourcedDispatcher func(ctx context.Context, req Request) (*Result, string, error)
+// SourcedDispatcher is a Dispatcher that is also handed the request's
+// canonical key and reports how the request was served — the per-shard
+// `source` of the streaming suite API.  key equals RequestKey(req): the
+// suite derived it from its one template encoding, so the dispatcher
+// need not canonicalize again.  The conventional source spellings are
+// the X-Cache values ("HIT", "COALESCED", "MISS"); an empty string
+// means the dispatcher does not say.
+type SourcedDispatcher func(ctx context.Context, key string, req Request) (*Result, string, error)
 
 // ShardResult is one completed shard of a streamed suite run: the
 // dispatched result plus where in the suite it belongs and how it was
@@ -105,14 +108,11 @@ func (e *Engine) RunSuiteStream(ctx context.Context, suite SuiteRequest, dispatc
 // the rest of the suite runs to completion; only context cancellation
 // still aborts.
 func (e *Engine) runSuite(ctx context.Context, suite SuiteRequest, dispatch SourcedDispatcher, sink StreamSink, partial bool) (*SuiteResult, error) {
-	if err := suite.Validate(); err != nil {
-		return nil, err
-	}
-	reqs := suite.Requests()
-	shards, err := e.shardByKey(reqs)
+	reqs, keys, err := e.suiteKeys(suite)
 	if err != nil {
 		return nil, err
 	}
+	shards := shardByKey(keys)
 	results := make([]*Result, len(reqs))
 	// shardErrs[i] is shard i's dispatch error in partial mode; each
 	// shard is owned by exactly one worker, so the slots race-free.
@@ -144,7 +144,7 @@ func (e *Engine) runSuite(ctx context.Context, suite SuiteRequest, dispatch Sour
 			defer wg.Done()
 			for i := range jobs {
 				positions := shards[i]
-				res, source, err := dispatch(ctx, reqs[positions[0]])
+				res, source, err := dispatch(ctx, keys[positions[0]], reqs[positions[0]])
 				if err != nil {
 					// In partial mode only cancellation of the run
 					// itself is fatal; a per-shard dispatch failure is

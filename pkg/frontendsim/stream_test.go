@@ -24,7 +24,7 @@ func TestRunSuiteStreamMatchesBlocking(t *testing.T) {
 
 	var shards []ShardResult
 	streamed, err := eng.RunSuiteStream(context.Background(), suite,
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			res, err := eng.Run(ctx, req)
 			return res, "MISS", err
 		},
@@ -79,7 +79,7 @@ func TestRunSuiteStreamSharesDuplicateShards(t *testing.T) {
 	var dispatches atomic.Int64
 	var shards []ShardResult
 	res, err := eng.RunSuiteStream(context.Background(), suite,
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			dispatches.Add(1)
 			r, err := eng.Run(ctx, req)
 			return r, "", err
@@ -116,7 +116,7 @@ func TestRunSuiteStreamDispatchErrorAborts(t *testing.T) {
 
 	var emitted int
 	_, err := eng.RunSuiteStream(context.Background(), suiteReq(),
-		func(ctx context.Context, req Request) (*Result, string, error) {
+		func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 			return nil, "", boom
 		},
 		func(ShardResult) { emitted++ })

@@ -16,13 +16,19 @@ type SuiteRequest struct {
 	Request Request `json:"request"`
 }
 
+// names is the suite's benchmark list: Benchmarks, or every profile
+// when nil.
+func (s SuiteRequest) names() []string {
+	if s.Benchmarks == nil {
+		return Benchmarks()
+	}
+	return s.Benchmarks
+}
+
 // Requests expands the suite into one request per benchmark, in suite
 // order.
 func (s SuiteRequest) Requests() []Request {
-	names := s.Benchmarks
-	if names == nil {
-		names = Benchmarks()
-	}
+	names := s.names()
 	out := make([]Request, len(names))
 	for i, n := range names {
 		r := s.Request
@@ -32,14 +38,20 @@ func (s SuiteRequest) Requests() []Request {
 	return out
 }
 
-// Validate checks every expanded request.
+// Validate checks every expanded request and reports the first error
+// in suite order.  The template is checked once: at each position the
+// benchmark name is checked first, then the shared template.
 func (s SuiteRequest) Validate() error {
 	if len(s.Benchmarks) == 0 && s.Benchmarks != nil {
 		return fmt.Errorf("frontendsim: suite selects no benchmarks")
 	}
-	for _, r := range s.Requests() {
-		if err := r.Validate(); err != nil {
+	tmplErr := s.Request.validateTemplate()
+	for _, n := range s.names() {
+		if err := validateBenchmark(n); err != nil {
 			return err
+		}
+		if tmplErr != nil {
+			return tmplErr
 		}
 	}
 	return nil
@@ -105,20 +117,36 @@ func (e *Engine) RunSuite(ctx context.Context, suite SuiteRequest) (*SuiteResult
 	return e.RunSuiteVia(ctx, suite, e.Run)
 }
 
-// shardByKey groups the expanded requests by canonical key in
+// suiteKeys validates the suite, expands it and derives the canonical
+// key of every position from one encoding of the shared template:
+// keys[i] equals RequestKey(reqs[i]), at one hash and one string per
+// position instead of one json.Marshal.
+func (e *Engine) suiteKeys(suite SuiteRequest) (reqs []Request, keys []string, err error) {
+	if err := suite.Validate(); err != nil {
+		return nil, nil, err
+	}
+	kt, err := e.newKeyTemplate(suite.Request)
+	if err != nil {
+		return nil, nil, err
+	}
+	reqs = suite.Requests()
+	keys = make([]string, len(reqs))
+	for i, r := range reqs {
+		keys[i] = kt.key(r.Benchmark)
+	}
+	return reqs, keys, nil
+}
+
+// shardByKey groups suite positions by canonical key in
 // first-appearance order, so duplicate suite entries dispatch exactly
 // once (the suite-level half of the single-flight guarantee; the
 // concurrent half lives in internal/simd and pkg/scheduler).  Each shard
 // lists the suite positions sharing one key, ascending; the first
 // position's request is the one dispatched.
-func (e *Engine) shardByKey(reqs []Request) ([][]int, error) {
-	shards := make([][]int, 0, len(reqs))
-	index := make(map[string]int, len(reqs))
-	for i, r := range reqs {
-		key, err := e.RequestKey(r)
-		if err != nil {
-			return nil, err
-		}
+func shardByKey(keys []string) [][]int {
+	shards := make([][]int, 0, len(keys))
+	index := make(map[string]int, len(keys))
+	for i, key := range keys {
 		if at, ok := index[key]; ok {
 			shards[at] = append(shards[at], i)
 			continue
@@ -126,7 +154,7 @@ func (e *Engine) shardByKey(reqs []Request) ([][]int, error) {
 		index[key] = len(shards)
 		shards = append(shards, []int{i})
 	}
-	return shards, nil
+	return shards
 }
 
 // RunSuiteVia runs the suite through dispatch on a bounded worker pool
@@ -141,7 +169,7 @@ func (e *Engine) shardByKey(reqs []Request) ([][]int, error) {
 // RunSuiteVia answers only on completion; RunSuiteStream is the same
 // machinery with per-shard emission as results land.
 func (e *Engine) RunSuiteVia(ctx context.Context, suite SuiteRequest, dispatch Dispatcher) (*SuiteResult, error) {
-	return e.runSuite(ctx, suite, func(ctx context.Context, req Request) (*Result, string, error) {
+	return e.runSuite(ctx, suite, func(ctx context.Context, _ string, req Request) (*Result, string, error) {
 		res, err := dispatch(ctx, req)
 		return res, "", err
 	}, nil, false)

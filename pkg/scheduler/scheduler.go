@@ -429,15 +429,16 @@ func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteR
 	return s.runSuite(ctx, suite, sink, true)
 }
 
-// runSuite is RunSuiteStream over serve.  Shards the scheduler store
+// runSuite is RunSuiteStream over serveKey, with the key each shard's
+// dispatch is handed by the suite.  Shards the scheduler store
 // answered carry views of the stored bytes (frontendsim.DecodeResultView);
 // with full set each is decoded in full once, in its shard's dispatch,
 // so the positions of one shard share one *Result.  The HTTP handlers
 // keep the views and splice their bytes into the response.
 func (s *Scheduler) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink, full bool) (*frontendsim.SuiteResult, Served, error) {
 	var cached, dispatched, coalesced atomic.Uint64
-	dispatch := func(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
-		out, src, err := s.serve(ctx, req)
+	dispatch := func(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, string, error) {
+		out, src, err := s.serveKey(ctx, key, req)
 		if err != nil {
 			return nil, "", err
 		}
@@ -500,14 +501,20 @@ func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request)
 }
 
 // serve is DispatchSource returning the whole outcome, body bytes
-// included.  The single-flight group stays in front of the store:
-// concurrent identical requests resolve to one store lookup and (on a
-// miss) one backend dispatch, whose body is written back to the store.
+// included: serveKey under req's canonical key.
 func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) (outcome, Source, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
 		return outcome{}, SourceDispatched, err
 	}
+	return s.serveKey(ctx, key, req)
+}
+
+// serveKey serves req, whose canonical key is key.  The single-flight
+// group stays in front of the store: concurrent identical requests
+// resolve to one store lookup and (on a miss) one backend dispatch,
+// whose body is written back to the store.
+func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Request) (outcome, Source, error) {
 	out, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
 		if out, ok := s.cacheGet(runCtx, key); ok {
 			return out, nil
