@@ -108,8 +108,10 @@ demo:
 # template encoding (against RequestKey and SuiteRequest.Validate), the
 # result view decoder (differential against encoding/json; its seeds
 # are kilobyte-sized result bodies, so minimization is capped to leave
-# the budget to fuzzing), and fault rules posted to the control API
-# (an accepted rule must not panic the Proxy or the Transport).
+# the budget to fuzzing), fault rules posted to the control API (an
+# accepted rule must not panic the Proxy or the Transport), and the
+# anti-entropy peer listing decoder (every key it keeps must be
+# storable and in the listed bucket).
 # Catches framing and canonicalization regressions in CI without the
 # open-ended runtime of a real fuzz campaign; run `go test -fuzz
 # <target> <package>` with no -fuzztime to hunt for longer.
@@ -121,6 +123,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteKeys$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultRule$$' -fuzztime $(FUZZTIME) ./pkg/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerListing$$' -fuzztime $(FUZZTIME) ./internal/simd
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to

@@ -9,7 +9,7 @@
 //	     [-store memory|disk|tiered|remote|tiered-remote] [-store-dir DIR]
 //	     [-store-max-bytes N] [-remote-servers HOST:PORT,...] [-remote-ttl D]
 //	     [-compact-threshold 0.5] [-compact-interval 30s]
-//	     [-max-queue 64] [-queue-wait 5s] [-partial-results]
+//	     [-max-queue 64] [-queue-wait 5s]
 //	     [-announce SCHED_URL] [-self SELF_URL]
 //	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-antientropy-interval D]
 //	     [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
@@ -20,12 +20,6 @@
 // Retry-After header (visible as simd_shed_total{reason} on /metrics)
 // instead of stacking goroutines behind clients that will give up
 // anyway.  Zero for either flag removes that bound.
-//
-// With -partial-results, a suite whose shards partly fail answers 200
-// with per-shard `errors` entries, an aggregate over the shards that
-// completed, and X-Cache: PARTIAL-ERROR (the streaming endpoint emits
-// {"type":"shard-error"} lines) — graceful degradation instead of one
-// dead shard failing the sweep.
 //
 // With -announce, simd registers -self with the scheduler's ring admin
 // API on startup (retrying until the scheduler answers) and departs on
@@ -73,14 +67,15 @@
 //
 //	POST /v1/simulations        JSON request -> JSON result (cached, coalesced)
 //	POST /v1/simulations/stream JSON request -> NDJSON per-interval stream
-//	POST /v1/suites             whole-suite run (single-node mode; see simsched)
-//	POST /v1/suites/stream      suite run as NDJSON: per-shard lines as they
-//	                            complete, terminal deterministic aggregate
 //	GET  /v1/benchmarks         available benchmark profiles
 //	GET  /v1/cache/stats        per-tier response-store counters
+//	GET|PUT /v1/store/...       store plane: keys, digest, entries (repair)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               readiness (503 while draining or when the
 //	                            response store is down)
+//
+// Whole suites fan in through cmd/simsched; simsched over this one
+// replica (-backends http://localhost:8723) is the single-node mode.
 //
 // Example:
 //
@@ -181,7 +176,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "max concurrent simulations (default: GOMAXPROCS)")
 		maxQueue  = flag.Int("max-queue", 64, "max requests waiting for a simulation slot; excess is shed with 503 (0 = unbounded)")
 		queueWait = flag.Duration("queue-wait", 5*time.Second, "max time a request waits for a simulation slot before being shed with 503 (0 = unbounded)")
-		partial   = flag.Bool("partial-results", false, "degrade suite runs gracefully: per-shard error entries and X-Cache: PARTIAL-ERROR instead of failing the whole suite")
 		warmup    = flag.Uint64("warmup", 0, "default warmup micro-ops (0 = paper default)")
 		measure   = flag.Uint64("measure", 0, "default measured micro-ops (0 = paper default)")
 		interval  = flag.Uint64("interval", 0, "default interval cycles (0 = paper default)")
@@ -237,14 +231,9 @@ func main() {
 		frontendsim.WithIntervalCycles(*interval),
 		frontendsim.WithWorkers(*workers),
 	)
-	apiOpts := []simd.Option{
+	api := simd.NewServerWithStore(eng, store,
 		simd.WithMetrics(obs.NewRegistry()),
-		simd.WithAdmission(*maxQueue, *queueWait),
-	}
-	if *partial {
-		apiOpts = append(apiOpts, simd.WithPartialResults())
-	}
-	api := simd.NewServerWithStore(eng, store, apiOpts...)
+		simd.WithAdmission(*maxQueue, *queueWait))
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,

@@ -55,6 +55,9 @@
 // flags: the scheduler canonicalizes requests under its own engine
 // defaults, and matching flags keep the two tiers' cache keys aligned.
 //
+// Over one backend (-backends http://localhost:8723) simsched is the
+// single-node mode: simd itself serves no suite routes.
+//
 // Example:
 //
 //	simd -addr :8723 & simd -addr :8733 &

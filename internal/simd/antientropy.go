@@ -205,11 +205,17 @@ type ringSnapshot struct {
 // ring reads the scheduler's current backend set and epoch.
 func (ae *AntiEntropy) ring(ctx context.Context) (ringSnapshot, error) {
 	var snap ringSnapshot
-	if err := getJSON(ctx, ae.cfg.Client, ae.cfg.RingURL+"/v1/ring", &snap); err != nil {
-		ae.s.aeErrs.Add(1)
-		return snap, err
+	target := ae.cfg.RingURL + "/v1/ring"
+	body, err := httpGet(ctx, ae.cfg.Client, target, DefaultMaxBodyBytes)
+	if err == nil {
+		if err = json.Unmarshal(body, &snap); err != nil {
+			err = fmt.Errorf("simd: GET %s: %w", target, err)
+		}
 	}
-	return snap, nil
+	if err != nil {
+		ae.s.aeErrs.Add(1)
+	}
+	return snap, err
 }
 
 // sliceFilter admits the keys that home on self in a ring of the
@@ -247,16 +253,58 @@ func httpGet(ctx context.Context, client *http.Client, target string, limit int6
 	return body, err
 }
 
-// getJSON decodes target's 200 JSON body into out.
-func getJSON(ctx context.Context, client *http.Client, target string, out any) error {
-	body, err := httpGet(ctx, client, target, 0)
+// peerListing is a peer's anti-entropy answer: GET /v1/store/digest
+// fills Digests, GET /v1/store/keys fills Keys.
+type peerListing struct {
+	Digests []resultstore.Digest `json:"digests"`
+	Keys    []string             `json:"keys"`
+}
+
+// decodePeerListing decodes a peer's digest body (bucket < 0), which
+// must carry one digest per bucket, or its key listing of bucket out of
+// buckets.  Listed keys PUT /v1/store/entries would refuse
+// (storeKeyError) or that hash outside bucket are dropped and counted
+// in refused, so every returned key is one this replica may store.
+func decodePeerListing(body []byte, bucket, buckets int) (l peerListing, refused int, err error) {
+	if err := json.Unmarshal(body, &l); err != nil {
+		return peerListing{}, 0, err
+	}
+	if bucket < 0 {
+		if len(l.Digests) != buckets {
+			return peerListing{}, 0, fmt.Errorf("%d digests for %d buckets", len(l.Digests), buckets)
+		}
+		return l, 0, nil
+	}
+	keys := l.Keys[:0]
+	for _, key := range l.Keys {
+		if storeKeyError(key) != nil || resultstore.BucketOf(key, buckets) != bucket {
+			refused++
+			continue
+		}
+		keys = append(keys, key)
+	}
+	l.Keys = keys
+	return l, refused, nil
+}
+
+// getListing reads one peer listing (see decodePeerListing).  A digest
+// is read under the body cap of PUT /v1/store/entries (4,096 buckets
+// are ~200 KB); a key listing is not capped, because Converge lists a
+// whole store in one bucket.
+func (ae *AntiEntropy) getListing(ctx context.Context, target string, bucket, buckets int) (peerListing, int, error) {
+	limit := int64(0)
+	if bucket < 0 {
+		limit = DefaultMaxBodyBytes
+	}
+	body, err := httpGet(ctx, ae.cfg.Client, target, limit)
 	if err != nil {
-		return err
+		return peerListing{}, 0, err
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("simd: GET %s: %w", target, err)
+	l, refused, err := decodePeerListing(body, bucket, buckets)
+	if err != nil {
+		return peerListing{}, 0, fmt.Errorf("simd: GET %s: %w", target, err)
 	}
-	return nil
+	return l, refused, nil
 }
 
 // RunOnce performs one digest exchange with the first answering peer
@@ -403,11 +451,11 @@ func (ae *AntiEntropy) pullEntry(ctx context.Context, peer, key string) ([]byte,
 // key), adding what it pulls to local.  The error reports a peer that
 // could not be compared with at all — unreachable, or 501 from a store
 // that cannot enumerate; failed counts bucket listings and entry pulls
-// that broke mid-exchange, including entries pullEntry refuses (nothing
-// is stored for those).
+// that broke mid-exchange, including listed keys decodePeerListing
+// refuses and entries pullEntry refuses (nothing is stored for those).
 func (ae *AntiEntropy) exchange(ctx context.Context, peer string, buckets int, local map[string]bool, keep func(string) bool) (pulled, failed int, err error) {
-	var digest storeDigestResponse
-	if err := getJSON(ctx, ae.cfg.Client, fmt.Sprintf("%s/v1/store/digest?buckets=%d", peer, buckets), &digest); err != nil {
+	digest, _, err := ae.getListing(ctx, fmt.Sprintf("%s/v1/store/digest?buckets=%d", peer, buckets), -1, buckets)
+	if err != nil {
 		return 0, 0, err
 	}
 	localKeys := make([]string, 0, len(local))
@@ -415,22 +463,20 @@ func (ae *AntiEntropy) exchange(ctx context.Context, peer string, buckets int, l
 		localKeys = append(localKeys, k)
 	}
 	localDigests := resultstore.BucketDigests(localKeys, buckets)
-	if len(digest.Digests) != len(localDigests) {
-		return 0, 0, fmt.Errorf("simd: digest bucket mismatch with %s: %d != %d",
-			peer, len(digest.Digests), len(localDigests))
-	}
 
 	for b := range localDigests {
 		if digest.Digests[b] == localDigests[b] || digest.Digests[b].Count == 0 {
 			continue
 		}
-		var listing storeKeysResponse
-		if err := getJSON(ctx, ae.cfg.Client,
-			fmt.Sprintf("%s/v1/store/keys?bucket=%d&buckets=%d", peer, b, buckets), &listing); err != nil {
+		listing, refused, err := ae.getListing(ctx,
+			fmt.Sprintf("%s/v1/store/keys?bucket=%d&buckets=%d", peer, b, buckets), b, buckets)
+		if err != nil {
 			failed++
 			ae.s.aeErrs.Add(1)
 			continue
 		}
+		failed += refused
+		ae.s.aeErrs.Add(uint64(refused))
 		for _, key := range listing.Keys {
 			if local[key] || (keep != nil && !keep(key)) {
 				continue

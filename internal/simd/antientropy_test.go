@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,4 +214,107 @@ func TestAntiEntropyRefusesBadEntries(t *testing.T) {
 	if v, ok, _ := resultstore.Peek(context.Background(), a.store, good); !ok || string(v) != "body-"+good {
 		t.Fatalf("good entry stored as %q", v)
 	}
+}
+
+// TestAntiEntropyRefusesBadListings pulls from a peer whose key listing
+// adds an empty key, an over-long key and a key outside the listed
+// bucket to one good key, and serves an entry for each: the three count
+// as failed and only the good key is stored, the key rules PUT
+// /v1/store/entries applies.  A digest or ring answer over
+// DefaultMaxBodyBytes fails the exchange or the ring read.
+func TestAntiEntropyRefusesBadListings(t *testing.T) {
+	const buckets = 8
+	a, b := newReplica(t), newReplica(t)
+	good := digestKey(0)
+	seedKeys(t, b.store, 0, 1)
+	outside := ""
+	for i := 1; outside == ""; i++ {
+		if k := digestKey(i); resultstore.BucketOf(k, buckets) != resultstore.BucketOf(good, buckets) {
+			outside = k
+		}
+	}
+	bad := []string{"", strings.Repeat("k", maxStoreKeyLen+1), outside}
+	var oversized atomic.Bool
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		b.api.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		switch {
+		case r.URL.Path == "/v1/store/keys":
+			var l storeKeysResponse
+			if err := json.Unmarshal(body, &l); err != nil {
+				t.Error(err)
+			}
+			l.Keys = append(l.Keys, bad...)
+			body, _ = json.Marshal(l)
+		case strings.HasPrefix(r.URL.Path, "/v1/store/entries/") && !strings.HasSuffix(r.URL.Path, good):
+			body = []byte("body-bad")
+		case r.URL.Path == "/v1/store/digest" && oversized.Load():
+			body = append(body, bytes.Repeat([]byte(" "), DefaultMaxBodyBytes)...)
+		}
+		w.Write(body)
+	}))
+	defer peer.Close()
+
+	ae := newAntiEntropy(t, a, AntiEntropyConfig{Peers: []string{peer.URL}, Buckets: buckets})
+	pulled, failed, err := ae.exchange(context.Background(), peer.URL, buckets, map[string]bool{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pulled != 1 || failed != len(bad) {
+		t.Errorf("exchange pulled %d, failed %d; want 1 and %d", pulled, failed, len(bad))
+	}
+	if keys := storeKeySet(t, a.store); len(keys) != 1 || !keys[good] {
+		t.Errorf("stored keys %v, want only %s", keys, good)
+	}
+
+	oversized.Store(true)
+	if _, _, err := ae.exchange(context.Background(), peer.URL, buckets, map[string]bool{}, nil); err == nil {
+		t.Error("exchange accepted a digest over DefaultMaxBodyBytes")
+	}
+	ring := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"backends":[%q],"epoch":1}%s`, peer.URL, strings.Repeat(" ", DefaultMaxBodyBytes))
+	}))
+	defer ring.Close()
+	ringAE := newAntiEntropy(t, a, AntiEntropyConfig{RingURL: ring.URL})
+	if _, err := ringAE.ring(context.Background()); err == nil {
+		t.Error("ring read accepted a body over DefaultMaxBodyBytes")
+	}
+}
+
+// FuzzPeerListing feeds arbitrary bytes to the peer listing decoder: it
+// must not panic, a digest answer must carry one digest per bucket, and
+// every listed key it returns must be storable (storeKeyError) and hash
+// into the bucket that was listed.
+func FuzzPeerListing(f *testing.F) {
+	f.Add([]byte(`{"buckets":2,"count":1,"digests":[{"count":1,"sum":7},{"count":0,"sum":0}]}`), -1, 2)
+	f.Add([]byte(`{"count":3,"keys":["`+digestKey(0)+`","","`+digestKey(1)+`"]}`), 0, 2)
+	f.Add([]byte(`{"keys":["`+strings.Repeat("k", maxStoreKeyLen+1)+`"]}`), 1, 4)
+	f.Add([]byte(`{"keys":null,"digests":null}`), 0, 1)
+	f.Fuzz(func(t *testing.T, body []byte, bucket, buckets int) {
+		if buckets < 1 || buckets > maxDigestBuckets || bucket >= buckets {
+			return
+		}
+		l, refused, err := decodePeerListing(body, bucket, buckets)
+		if err != nil {
+			return
+		}
+		if refused < 0 {
+			t.Fatalf("refused = %d", refused)
+		}
+		if bucket < 0 {
+			if len(l.Digests) != buckets {
+				t.Fatalf("%d digests for %d buckets", len(l.Digests), buckets)
+			}
+			return
+		}
+		for _, key := range l.Keys {
+			if err := storeKeyError(key); err != nil {
+				t.Fatalf("returned unstorable key %q: %v", key, err)
+			}
+			if got := resultstore.BucketOf(key, buckets); got != bucket {
+				t.Fatalf("returned key %q in bucket %d, listed bucket %d", key, got, bucket)
+			}
+		}
+	})
 }

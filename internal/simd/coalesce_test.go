@@ -99,66 +99,3 @@ func TestSimulateCoalescesConcurrentRequests(t *testing.T) {
 		t.Errorf("stats report %d coalesced, want %d", st.Coalesced, callers-1)
 	}
 }
-
-// TestSuiteEndpointDedupsDuplicateKeys posts a suite with repeated
-// benchmarks and asserts each unique canonical key simulated once.
-func TestSuiteEndpointDedupsDuplicateKeys(t *testing.T) {
-	eng, runs := countingEngine(nil)
-	srv := NewServer(eng, 16)
-
-	w := post(t, srv, "/v1/suites", `{"benchmarks":["gzip","gzip","mcf","gzip"],"request":{}}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
-	}
-	if n := runs.Load(); n != 2 {
-		t.Errorf("suite with 2 unique keys ran the engine %d times, want 2", n)
-	}
-	var res frontendsim.SuiteResult
-	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != 4 || res.Aggregate.Benchmarks != 4 {
-		t.Fatalf("suite shape %d results / %d aggregate benchmarks, want 4/4",
-			len(res.Results), res.Aggregate.Benchmarks)
-	}
-	for i, want := range []string{"gzip", "gzip", "mcf", "gzip"} {
-		if res.Results[i].Benchmark != want {
-			t.Errorf("result %d is %q, want %q", i, res.Results[i].Benchmark, want)
-		}
-	}
-	a, _ := json.Marshal(res.Results[0])
-	b, _ := json.Marshal(res.Results[1])
-	if !bytes.Equal(a, b) {
-		t.Error("duplicate suite entries produced different results")
-	}
-
-	// The suite populated the response cache: a plain simulation of one
-	// of its entries is a HIT.
-	single := post(t, srv, "/v1/simulations", `{"benchmark":"mcf"}`)
-	if got := single.Header().Get("X-Cache"); got != "HIT" {
-		t.Errorf("post-suite single request X-Cache = %q, want HIT", got)
-	}
-	if n := runs.Load(); n != 2 {
-		t.Errorf("cached single request re-ran the engine (%d total runs)", n)
-	}
-}
-
-// TestSuiteEndpointRejectsBadSuites covers the error paths of the suite
-// passthrough.
-func TestSuiteEndpointRejectsBadSuites(t *testing.T) {
-	srv := testServer(0)
-	cases := []struct{ name, body, wantIn string }{
-		{"malformedJSON", `{"benchmarks":`, "decode suite request"},
-		{"unknownBench", `{"benchmarks":["nosuch"],"request":{}}`, "nosuch"},
-		{"emptySelection", `{"benchmarks":[],"request":{}}`, "no benchmarks"},
-	}
-	for _, tc := range cases {
-		w := post(t, srv, "/v1/suites", tc.body)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", tc.name, w.Code)
-		}
-		if !strings.Contains(w.Body.String(), tc.wantIn) {
-			t.Errorf("%s: body %q does not mention %q", tc.name, w.Body.String(), tc.wantIn)
-		}
-	}
-}

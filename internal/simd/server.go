@@ -18,31 +18,15 @@ import (
 )
 
 // DefaultMaxBodyBytes caps every request body (http.MaxBytesReader):
-// simulation and suite requests are a few KB even with a full config
-// override, and a repair write carries one stored result, so 1 MiB is
-// generous headroom while keeping a hostile multi-GB POST from being
-// read to the end by the JSON decoder.  An oversized body gets 413.
+// a simulation request is a few KB even with a full config override,
+// and a repair write carries one stored result, so 1 MiB is generous
+// headroom while keeping a hostile multi-GB POST from being read to the
+// end by the JSON decoder.  An oversized body gets 413.
 const DefaultMaxBodyBytes = 1 << 20
 
-// Server is the HTTP API of the simulation service.
-//
-//	POST /v1/simulations        JSON frontendsim.Request -> JSON frontendsim.Result
-//	POST /v1/simulations/stream JSON request -> NDJSON: one interval line
-//	                            per thermal interval, then a final result line
-//	POST /v1/suites             JSON frontendsim.SuiteRequest -> JSON SuiteResult
-//	POST /v1/suites/stream      JSON suite request -> NDJSON: one shard line
-//	                            per completed shard, then the terminal
-//	                            aggregate line
-//	GET  /v1/benchmarks         the available benchmark profiles
-//	GET  /v1/cache/stats        response-cache counters
-//	GET  /v1/store/keys         live key enumeration (501 without the
-//	                            store's Scanner capability)
-//	GET  /v1/store/digest       per-bucket key-set digests (anti-entropy)
-//	GET  /v1/store/entries/{key}  one stored response body, verbatim
-//	PUT  /v1/store/entries/{key}  repair write (hint replay, reseeding)
-//	GET  /metrics               Prometheus text exposition (with WithMetrics)
-//	GET  /healthz               readiness: 200 while serving, 503 when
-//	                            draining or the response store is down
+// Server is the HTTP API of the simulation service; routes lists its
+// endpoints.  Whole suites fan in through cmd/simsched, which over a
+// single simd replica is the single-node mode.
 type Server struct {
 	eng     *frontendsim.Engine
 	store   resultstore.Store
@@ -57,16 +41,9 @@ type Server struct {
 	// excess load is shed with 503 + Retry-After instead of stacking
 	// handler goroutines behind clients that will give up anyway.
 	adm *admission
-	// partial switches the suite endpoints to graceful degradation:
-	// shard failures become per-shard error entries (X-Cache:
-	// PARTIAL-ERROR, NDJSON shard-error lines) instead of failing the
-	// whole suite.
-	partial bool
 	// flight single-flights concurrent identical requests on the
 	// canonical key: the simulation runs once, every concurrent caller
-	// shares the marshalled response.  Suite entries route through the
-	// same group, so a suite entry and a plain simulation of the same
-	// request also coalesce.
+	// shares the marshalled response.
 	flight singleflight.Group[[]byte]
 	// coalesced counts requests served by joining another caller's
 	// in-flight simulation (reported by /v1/cache/stats).
@@ -105,17 +82,6 @@ func WithAdmission(maxQueue int, maxWait time.Duration) Option {
 	}
 }
 
-// WithPartialResults switches the suite endpoints to graceful
-// degradation: when some shards cannot be served, /v1/suites answers
-// 200 with X-Cache: PARTIAL-ERROR, per-shard `errors` entries and an
-// aggregate over the shards that completed, and /v1/suites/stream
-// emits {"type":"shard-error"} lines — instead of failing the whole
-// suite for one dead shard.  A suite in which *every* shard fails
-// still errors.
-func WithPartialResults() Option {
-	return func(s *Server) { s.partial = true }
-}
-
 // NewServer builds a Server over eng with an in-memory LRU response
 // store of cacheSize entries (cacheSize < 1 disables caching).  At most
 // eng.Workers() simulations run concurrently.
@@ -139,23 +105,35 @@ func NewServerWithStore(eng *frontendsim.Engine, store resultstore.Store, opts .
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.handle("POST /v1/simulations", s.handleSimulate)
-	s.handle("POST /v1/simulations/stream", s.handleStream)
-	s.handle("POST /v1/suites", s.handleSuite)
-	s.handle("POST /v1/suites/stream", s.handleSuiteStream)
-	s.handle("GET /v1/benchmarks", s.handleBenchmarks)
-	s.handle("GET /v1/cache/stats", s.handleCacheStats)
-	s.handle("GET /v1/store/keys", s.handleStoreKeys)
-	s.handle("GET /v1/store/digest", s.handleStoreDigest)
-	s.handle("GET /v1/store/entries/{key}", s.handleStoreGetEntry)
-	s.handle("PUT /v1/store/entries/{key}", s.handleStorePutEntry)
-	s.handle("GET /healthz", s.handleHealthz)
+	for _, rt := range routes {
+		s.handle(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handler(s, w, r) })
+	}
 	if s.metrics != nil {
-		s.mux.Handle("GET /metrics", s.metrics.Handler())
+		s.mux.Handle(metricsRoute, s.metrics.Handler())
 		s.registerMetrics(s.metrics)
 	}
 	return s
 }
+
+// routes is simd's route table: NewServerWithStore mounts it and
+// Describe lists it.  GET /metrics is mounted on top with WithMetrics.
+var routes = []struct {
+	pattern string
+	handler func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/simulations", (*Server).handleSimulate},
+	{"POST /v1/simulations/stream", (*Server).handleStream},
+	{"GET /v1/benchmarks", (*Server).handleBenchmarks},
+	{"GET /v1/cache/stats", (*Server).handleCacheStats},
+	{"GET /v1/store/keys", (*Server).handleStoreKeys},
+	{"GET /v1/store/digest", (*Server).handleStoreDigest},
+	{"GET /v1/store/entries/{key}", (*Server).handleStoreGetEntry},
+	{"PUT /v1/store/entries/{key}", (*Server).handleStorePutEntry},
+	{"GET /healthz", (*Server).handleHealthz},
+}
+
+// metricsRoute is mounted only with WithMetrics.
+const metricsRoute = "GET /metrics"
 
 // handle mounts pattern, instrumented when a metrics registry is
 // configured (the handler label is the route pattern).
@@ -277,8 +255,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // to 499 (nginx convention); everything else is an internal failure and
 // must be a 5xx.  Every handler validates the request *before* the run
 // starts (decode and validation failures are 400 at the handler), so an
-// error reaching this point is the server's fault — a corrupt store
-// entry, a marshalling failure, a future store fault.  Reporting those
+// error reaching this point is the server's fault — an engine or
+// marshalling failure, a future store fault.  Reporting those
 // as 400 would make the scheduler's retry classifier treat a backend
 // fault as permanent and abort its ring walk instead of failing over.
 func statusFor(err error) int {
@@ -338,18 +316,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (frontend
 		return req, fmt.Errorf("simd: decode request: %w", err)
 	}
 	return req, req.Validate()
-}
-
-// decodeSuite is decodeRequest for suite requests.
-func (s *Server) decodeSuite(w http.ResponseWriter, r *http.Request) (frontendsim.SuiteRequest, error) {
-	var suite frontendsim.SuiteRequest
-	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&suite); err != nil {
-		return suite, fmt.Errorf("simd: decode suite request: %w", err)
-	}
-	return suite, suite.Validate()
 }
 
 // simulate produces the marshalled response for one canonical request:
@@ -424,100 +390,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// dispatchSource adapts simulate to the frontendsim.SourcedDispatcher
-// signature for suite runs: each suite shard flows, under the key the
-// suite derived for it, through the same cache and single-flight group
-// as a plain simulation, so suites and concurrent single requests
-// de-duplicate against each other too.  Only the aggregation view of
-// the body is decoded: the suite handlers write the body itself back
-// out.
-func (s *Server) dispatchSource(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, string, error) {
-	body, source, err := s.simulate(ctx, key, req)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := frontendsim.DecodeResultView(body)
-	if err != nil {
-		return nil, "", fmt.Errorf("simd: decode cached result: %w", err)
-	}
-	return res, source, nil
-}
-
-// runSuite runs suite through dispatchSource, emitting every completed
-// shard to sink (nil for the blocking endpoint, which RunSuiteStream
-// then runs exactly like RunSuiteVia).  With WithPartialResults, shard
-// failures degrade to per-shard error entries instead of failing the
-// suite.
-func (s *Server) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink) (*frontendsim.SuiteResult, error) {
-	if s.partial {
-		return s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, sink)
-	}
-	return s.eng.RunSuiteStream(ctx, suite, s.dispatchSource, sink)
-}
-
-// handleSuite runs a whole benchmark suite in-process (single-node mode
-// of the /v1/suites API that cmd/simsched serves across a backend ring)
-// and responds with the deterministic frontendsim.SuiteResult.  With
-// WithPartialResults, shard failures degrade to `errors` entries and
-// X-Cache: PARTIAL-ERROR instead of failing the suite.
-func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
-	suite, err := s.decodeSuite(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	res, err := s.runSuite(ctx, suite, nil)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if len(res.Errors) > 0 {
-		w.Header().Set("X-Cache", "PARTIAL-ERROR")
-	}
-	frontendsim.WriteLine(w, res.AppendJSON)
-}
-
-// handleSuiteStream is handleSuite with NDJSON shard streaming: one
-// {"type":"shard"} line per completed shard the moment it lands (cached
-// shards effectively instantly), flushed per line, then a terminal
-// {"type":"aggregate"} line whose suite field is byte-identical (as
-// JSON) to the blocking /v1/suites response of the same request.  A run
-// failure after streaming began becomes a terminal {"type":"error"}
-// line — the HTTP status is already committed.
-func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
-	suite, err := s.decodeSuite(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the committed 200 to the wire now: the first shard may
-		// be arbitrarily slow, and a client must be able to observe
-		// (and abandon) the stream before any line arrives.
-		flusher.Flush()
-	}
-	emit := func(line frontendsim.SuiteStreamLine) {
-		frontendsim.WriteLine(w, line.AppendJSON)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	res, err := s.runSuite(ctx, suite, func(sh frontendsim.ShardResult) { emit(sh.Line()) })
-	if err != nil {
-		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
-		return
-	}
-	emit(frontendsim.SuiteStreamLine{Type: "aggregate", Suite: res})
-}
-
 // streamLine is one NDJSON line of the streaming endpoint.
 type streamLine struct {
 	Type     string                `json:"type"` // "interval" | "result" | "error"
@@ -586,17 +458,9 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 // Describe returns a one-line routing summary (used by cmd/simd startup
 // logging).
 func Describe() string {
-	return strings.Join([]string{
-		"POST /v1/simulations",
-		"POST /v1/simulations/stream",
-		"POST /v1/suites",
-		"POST /v1/suites/stream",
-		"GET /v1/benchmarks",
-		"GET /v1/cache/stats",
-		"GET /v1/store/keys",
-		"GET /v1/store/digest",
-		"GET|PUT /v1/store/entries/{key}",
-		"GET /metrics",
-		"GET /healthz",
-	}, ", ")
+	patterns := make([]string, 0, len(routes)+1)
+	for _, rt := range routes {
+		patterns = append(patterns, rt.pattern)
+	}
+	return strings.Join(append(patterns, metricsRoute), ", ")
 }

@@ -3,9 +3,13 @@ package simd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -203,6 +207,12 @@ func TestBadRequests(t *testing.T) {
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/simulations status = %d, want 405", w.Code)
 	}
+	// Suites fan in through simsched; simd serves no suite route.
+	for _, path := range []string{"/v1/suites", "/v1/suites/stream"} {
+		if w := post(t, srv, path, `{"benchmarks":["gzip"]}`); w.Code != http.StatusNotFound {
+			t.Errorf("POST %s status = %d, want 404", path, w.Code)
+		}
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -283,6 +293,93 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestBodyTooLarge asserts the body cap rejects oversized POSTs with
+// 413 on every decoding endpoint, and that a request under the cap
+// still works on the same server.
+func TestBodyTooLarge(t *testing.T) {
+	srv := testServer(16)
+
+	// One byte over the cap, otherwise well-formed JSON.
+	const head, tail = `{"benchmark":"gzip","unused":"`, `"}`
+	huge := head + strings.Repeat("x", DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
+	for _, path := range []string{"/v1/simulations", "/v1/simulations/stream"} {
+		w := post(t, srv, path, huge)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", path, w.Code)
+		}
+		var e apiError
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: non-JSON 413 body %q", path, w.Body.String())
+		}
+	}
+	if w := post(t, srv, "/v1/simulations", `{"benchmark":"gzip"}`); w.Code != http.StatusOK {
+		t.Errorf("under-cap request status = %d, want 200", w.Code)
+	}
+}
+
+// TestInternalFaultIs500 pins statusFor: an admission shed is 503, a
+// cancelled or expired context is 499, and any other failure on a
+// validated request is the server's own — 500, not 400, because the
+// scheduler's retry classifier treats 4xx as permanent and would refuse
+// to fail over.
+func TestInternalFaultIs500(t *testing.T) {
+	cases := []struct {
+		err  error
+		want int
+	}{
+		{&ShedError{Reason: ShedQueueFull}, http.StatusServiceUnavailable},
+		{fmt.Errorf("wrapped: %w", &ShedError{Reason: ShedWaitDeadline}), http.StatusServiceUnavailable},
+		{context.Canceled, 499},
+		{fmt.Errorf("run: %w", context.DeadlineExceeded), 499},
+		{errors.New("simd: store fault"), http.StatusInternalServerError},
+		{fmt.Errorf("json: %w", errors.New("unsupported value")), http.StatusInternalServerError},
+	}
+	for _, tc := range cases {
+		if got := statusFor(tc.err); got != tc.want {
+			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestRoutesMatchAPIDoc pins docs/API.md's simd section to the route
+// table: every route has a "### `METHOD /path`" heading, and no heading
+// names a route simd does not serve.
+func TestRoutesMatchAPIDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	start := strings.Index(section, "\n## simd endpoints\n")
+	if start < 0 {
+		t.Fatal("docs/API.md has no simd endpoints section")
+	}
+	section = section[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if route, ok := strings.CutPrefix(line, "### `"); ok {
+			documented[strings.TrimSuffix(route, "`")] = true
+		}
+	}
+	served := map[string]bool{metricsRoute: true}
+	for _, rt := range routes {
+		served[rt.pattern] = true
+	}
+	for route := range served {
+		if !documented[route] {
+			t.Errorf("route %q is not documented in docs/API.md's simd section", route)
+		}
+	}
+	for route := range documented {
+		if !served[route] {
+			t.Errorf("docs/API.md documents simd route %q, which the route table lacks", route)
 		}
 	}
 }

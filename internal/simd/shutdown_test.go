@@ -12,9 +12,9 @@ import (
 
 // TestGracefulShutdownDrainsStream pins the drain contract of cmd/simd:
 // once shutdown begins, /healthz flips to 503 first (so probes stop
-// routing new work here), and an in-flight /v1/suites/stream run
+// routing new work here), and an in-flight /v1/simulations/stream run
 // completes through srv.Shutdown — the client still receives every
-// remaining shard line and the terminal aggregate.
+// remaining interval line and the terminal result line.
 func TestGracefulShutdownDrainsStream(t *testing.T) {
 	api := testServer(16)
 	srv := &http.Server{Handler: api}
@@ -29,8 +29,10 @@ func TestGracefulShutdownDrainsStream(t *testing.T) {
 	}()
 	base := "http://" + ln.Addr().String()
 
-	resp, err := http.Post(base+"/v1/suites/stream", "application/json",
-		strings.NewReader(`{"benchmarks":["gzip","mcf","swim"]}`))
+	// A longer run than the test default, so the stream is still
+	// producing interval lines when shutdown begins.
+	resp, err := http.Post(base+"/v1/simulations/stream", "application/json",
+		strings.NewReader(`{"benchmark":"gzip","measure_ops":240000}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestGracefulShutdownDrainsStream(t *testing.T) {
 		shutdownDone <- srv.Shutdown(ctx)
 	}()
 
-	// The in-flight stream must run to its terminal aggregate line even
+	// The in-flight stream must run to its terminal result line even
 	// though the listener is closed and Shutdown is waiting.
 	last := ""
 	for sc.Scan() {
@@ -72,8 +74,8 @@ func TestGracefulShutdownDrainsStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("stream broken during drain: %v", err)
 	}
-	if !strings.Contains(last, `"type":"aggregate"`) {
-		t.Errorf("terminal line = %q, want an aggregate line", last)
+	if !strings.HasPrefix(last, `{"type":"result"`) {
+		t.Errorf("terminal line = %.80q, want a result line", last)
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Errorf("Shutdown: %v", err)

@@ -43,8 +43,8 @@ type ShardResult struct {
 // can afford: it runs on the suite's worker goroutines.
 type StreamSink func(ShardResult)
 
-// SuiteStreamLine is one NDJSON line of the POST /v1/suites/stream
-// endpoints (internal/simd single-node, pkg/scheduler ring fan-in).
+// SuiteStreamLine is one NDJSON line of simsched's POST
+// /v1/suites/stream endpoint (the pkg/scheduler ring fan-in).
 // Type selects which fields are populated:
 //
 //	"shard"       Positions/Benchmark/Source/Result — one completed shard

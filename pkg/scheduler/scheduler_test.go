@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,13 +107,41 @@ func tenBenchSuite() frontendsim.SuiteRequest {
 }
 
 // TestSchedulerMatchesSerialRunSuite is the multi-backend integration
-// test: a 10-benchmark suite through 3 real simd backends must be
+// test: a 10-benchmark suite through real simd backends must be
 // byte-identical to a serial in-process Engine.RunSuite, with every
 // request landing on its home backend and the shard assignment stable
-// across a scheduler restart with a reordered backend list.
+// across a scheduler restart with a reordered backend list.  It runs
+// over a 3-replica fleet and over one replica, the single-node mode.
+// Both also pin the blocking HTTP body, the streamed aggregate, a suite
+// with duplicate keys and a clean PartialResults run to the serial
+// bytes.
 func TestSchedulerMatchesSerialRunSuite(t *testing.T) {
-	backends := newBackends(t, 3)
+	names := tenBenchSuite().Benchmarks
+	dupSuite := frontendsim.SuiteRequest{
+		Benchmarks: []string{names[0], names[3], names[0], names[6], names[3]},
+		Request:    tenBenchSuite().Request,
+	}
+	dupRes, err := frontendsim.New(append(testOpts(), frontendsim.WithWorkers(1))...).
+		RunSuite(context.Background(), dupSuite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupWant, err := json.Marshal(dupRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replicas := range []int{3, 1} {
+		t.Run(fmt.Sprintf("%d-replica", replicas), func(t *testing.T) {
+			matchesSerialRunSuite(t, replicas, dupSuite, dupWant)
+		})
+	}
+}
+
+func matchesSerialRunSuite(t *testing.T, replicas int, dupSuite frontendsim.SuiteRequest, dupWant []byte) {
+	names := tenBenchSuite().Benchmarks
+	backends := newBackends(t, replicas)
 	sched := newScheduler(t, urls(backends))
+	want := serialReferenceJSON(t)
 
 	distributed, err := sched.RunSuite(context.Background(), tenBenchSuite())
 	if err != nil {
@@ -121,8 +151,8 @@ func TestSchedulerMatchesSerialRunSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(distJSON, serialReferenceJSON(t)) {
-		t.Error("3-backend scheduler suite is not byte-identical to the serial run")
+	if !bytes.Equal(distJSON, want) {
+		t.Error("scheduler suite is not byte-identical to the serial run")
 	}
 
 	// Every dispatch landed on the key's home backend, exactly once.
@@ -144,16 +174,78 @@ func TestSchedulerMatchesSerialRunSuite(t *testing.T) {
 			spread++
 		}
 	}
-	if spread < 2 {
+	if spread < min(2, replicas) {
 		t.Errorf("suite sharded onto %d backend(s), want at least 2", spread)
 	}
 	if st := sched.Stats(); st.Dispatched != 10 || st.Retried != 0 {
 		t.Errorf("stats = %+v, want 10 dispatched, 0 retried", st)
 	}
 
+	// The HTTP spellings of the same suite: the blocking body and the
+	// streamed terminal aggregate carry the serial bytes.
+	srv := NewServer(sched)
+	if body := postSuiteBody(t, srv, "/v1/suites", tenBenchSuite()); !bytes.Equal(body, append(want, '\n')) {
+		t.Error("blocking /v1/suites body is not byte-identical to the serial run")
+	}
+	lines := bytes.Split(bytes.TrimSuffix(postSuiteBody(t, srv, "/v1/suites/stream", tenBenchSuite()), []byte("\n")), []byte("\n"))
+	var agg struct {
+		Type  string          `json:"type"`
+		Suite json.RawMessage `json:"suite"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &agg); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Type != "aggregate" || !bytes.Equal(agg.Suite, want) {
+		t.Errorf("streamed terminal line (type %q) does not carry the serial suite bytes", agg.Type)
+	}
+	if len(lines) != 11 {
+		t.Errorf("stream has %d lines, want 10 shard lines and the aggregate", len(lines))
+	}
+
+	// Duplicate keys dispatch once each and fill every position.
+	before := sched.Stats().Dispatched
+	dup, err := sched.RunSuite(context.Background(), dupSuite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(dup); err != nil || !bytes.Equal(got, dupWant) {
+		t.Errorf("duplicate-key suite is not byte-identical to the serial run (err %v)", err)
+	}
+	if n := sched.Stats().Dispatched - before; n != 3 {
+		t.Errorf("duplicate-key suite dispatched %d shards for 3 unique keys", n)
+	}
+	// The suite's shards warmed their home replica's store.
+	single := frontendsim.Request{Benchmark: names[0], BankHopping: true}
+	key, err := sched.eng.RequestKey(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xc, _ := postRaw(t, sched.Ring().Node(key)+"/v1/simulations", string(body)); xc != "HIT" {
+		t.Errorf("home replica answered a suite entry with X-Cache %q, want HIT", xc)
+	}
+
+	// A PartialResults run with every shard served is the default run.
+	partial, err := New(frontendsim.New(testOpts()...), Config{Backends: urls(backends), PartialResults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	NewServer(partial).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/suites", bytes.NewReader(suiteJSON(t, tenBenchSuite()))))
+	if xc := w.Header().Get("X-Cache"); w.Code != http.StatusOK || xc == "PARTIAL-ERROR" {
+		t.Errorf("clean partial-results run: status %d, X-Cache %q", w.Code, xc)
+	}
+	if !bytes.Equal(w.Body.Bytes(), append(want, '\n')) {
+		t.Error("clean partial-results body is not byte-identical to the serial run")
+	}
+
 	// Restart: a scheduler rebuilt over the same backends in a different
 	// order assigns every key identically.
-	reordered := []string{backends[2].URL(), backends[0].URL(), backends[1].URL()}
+	reordered := urls(backends)
+	slices.Reverse(reordered)
 	restarted := newScheduler(t, reordered)
 	for _, bench := range frontendsim.Benchmarks() {
 		key, err := sched.eng.RequestKey(frontendsim.Request{Benchmark: bench, BankHopping: true})
@@ -164,6 +256,26 @@ func TestSchedulerMatchesSerialRunSuite(t *testing.T) {
 			t.Errorf("benchmark %s re-homed across restart: %s -> %s", bench, a, b)
 		}
 	}
+}
+
+func suiteJSON(t *testing.T, suite frontendsim.SuiteRequest) []byte {
+	t.Helper()
+	body, err := json.Marshal(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// postSuiteBody posts suite to path on srv and returns the 200 body.
+func postSuiteBody(t *testing.T, srv http.Handler, path string, suite frontendsim.SuiteRequest) []byte {
+	t.Helper()
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(suiteJSON(t, suite))))
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST %s: status %d, body %s", path, w.Code, w.Body.String())
+	}
+	return w.Body.Bytes()
 }
 
 // TestSchedulerFailsOverDeadBackend kills one backend and asserts every
