@@ -42,8 +42,11 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Docs gate: the three docs exist and are linked from the README, every
-# relative markdown link in README + docs/ resolves, and gofmt/vet cover
-# the result-store package the docs describe.
+# relative markdown link in README + docs/ resolves, the usage comments
+# of cmd/simd and cmd/simsched list exactly the flags each registers
+# (the per-command flag count is printed), and gofmt/vet cover the
+# result-store package the docs describe.
+USAGE_CMDS = simd simsched
 docs-check:
 	@for f in docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md; do \
 		test -f "$$f" || { echo "docs-check: missing $$f"; exit 1; }; \
@@ -56,6 +59,17 @@ docs-check:
 			test -e "$$dir/$$link" || { echo "docs-check: $$f links missing $$link"; fail=1; }; \
 		done; \
 	done; exit $$fail
+	@fail=0; tmp=$$(mktemp -d); for cmd in $(USAGE_CMDS); do \
+		f=cmd/$$cmd/main.go; \
+		grep -oE 'flag\.[A-Za-z0-9]+\("[^"]+"' $$f | sed -E 's/.*\("//; s/"$$//' | sort -u > $$tmp/registered; \
+		awk '/^\/\/ Usage:/ {u = 1; next} u && /^\/\/\t/ {s = 1; print; next} s {exit}' $$f \
+			| grep -oE '(^|[[ ])-[a-z][a-z0-9-]*' | sed -E 's/^[[ ]?-//' | sort -u > $$tmp/documented; \
+		for fl in $$(comm -23 $$tmp/registered $$tmp/documented); do \
+			echo "docs-check: $$f registers -$$fl but its usage comment omits it"; fail=1; done; \
+		for fl in $$(comm -13 $$tmp/registered $$tmp/documented); do \
+			echo "docs-check: $$f usage comment lists -$$fl, which is not registered"; fail=1; done; \
+		echo "docs-check: $$cmd registers $$(wc -l < $$tmp/registered) flags"; \
+	done; rm -r $$tmp; exit $$fail
 	@out="$$(gofmt -l pkg/resultstore)"; if [ -n "$$out" ]; then \
 		echo "docs-check: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./pkg/resultstore/...
@@ -109,7 +123,7 @@ demo:
 # result view decoder (differential against encoding/json; its seeds
 # are kilobyte-sized result bodies, so minimization is capped to leave
 # the budget to fuzzing), fault rules posted to the control API (an
-# accepted rule must not panic the Proxy or the Transport), and the
+# accepted rule must not panic the Proxy), and the
 # anti-entropy peer listing decoder (every key it keeps must be
 # storable and in the listed bucket).
 # Catches framing and canonicalization regressions in CI without the

@@ -6,13 +6,18 @@
 // Usage:
 //
 //	simd [-addr :8723] [-cache 512] [-workers N]
-//	     [-store memory|disk|tiered|remote|tiered-remote] [-store-dir DIR]
-//	     [-store-max-bytes N] [-remote-servers HOST:PORT,...] [-remote-ttl D]
+//	     [-store-dir DIR] [-store-max-bytes N]
+//	     [-remote-servers HOST:PORT,...] [-remote-ttl D]
 //	     [-compact-threshold 0.5] [-compact-interval 30s]
 //	     [-max-queue 64] [-queue-wait 5s]
 //	     [-announce SCHED_URL] [-self SELF_URL]
 //	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-antientropy-interval D]
-//	     [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
+//	     [-pprof ADDR]
+//
+// Every run uses the paper's simulation lengths unless its request sets
+// warmup_ops, measure_ops or interval_cycles: lengths are part of the
+// canonical request key, so no process-wide default can make two tiers
+// key or compute the same request differently.
 //
 // Admission control: at most -workers simulations run concurrently; up
 // to -max-queue further requests wait at most -queue-wait for a slot.
@@ -46,17 +51,20 @@
 // Its peers come from the scheduler ring (-announce) or, without one,
 // the static -warmup-peer list.
 //
-// Store backends (-store):
+// The response store follows from the tier flags
+// (resultstore.OpenStack):
 //
-//	memory         in-process LRU of -cache entries; dies with the process (default)
-//	disk           crash-safe segment files under -store-dir; survives restarts
-//	tiered         memory LRU in front of the disk store, write-through — the
-//	               hot set answers from RAM, everything survives a restart
-//	remote         shared memcached tier at -remote-servers; replicas on
-//	               different machines serve each other's results
-//	tiered-remote  memory LRU in front of the remote tier — the production
-//	               fleet shape: hot set in RAM, shared tier across machines,
-//	               and an unreachable remote degrades to local serving
+//	-store-dir DIR          crash-safe disk segments under DIR; survive restarts
+//	-remote-servers LIST    shared memcached tier; replicas on different
+//	                        machines serve each other's results
+//	-cache N (N > 0)        in-process LRU of N entries, write-through in
+//	                        front of either back tier, or alone without one
+//
+// -store-dir and -remote-servers are exclusive.  With the default -cache
+// 512, -store-dir gives the single-machine shape (hot set in RAM,
+// everything survives a restart) and -remote-servers the fleet shape (an
+// unreachable remote degrades to local serving); with neither, results
+// live in memory only and die with the process.
 //
 // Disk-backed stores run a background compactor (see -compact-threshold
 // / -compact-interval): sealed segments whose live-byte ratio falls
@@ -79,7 +87,7 @@
 //
 // Example:
 //
-//	simd -store tiered -store-dir /var/lib/simd
+//	simd -store-dir /var/lib/simd
 //	curl -s localhost:8723/v1/simulations -d '{"benchmark":"gzip","frontends":2,"bank_hopping":true}'
 package main
 
@@ -103,54 +111,6 @@ import (
 	"repro/pkg/resultstore"
 )
 
-// storeFlags is the store-related flag set shared by buildStore.
-type storeFlags struct {
-	kind          string
-	dir           string
-	maxBytes      int64
-	cacheSize     int
-	remoteServers string
-	remoteTTL     time.Duration
-}
-
-// buildStore assembles the response store selected by the flags.  The
-// *Disk return is non-nil when a disk tier is part of the stack, so the
-// caller can hang the background compactor off it.
-func buildStore(f storeFlags) (resultstore.Store, *resultstore.Disk, error) {
-	switch f.kind {
-	case "memory":
-		return resultstore.NewMemory(f.cacheSize), nil, nil
-	case "disk", "tiered":
-		if f.dir == "" {
-			return nil, nil, fmt.Errorf("simd: -store=%s requires -store-dir", f.kind)
-		}
-		disk, err := resultstore.OpenDisk(resultstore.DiskConfig{Dir: f.dir, MaxBytes: f.maxBytes})
-		if err != nil {
-			return nil, nil, err
-		}
-		if f.kind == "disk" {
-			return disk, disk, nil
-		}
-		return resultstore.NewTiered(resultstore.NewMemory(f.cacheSize), disk), disk, nil
-	case "remote", "tiered-remote":
-		if f.remoteServers == "" {
-			return nil, nil, fmt.Errorf("simd: -store=%s requires -remote-servers", f.kind)
-		}
-		remote, err := resultstore.NewRemote(resultstore.RemoteConfig{
-			Servers: splitServers(f.remoteServers),
-			TTL:     f.remoteTTL,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if f.kind == "remote" {
-			return remote, nil, nil
-		}
-		return resultstore.NewTiered(resultstore.NewMemory(f.cacheSize), remote), nil, nil
-	}
-	return nil, nil, fmt.Errorf("simd: unknown -store %q (memory|disk|tiered|remote|tiered-remote)", f.kind)
-}
-
 // splitServers parses a comma-separated host:port list.
 func splitServers(s string) []string {
 	var out []string
@@ -166,19 +126,15 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8723", "listen address")
 		cacheSize = flag.Int("cache", 512, "memory-tier response entries (0 disables the memory tier)")
-		storeKind = flag.String("store", "memory", "response store backend: memory|disk|tiered|remote|tiered-remote")
-		storeDir  = flag.String("store-dir", "", "disk-store segment directory (required for -store=disk|tiered)")
+		storeDir  = flag.String("store-dir", "", "disk-tier segment directory (empty: no disk tier; exclusive with -remote-servers)")
 		storeMax  = flag.Int64("store-max-bytes", resultstore.DefaultMaxBytes, "disk-store total size cap in bytes")
-		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list (required for -store=remote|tiered-remote)")
+		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list (empty: no remote tier; exclusive with -store-dir)")
 		remoteTTL = flag.Duration("remote-ttl", 0, "expiry stored with remote-store writes (0 = no expiry)")
 		compactTh = flag.Float64("compact-threshold", resultstore.DefaultCompactThreshold, "rewrite a sealed disk segment when its live-byte ratio falls below this")
 		compactIv = flag.Duration("compact-interval", 30*time.Second, "disk-store compaction scan period (0 disables the compactor)")
 		workers   = flag.Int("workers", 0, "max concurrent simulations (default: GOMAXPROCS)")
 		maxQueue  = flag.Int("max-queue", 64, "max requests waiting for a simulation slot; excess is shed with 503 (0 = unbounded)")
 		queueWait = flag.Duration("queue-wait", 5*time.Second, "max time a request waits for a simulation slot before being shed with 503 (0 = unbounded)")
-		warmup    = flag.Uint64("warmup", 0, "default warmup micro-ops (0 = paper default)")
-		measure   = flag.Uint64("measure", 0, "default measured micro-ops (0 = paper default)")
-		interval  = flag.Uint64("interval", 0, "default interval cycles (0 = paper default)")
 		announce  = flag.String("announce", "", "scheduler base URL to join on startup and depart on shutdown (empty disables)")
 		self      = flag.String("self", "", "advertised base URL of this backend (required with -announce)")
 		warmPeers = flag.String("warmup-peer", "", "comma-separated peer simd base URLs to converge this replica's ring slice from before reporting ready (empty disables)")
@@ -204,17 +160,16 @@ func main() {
 
 	pprofserve.Maybe("simd", *pprofAddr)
 
-	store, disk, err := buildStore(storeFlags{
-		kind:          *storeKind,
-		dir:           *storeDir,
-		maxBytes:      *storeMax,
-		cacheSize:     *cacheSize,
-		remoteServers: *remoteSrv,
-		remoteTTL:     *remoteTTL,
-	})
+	store, disk, err := resultstore.OpenStack(*cacheSize,
+		resultstore.DiskConfig{Dir: *storeDir, MaxBytes: *storeMax},
+		resultstore.RemoteConfig{Servers: splitServers(*remoteSrv), TTL: *remoteTTL})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(2)
+	}
+	if store == nil {
+		// -cache 0 with no back tier: every request recomputes.
+		store = resultstore.NewMemory(0)
 	}
 	defer store.Close()
 	if disk != nil && *compactIv > 0 {
@@ -225,12 +180,7 @@ func main() {
 		defer compactor.Close()
 	}
 
-	eng := frontendsim.New(
-		frontendsim.WithWarmupOps(*warmup),
-		frontendsim.WithMeasureOps(*measure),
-		frontendsim.WithIntervalCycles(*interval),
-		frontendsim.WithWorkers(*workers),
-	)
+	eng := frontendsim.New(frontendsim.WithWorkers(*workers))
 	api := simd.NewServerWithStore(eng, store,
 		simd.WithMetrics(obs.NewRegistry()),
 		simd.WithAdmission(*maxQueue, *queueWait))
@@ -343,8 +293,12 @@ func main() {
 		go join()
 	}
 
+	var tiers []string
+	for _, t := range store.Stats() {
+		tiers = append(tiers, t.Tier)
+	}
 	fmt.Fprintf(os.Stderr, "simd: listening on %s, %s store (%s)\n",
-		*addr, *storeKind, simd.Describe())
+		*addr, strings.Join(tiers, "→"), simd.Describe())
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -25,13 +25,12 @@
 // Usage:
 //
 //	simsched -backends http://sim-1:8723,http://sim-2:8723 [-addr :8724]
-//	         [-replicas 128] [-retries -1] [-cache 512] [-workers N]
-//	         [-store memory|remote|tiered-remote] [-remote-servers HOST:PORT,...]
-//	         [-remote-ttl D] [-timeout 10m] [-probe-interval 2s]
+//	         [-retries -1] [-cache 512] [-workers N]
+//	         [-remote-servers HOST:PORT,...] [-remote-ttl D]
+//	         [-timeout 10m] [-probe-interval 2s]
 //	         [-probe-timeout 1s] [-quarantine-threshold 3] [-evict-after 1m]
 //	         [-retry-backoff 5ms] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	         [-hint-limit 256] [-partial-results]
-//	         [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
+//	         [-hint-limit 256] [-partial-results] [-pprof ADDR]
 //
 // Resilience: retries within one dispatch wait out a jittered
 // exponential backoff (-retry-backoff, 0 disables) before the next ring
@@ -51,9 +50,17 @@
 // slice from cache instead of recomputing
 // (sched_hints_{queued,replayed,dropped}_total on /metrics).
 //
-// The -warmup/-measure/-interval defaults must match the backends' simd
-// flags: the scheduler canonicalizes requests under its own engine
-// defaults, and matching flags keep the two tiers' cache keys aligned.
+// The scheduler-tier cache follows from its tier flags the way simd's
+// store does (resultstore.OpenStack): -cache > 0 keeps a memory LRU,
+// -remote-servers adds a shared memcached tier behind it, and -cache 0
+// without -remote-servers disables the tier.
+//
+// No flag sets a simulation length or the ring's shape, so simsched and
+// its backends cannot disagree on either: both key and run every
+// request at the paper's lengths unless the request (or a suite's
+// request template) sets warmup_ops, measure_ops or interval_cycles,
+// and both build the ring with hashring.DefaultReplicas virtual points
+// per backend.
 //
 // Over one backend (-backends http://localhost:8723) simsched is the
 // single-node mode: simd itself serves no suite routes.
@@ -85,51 +92,24 @@ import (
 	"repro/pkg/scheduler"
 )
 
-// buildStore assembles the scheduler-tier response cache.  A nil store
-// (memory kind with -cache 0) disables the tier entirely.
-func buildStore(kind string, cache int, remoteServers string, ttl time.Duration) (resultstore.Store, error) {
-	newRemote := func() (resultstore.Store, error) {
-		if remoteServers == "" {
-			return nil, fmt.Errorf("simsched: -store=%s requires -remote-servers", kind)
+// splitServers parses a comma-separated host:port list.
+func splitServers(s string) []string {
+	var out []string
+	for _, addr := range strings.Split(s, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			out = append(out, addr)
 		}
-		var servers []string
-		for _, addr := range strings.Split(remoteServers, ",") {
-			if addr = strings.TrimSpace(addr); addr != "" {
-				servers = append(servers, addr)
-			}
-		}
-		return resultstore.NewRemote(resultstore.RemoteConfig{Servers: servers, TTL: ttl})
 	}
-	switch kind {
-	case "memory":
-		if cache <= 0 {
-			return nil, nil
-		}
-		return resultstore.NewMemory(cache), nil
-	case "remote":
-		return newRemote()
-	case "tiered-remote":
-		remote, err := newRemote()
-		if err != nil {
-			return nil, err
-		}
-		if cache <= 0 {
-			return remote, nil
-		}
-		return resultstore.NewTiered(resultstore.NewMemory(cache), remote), nil
-	}
-	return nil, fmt.Errorf("simsched: unknown -store %q (memory|remote|tiered-remote)", kind)
+	return out
 }
 
 func main() {
 	var (
 		addr      = flag.String("addr", ":8724", "listen address")
 		backends  = flag.String("backends", "", "comma-separated simd base URLs (required)")
-		replicas  = flag.Int("replicas", 0, "virtual ring points per backend (0 = default)")
 		retries   = flag.Int("retries", 0, "failover nodes tried after the home backend (0 = all remaining, -1 = none)")
-		cache     = flag.Int("cache", 512, "scheduler-tier response cache entries (0 disables)")
-		storeKind = flag.String("store", "memory", "scheduler-tier response cache backend: memory|remote|tiered-remote")
-		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list (required for -store=remote|tiered-remote)")
+		cache     = flag.Int("cache", 512, "scheduler-tier memory cache entries (0 disables the memory tier)")
+		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list for a shared scheduler-tier cache (empty: no remote tier)")
 		remoteTTL = flag.Duration("remote-ttl", 0, "expiry stored with remote-store writes (0 = no expiry)")
 		workers   = flag.Int("workers", 0, "max concurrent backend dispatches per suite (default: GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-backend-request timeout")
@@ -142,35 +122,27 @@ func main() {
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "time an open circuit diverts traffic before a half-open probe")
 		hintLimit = flag.Int("hint-limit", 256, "hinted-handoff entries buffered per quarantined backend, replayed on reinstatement (0 disables)")
 		partial   = flag.Bool("partial-results", false, "degrade suite runs gracefully: per-shard error entries and X-Cache: PARTIAL-ERROR instead of failing the whole suite")
-		warmup    = flag.Uint64("warmup", 0, "default warmup micro-ops (0 = paper default; match simd)")
-		measure   = flag.Uint64("measure", 0, "default measured micro-ops (0 = paper default; match simd)")
-		interval  = flag.Uint64("interval", 0, "default interval cycles (0 = paper default; match simd)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables)")
 	)
 	flag.Parse()
 
 	pprofserve.Maybe("simsched", *pprofAddr)
 
-	var nodes []string
-	for _, b := range strings.Split(*backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			nodes = append(nodes, strings.TrimRight(b, "/"))
-		}
+	nodes := splitServers(*backends)
+	for i, b := range nodes {
+		nodes[i] = strings.TrimRight(b, "/")
 	}
 	if len(nodes) == 0 {
 		fmt.Fprintln(os.Stderr, "simsched: -backends is required (comma-separated simd base URLs)")
 		os.Exit(2)
 	}
 
-	eng := frontendsim.New(
-		frontendsim.WithWarmupOps(*warmup),
-		frontendsim.WithMeasureOps(*measure),
-		frontendsim.WithIntervalCycles(*interval),
-		frontendsim.WithWorkers(*workers),
-	)
-	store, err := buildStore(*storeKind, *cache, *remoteSrv, *remoteTTL)
+	eng := frontendsim.New(frontendsim.WithWorkers(*workers))
+	// A nil store (-cache 0, no -remote-servers) disables the tier.
+	store, _, err := resultstore.OpenStack(*cache, resultstore.DiskConfig{},
+		resultstore.RemoteConfig{Servers: splitServers(*remoteSrv), TTL: *remoteTTL})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "simsched:", err)
 		os.Exit(2)
 	}
 	metrics := obs.NewRegistry()
@@ -183,7 +155,6 @@ func main() {
 	var members *membership.Registry
 	sched, err := scheduler.New(eng, scheduler.Config{
 		Backends:         nodes,
-		Replicas:         *replicas,
 		Retries:          *retries,
 		HTTPClient:       &http.Client{Timeout: *timeout},
 		Cache:            store,

@@ -97,8 +97,8 @@ func backendOpts() []frontendsim.Option {
 }
 
 // newBackends starts n in-process simd replicas sharing one result
-// store; in production each would be its own `simd -store tiered
-// -store-dir ...` process in front of a shared cache tier.
+// store; in production each would be its own `simd -store-dir ...`
+// process in front of a shared cache tier.
 func newBackends(n int, store resultstore.Store) []*httptest.Server {
 	out := make([]*httptest.Server, n)
 	for i := range out {
@@ -607,13 +607,13 @@ func main() {
 	// --- Act 7: the network-native shared tier. ---
 	// Until now "shared store" meant one in-process object.  Here the
 	// replicas share nothing but a cache server speaking the memcached
-	// text protocol (in production: `simd -store tiered-remote
-	// -remote-servers cache-1:11211,...`).  Machine 1 computes a suite
+	// text protocol (in production: `simd -remote-servers
+	// cache-1:11211,...`, a memory tier in front of the shared one).  Machine 1 computes a suite
 	// and writes through; machine 2 — fresh engines, fresh memory tiers,
 	// a different "host" — serves the identical suite with zero engine
 	// runs: the paper's cross-cluster work sharing over a real wire
 	// protocol.
-	fmt.Println("Network-native shared store (-store tiered-remote), two machines:")
+	fmt.Println("Network-native shared store (-remote-servers), two machines:")
 	cacheSrv, err := memcachetest.New()
 	if err != nil {
 		fatal(err)
@@ -837,7 +837,7 @@ func main() {
 	// The warmed replica must serve the slice it now owns — the ring the
 	// scheduler will route once it announces — without a single engine
 	// run; a recompute here is the bug this act exists to catch.
-	ring8, err := scheduler.NewRing([]string{srvA.URL, srvB.URL, freshSrv.URL}, 0)
+	ring8, err := scheduler.NewRing([]string{srvA.URL, srvB.URL, freshSrv.URL})
 	if err != nil {
 		fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // TestChaosDeadRemoteCacheDegrades kills the shared remote cache under
-// a tiered-remote simd and asserts the degradation contract: every
+// a memory-over-remote simd and asserts the degradation contract: every
 // request keeps succeeding (warm keys from the memory tier, cold keys
 // from the engine), /healthz stays 200, no client ever sees an error —
 // and the failure is *visible*, not swallowed: the remote tier's error

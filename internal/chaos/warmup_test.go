@@ -195,7 +195,7 @@ func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 	// The rejoined replica serves its ring slice — the slice of the
 	// ring it will route under once joined — entirely from the warmed
 	// store: X-Cache: HIT on every request, zero engine runs.
-	ring, err := hashring.New([]string{a.srv.URL, b.srv.URL, fresh.srv.URL}, 0)
+	ring, err := hashring.New([]string{a.srv.URL, b.srv.URL, fresh.srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring over a set of backend nodes.
-// Each node is hashed at Replicas virtual points; a key is owned by the
-// first virtual point clockwise from the key's hash.  A Ring is safe for
-// concurrent use.
+// Each node is hashed at DefaultReplicas virtual points; a key is owned
+// by the first virtual point clockwise from the key's hash.  A Ring is
+// safe for concurrent use.
 type Ring struct {
 	nodes  []string // distinct node names, sorted
 	points []ringPoint
@@ -25,19 +25,18 @@ type ringPoint struct {
 	node int // index into nodes
 }
 
-// DefaultReplicas is the virtual-point count per node used when
-// New is given replicas < 1.  128 keeps the assignment spread within
-// a few percent of uniform for small rings.
+// DefaultReplicas is the virtual-point count per node.  It is a
+// constant, not a setting: the scheduler routes by this ring and every
+// backend slices its repair work by it, so the count must be the same
+// in every process.  128 keeps the assignment spread within a few
+// percent of uniform for small rings.
 const DefaultReplicas = 128
 
 // New builds a ring over nodes (duplicates are collapsed).  The
 // resulting assignment depends only on the set of node names — not their
 // order — so a restarted scheduler with the same backend set shards
 // identically.
-func New(nodes []string, replicas int) (*Ring, error) {
-	if replicas < 1 {
-		replicas = DefaultReplicas
-	}
+func New(nodes []string) (*Ring, error) {
 	distinct := make([]string, 0, len(nodes))
 	seen := map[string]bool{}
 	for _, n := range nodes {
@@ -56,14 +55,14 @@ func New(nodes []string, replicas int) (*Ring, error) {
 
 	r := &Ring{
 		nodes:  distinct,
-		points: make([]ringPoint, 0, len(distinct)*replicas),
+		points: make([]ringPoint, 0, len(distinct)*DefaultReplicas),
 	}
 	for i, n := range distinct {
 		// One label hash per node; each virtual point mixes it with its
 		// index.  Hashing "label#v" strings instead clusters the points of
 		// labels that differ only in a port digit, skewing load up to ~30×.
 		h := hash64(n)
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: splitmix64(h + uint64(v)*0x9e3779b97f4a7c15),
 				node: i,

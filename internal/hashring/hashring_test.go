@@ -26,7 +26,7 @@ func TestBalancedShares(t *testing.T) {
 			"random":       randomLabels(rng, n),
 		}
 		for name, labels := range sets {
-			ring, err := New(labels, 0)
+			ring, err := New(labels)
 			if err != nil {
 				t.Fatal(err)
 			}

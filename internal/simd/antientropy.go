@@ -49,6 +49,9 @@ type AntiEntropyConfig struct {
 	// backends currently routed to.  It supplies the peers when Peers is
 	// empty (one of the two is required) and Converge's slice: the keys
 	// that home on SelfURL in a ring of those backends plus SelfURL.
+	// That ring, like the neighbor choice, is built exactly as the
+	// scheduler builds its own (hashring.New, a fixed virtual-point
+	// count), so the slice is the one the scheduler routes to SelfURL.
 	// Without it Converge pulls every key its peers hold.
 	RingURL string
 	// Interval is the periodic exchange period (default 60s —
@@ -57,10 +60,6 @@ type AntiEntropyConfig struct {
 	// Buckets is the digest bucket count (default
 	// resultstore.DefaultDigestBuckets).
 	Buckets int
-	// Replicas is the ring's virtual-point count for neighbor selection
-	// and the Converge slice (default hashring.DefaultReplicas; must
-	// match the scheduler's -replicas).
-	Replicas int
 	// Client performs the HTTP exchange (default: 10s per-request
 	// timeout).
 	Client *http.Client
@@ -161,7 +160,7 @@ func (ae *AntiEntropy) peers(candidates []string) []string {
 	if len(others) == 0 {
 		return nil
 	}
-	ring, err := hashring.New(append(append([]string(nil), others...), ae.cfg.SelfURL), ae.cfg.Replicas)
+	ring, err := hashring.New(append(append([]string(nil), others...), ae.cfg.SelfURL))
 	if err != nil {
 		return others
 	}
@@ -220,8 +219,8 @@ func (ae *AntiEntropy) ring(ctx context.Context) (ringSnapshot, error) {
 
 // sliceFilter admits the keys that home on self in a ring of the
 // scheduler's routed backends plus self.
-func sliceFilter(backends []string, self string, replicas int) (func(string) bool, error) {
-	ring, err := hashring.New(append(append([]string(nil), backends...), self), replicas)
+func sliceFilter(backends []string, self string) (func(string) bool, error) {
+	ring, err := hashring.New(append(append([]string(nil), backends...), self))
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +391,7 @@ func (ae *AntiEntropy) convergePass(ctx context.Context) (int, error) {
 		if snap, err = ae.ring(ctx); err != nil {
 			return 0, err
 		}
-		if keep, err = sliceFilter(snap.Backends, ae.cfg.SelfURL, ae.cfg.Replicas); err != nil {
+		if keep, err = sliceFilter(snap.Backends, ae.cfg.SelfURL); err != nil {
 			return 0, err
 		}
 	}

@@ -101,7 +101,7 @@ func TestConvergePullsOnlyOwnSlice(t *testing.T) {
 	}))
 	t.Cleanup(ringSrv.Close)
 
-	ring, err := hashring.New([]string{peer.url, joiner.url}, 0)
+	ring, err := hashring.New([]string{peer.url, joiner.url})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestConvergeRejoinServesSliceWithoutRecompute(t *testing.T) {
 
 	// C's slice under the post-join ring: benchmarks whose key homes on
 	// C among {A, B, C}.
-	ring, err := hashring.New([]string{a.url, b.url, c.url}, 0)
+	ring, err := hashring.New([]string{a.url, b.url, c.url})
 	if err != nil {
 		t.Fatal(err)
 	}

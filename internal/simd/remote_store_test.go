@@ -66,10 +66,10 @@ func TestReplicaServesPeerResultFromRemoteStore(t *testing.T) {
 	}
 }
 
-// TestTieredRemoteDegradesWhenCacheDies: a replica on -store
-// tiered-remote keeps serving (memory tier + engine) when the shared
-// cache becomes unreachable — requests succeed, nothing hangs, and
-// /healthz stays ready.
+// TestTieredRemoteDegradesWhenCacheDies: a replica with a memory tier
+// in front of a remote one keeps serving (memory tier + engine) when
+// the shared cache becomes unreachable — requests succeed, nothing
+// hangs, and /healthz stays ready.
 func TestTieredRemoteDegradesWhenCacheDies(t *testing.T) {
 	cache := memcachetest.Start(t)
 	remote, err := resultstore.NewRemote(resultstore.RemoteConfig{

@@ -1,9 +1,9 @@
 // Package faultinject is a deterministic fault-injection harness for
-// the serving stack: a rule-driven injector that can be planted either
-// as an http.RoundTripper (client side) or as a reverse proxy in front
-// of a backend (wire side), plus a small HTTP control API so
-// integration tests, `make chaos` and examples/distributed can script
-// failure scenarios at runtime.
+// the serving stack: a rule-driven injector planted as a reverse proxy
+// in front of a backend (the wire side, where neither endpoint's code
+// changes), plus a small HTTP control API so integration tests,
+// `make chaos` and examples/distributed can script failure scenarios at
+// runtime.
 //
 // Every probabilistic decision draws from one seeded PRNG, so a given
 // seed replays the same injection sequence — chaos runs are
@@ -13,7 +13,7 @@
 //
 //   - Latency      delay before the request is forwarded
 //   - Status       short-circuit with an HTTP error status (no forward)
-//   - Drop         kill the connection (transport error / aborted response)
+//   - Drop         kill the connection (the client sees a transport error)
 //   - SlowBody     throttle the response body, one chunk per delay
 //   - CorruptByte  flip one byte of the response body (CRC/decode faults)
 //
@@ -38,9 +38,8 @@ type Match struct {
 	// Path is a request-path prefix ("/v1/simulations"); empty matches
 	// any.
 	Path string `json:"path,omitempty"`
-	// Backend is a substring of the target backend (the proxy's target
-	// URL, or the outgoing request host for the Transport); empty
-	// matches any.
+	// Backend is a substring of the proxy's target URL; empty matches
+	// any.
 	Backend string `json:"backend,omitempty"`
 	// BodyContains is a substring of the request body — the way to
 	// target one benchmark's shard (`"benchmark":"mcf"`) when every
@@ -87,8 +86,8 @@ type Rule struct {
 	// Status short-circuits with this HTTP status and a JSON error
 	// envelope; the backend is never contacted.
 	Status int `json:"status,omitempty"`
-	// Drop kills the connection: the Transport returns a transport
-	// error, the Proxy aborts the response mid-flight.
+	// Drop kills the connection: the Proxy aborts the response without
+	// writing it.
 	Drop bool `json:"drop,omitempty"`
 	// SlowBodyMs throttles the response body to one chunk per delay.
 	SlowBodyMs int64 `json:"slow_body_ms,omitempty"`
@@ -143,8 +142,8 @@ type Stats struct {
 }
 
 // Injector owns the rule set and the seeded PRNG.  One Injector may
-// back any number of Transports and Proxies; rule evaluation is
-// serialized, so the random sequence is a function of arrival order.
+// back any number of Proxies; rule evaluation is serialized, so the
+// random sequence is a function of arrival order.
 type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand

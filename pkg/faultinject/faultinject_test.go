@@ -42,57 +42,111 @@ func TestProxyPassthrough(t *testing.T) {
 	}
 }
 
+// TestProxyStatusInjection short-circuits matching requests with the
+// rule's status and a JSON error envelope; non-matching ones pass
+// through.  The composed case puts a latency rule and a status rule on
+// one request: the latency is paid, then the status is served.
 func TestProxyStatusInjection(t *testing.T) {
-	backend := newEchoBackend(t)
-	in := New(1)
-	in.Add(Rule{Match: Match{Path: "/v1/"}, Status: 500})
-	proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-	defer proxy.Close()
+	cases := []struct {
+		name        string
+		rules       []Rule
+		status      int
+		minLatency  time.Duration
+		passthrough string // a GET path no rule matches
+	}{
+		{
+			name:        "status",
+			rules:       []Rule{{Match: Match{Path: "/v1/"}, Status: 500}},
+			status:      500,
+			passthrough: "/healthz",
+		},
+		{
+			name: "latency+status",
+			rules: []Rule{
+				{Match: Match{Method: "POST"}, LatencyMs: 30},
+				{Match: Match{Method: "POST"}, Status: 502},
+			},
+			status:      502,
+			minLatency:  30 * time.Millisecond,
+			passthrough: "/v1/x",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := newEchoBackend(t)
+			in := New(1)
+			for _, r := range tc.rules {
+				in.Add(r)
+			}
+			proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
+			defer proxy.Close()
 
-	resp, err := http.Post(proxy.URL+"/v1/simulations", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 500 {
-		t.Fatalf("status = %d, want injected 500", resp.StatusCode)
-	}
-	var env struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == "" {
-		t.Fatalf("injected status body is not the JSON error envelope: %v %q", err, env.Error)
-	}
-	// Non-matching path passes through.
-	resp2, err := http.Get(proxy.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 200 {
-		t.Errorf("non-matching path got %d", resp2.StatusCode)
-	}
-	if st := in.Stats(); st.Status != 1 {
-		t.Errorf("status injections = %d, want 1", st.Status)
+			start := time.Now()
+			resp, err := http.Post(proxy.URL+"/v1/simulations", "application/json", strings.NewReader(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if took := time.Since(start); took < tc.minLatency {
+				t.Errorf("latency rule not applied: round trip took %v, want >= %v", took, tc.minLatency)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want injected %d", resp.StatusCode, tc.status)
+			}
+			var env struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == "" {
+				t.Fatalf("injected status body is not the JSON error envelope: %v %q", err, env.Error)
+			}
+			resp2, err := http.Get(proxy.URL + tc.passthrough)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp2.Body.Close()
+			if resp2.StatusCode != 200 {
+				t.Errorf("non-matching GET %s got %d", tc.passthrough, resp2.StatusCode)
+			}
+			if st := in.Stats(); st.Status != 1 {
+				t.Errorf("status injections = %d, want 1", st.Status)
+			}
+		})
 	}
 }
 
+// TestProxyDropInjection aborts matching requests without a response:
+// every request under an unbounded rule, only the first under
+// MaxCount 1.
 func TestProxyDropInjection(t *testing.T) {
-	backend := newEchoBackend(t)
-	in := New(1)
-	in.Add(Rule{Drop: true, MaxCount: 1})
-	proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-	defer proxy.Close()
+	for _, tc := range []struct {
+		name     string
+		maxCount int
+		dropped  int // of three requests
+	}{
+		{"unbounded", 0, 3},
+		{"max_count", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := newEchoBackend(t)
+			in := New(1)
+			in.Add(Rule{Drop: true, MaxCount: tc.maxCount})
+			proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
+			defer proxy.Close()
 
-	if _, err := http.Get(proxy.URL + "/x"); err == nil {
-		t.Fatal("dropped request returned a response")
+			for i := 0; i < 3; i++ {
+				resp, err := http.Get(proxy.URL + "/x")
+				if wantDrop := i < tc.dropped; wantDrop != (err != nil) {
+					t.Fatalf("request %d: error %v, want dropped=%v", i, err, wantDrop)
+				}
+				if err == nil {
+					resp.Body.Close()
+				}
+			}
+			if st := in.Stats(); st.Drop != uint64(tc.dropped) {
+				t.Errorf("drop injections = %d, want %d", st.Drop, tc.dropped)
+			}
+		})
 	}
-	// MaxCount exhausted: the next request flows.
-	resp, err := http.Get(proxy.URL + "/x")
-	if err != nil {
-		t.Fatalf("second request: %v", err)
-	}
-	resp.Body.Close()
 }
 
 func TestProxyBodyMatchAndMaxCount(t *testing.T) {
@@ -153,46 +207,6 @@ func TestProxyCorruptByte(t *testing.T) {
 	}
 	if diff != 1 {
 		t.Errorf("%d bytes differ, want exactly 1", diff)
-	}
-}
-
-func TestTransportLatencyAndStatus(t *testing.T) {
-	backend := newEchoBackend(t)
-	in := New(1)
-	in.Add(Rule{Match: Match{Method: "POST"}, LatencyMs: 30})
-	in.Add(Rule{Match: Match{Method: "POST"}, Status: 502})
-	client := &http.Client{Transport: in.Transport(nil)}
-
-	start := time.Now()
-	resp, err := client.Post(backend.URL+"/v1/x", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if took := time.Since(start); took < 30*time.Millisecond {
-		t.Errorf("latency rule not applied: round trip took %v", took)
-	}
-	if resp.StatusCode != 502 {
-		t.Errorf("status = %d, want composed 502", resp.StatusCode)
-	}
-	// GET matches neither rule.
-	resp2, err := client.Get(backend.URL + "/v1/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 200 {
-		t.Errorf("GET got %d", resp2.StatusCode)
-	}
-}
-
-func TestTransportDrop(t *testing.T) {
-	backend := newEchoBackend(t)
-	in := New(1)
-	in.Add(Rule{Drop: true})
-	client := &http.Client{Transport: in.Transport(nil)}
-	if _, err := client.Get(backend.URL + "/x"); err == nil {
-		t.Fatal("dropped request returned a response")
 	}
 }
 

@@ -2,11 +2,13 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // ControlPrefix is the path prefix under which a Proxy serves its
@@ -31,8 +33,7 @@ type Proxy struct {
 // NewProxy returns a proxy forwarding to target (a base URL such as
 // "http://127.0.0.1:8723") through in's rules.  client performs the
 // upstream requests (nil selects a plain http.Client using
-// http.DefaultTransport — deliberately not the faulting Transport: the
-// proxy injects on its own).
+// http.DefaultTransport).
 func NewProxy(target string, in *Injector, client *http.Client) *Proxy {
 	if client == nil {
 		client = &http.Client{}
@@ -121,6 +122,76 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// maxPeekBody bounds how much request body the proxy reads for
+// BodyContains matching.  Simulation requests are a few KB; anything
+// larger matches on its prefix.
+const maxPeekBody = 1 << 20
+
+// sleepCtx waits d, or returns early with ctx's error.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// wrapResponseBody applies the body-stage injections (slow-body
+// throttling, corrupt-byte) to resp in place.  Throttling waits end
+// with ctx, the request's context.
+func wrapResponseBody(ctx context.Context, in *Injector, resp *http.Response, d decision) {
+	if d.slowBody == 0 && !d.corrupt {
+		return
+	}
+	resp.Body = &bodyInjector{
+		ctx:   ctx,
+		in:    in,
+		inner: resp.Body,
+		delay: d.slowBody,
+
+		corrupt: d.corrupt,
+	}
+}
+
+// bodyInjector throttles and/or corrupts a response body stream.
+type bodyInjector struct {
+	ctx   context.Context
+	in    *Injector
+	inner io.ReadCloser
+	delay time.Duration
+
+	corrupt   bool
+	corrupted bool
+}
+
+// slowChunk is the read granularity under slow-body throttling.
+const slowChunk = 512
+
+func (b *bodyInjector) Read(p []byte) (int, error) {
+	if b.delay > 0 {
+		if len(p) > slowChunk {
+			p = p[:slowChunk]
+		}
+		if err := sleepCtx(b.ctx, b.delay); err != nil {
+			return 0, err
+		}
+	}
+	n, err := b.inner.Read(p)
+	if n > 0 && b.corrupt && !b.corrupted {
+		b.corrupted = true
+		p[b.in.corruptIndex(n)] ^= 0xff
+	}
+	return n, err
+}
+
+func (b *bodyInjector) Close() error { return b.inner.Close() }
 
 // ControlHandler serves the injector's runtime rule API:
 //

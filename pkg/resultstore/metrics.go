@@ -4,7 +4,7 @@ import "repro/pkg/obs"
 
 // RegisterMetrics re-exports a store's internal counters through an obs
 // registry, recursing through tiered stores so wiring is one call at
-// server construction regardless of the -store flag:
+// server construction whatever the stack:
 //
 //	store_remote_ops_total{op,result}   remote gets (hit|miss|error) and sets (ok|error)
 //	store_remote_batch_size             histogram of multi-get batch sizes

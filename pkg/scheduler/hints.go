@@ -35,9 +35,8 @@ type hintEntry struct {
 // ring over it, and one bounded FIFO of pending writes per quarantined
 // member.  It is safe for concurrent use.
 type hintQueue struct {
-	limit    int // per-member buffered writes
-	replicas int
-	client   *http.Client
+	limit  int // per-member buffered writes
+	client *http.Client
 
 	mu      sync.Mutex
 	members map[string]bool        // member URL -> quarantined?
@@ -50,17 +49,16 @@ type hintQueue struct {
 	dropped  atomic.Uint64
 }
 
-func newHintQueue(limit, replicas int, seeds []string, client *http.Client) *hintQueue {
+func newHintQueue(limit int, seeds []string, client *http.Client) *hintQueue {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	h := &hintQueue{
-		limit:    limit,
-		replicas: replicas,
-		client:   client,
-		members:  map[string]bool{},
-		queues:   map[string][]hintEntry{},
-		slots:    map[string]map[string]int{},
+		limit:   limit,
+		client:  client,
+		members: map[string]bool{},
+		queues:  map[string][]hintEntry{},
+		slots:   map[string]map[string]int{},
 	}
 	for _, u := range seeds {
 		h.members[u] = false
@@ -79,7 +77,7 @@ func (h *hintQueue) rebuildLocked() {
 	for u := range h.members {
 		nodes = append(nodes, u)
 	}
-	if ring, err := NewRing(nodes, h.replicas); err == nil {
+	if ring, err := NewRing(nodes); err == nil {
 		h.ring = ring
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 func TestHintQueueBoundsAndDedup(t *testing.T) {
-	h := newHintQueue(3, 0, []string{"http://a", "http://b"}, nil)
+	h := newHintQueue(3, []string{"http://a", "http://b"}, nil)
 	h.setMember("http://b", true)
 
 	// Enqueue against a member that is not quarantined is a no-op.
@@ -70,7 +70,7 @@ func TestHintQueueBoundsAndDedup(t *testing.T) {
 }
 
 func TestHintQueueRemoveMemberDropsBacklog(t *testing.T) {
-	h := newHintQueue(8, 0, []string{"http://a", "http://b"}, nil)
+	h := newHintQueue(8, []string{"http://a", "http://b"}, nil)
 	h.setMember("http://b", true)
 	h.enqueue("http://b", "k1", []byte("v1"))
 	h.enqueue("http://b", "k2", []byte("v2"))
@@ -136,7 +136,7 @@ func TestHintedHandoffReplaysOnReinstatement(t *testing.T) {
 
 	// Which benchmarks home on B under the full two-member ring?
 	eng := frontendsim.New(testOpts()...)
-	fullRing, err := NewRing([]string{a.url, b.url}, 0)
+	fullRing, err := NewRing([]string{a.url, b.url})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestHintsDroppedOnEviction(t *testing.T) {
 	transition(b.url, membership.TransitionQuarantine)
 
 	eng := frontendsim.New(testOpts()...)
-	fullRing, err := NewRing([]string{a.url, b.url}, 0)
+	fullRing, err := NewRing([]string{a.url, b.url})
 	if err != nil {
 		t.Fatal(err)
 	}

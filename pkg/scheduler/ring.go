@@ -19,14 +19,10 @@ import "repro/internal/hashring"
 // interchangeable.
 type Ring = hashring.Ring
 
-// DefaultReplicas is the virtual-point count per node used when
-// NewRing is given replicas < 1.
-const DefaultReplicas = hashring.DefaultReplicas
-
 // NewRing builds a ring over nodes (duplicates are collapsed).  The
 // resulting assignment depends only on the set of node names — not their
 // order — so a restarted scheduler with the same backend set shards
-// identically.
-func NewRing(nodes []string, replicas int) (*Ring, error) {
-	return hashring.New(nodes, replicas)
+// identically.  Every node gets hashring.DefaultReplicas virtual points.
+func NewRing(nodes []string) (*Ring, error) {
+	return hashring.New(nodes)
 }

@@ -6,13 +6,13 @@ import (
 )
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty node name accepted")
 	}
-	r, err := NewRing([]string{"b", "a", "b"}, 4)
+	r, err := NewRing([]string{"b", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,11 @@ func TestNewRingValidation(t *testing.T) {
 }
 
 func TestRingAssignmentIsOrderIndependent(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 64)
+	a, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2"}, 64)
+	b, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRingAssignmentIsOrderIndependent(t *testing.T) {
 // cached result lives, so changing it remaps the whole fleet's keys
 // once; this test makes such a change a deliberate edit.
 func TestRingPlacementPinned(t *testing.T) {
-	r, err := NewRing([]string{"http://127.0.0.1:8731", "http://127.0.0.1:8732", "http://127.0.0.1:8733"}, 0)
+	r, err := NewRing([]string{"http://127.0.0.1:8731", "http://127.0.0.1:8732", "http://127.0.0.1:8733"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRingPlacementPinned(t *testing.T) {
 }
 
 func TestRingSpreadsKeys(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	r, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestRingSpreadsKeys(t *testing.T) {
 }
 
 func TestRingRemovalMovesOnlyLostKeys(t *testing.T) {
-	full, err := NewRing([]string{"n1", "n2", "n3"}, 0)
+	full, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"n1", "n2"}, 0)
+	reduced, err := NewRing([]string{"n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRingRemovalMovesOnlyLostKeys(t *testing.T) {
 }
 
 func TestRingSequenceCoversAllNodesOnce(t *testing.T) {
-	r, err := NewRing([]string{"n1", "n2", "n3", "n4"}, 32)
+	r, err := NewRing([]string{"n1", "n2", "n3", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type Config struct {
 	// Backends are the simd base URLs forming the ring (e.g.
 	// "http://sim-1:8723").  At least one is required.
 	Backends []string
-	// Replicas is the virtual-point count per backend (< 1 selects
-	// DefaultReplicas).
-	Replicas int
 	// Retries bounds how many additional ring nodes are tried after the
 	// home node fails.  0 (the zero value) selects every remaining node;
 	// a negative value disables failover entirely.
@@ -123,10 +120,9 @@ type Stats struct {
 //
 // A Scheduler is safe for concurrent use.
 type Scheduler struct {
-	eng      *frontendsim.Engine
-	ring     atomic.Pointer[Ring]
-	client   *Client
-	replicas int
+	eng    *frontendsim.Engine
+	ring   atomic.Pointer[Ring]
+	client *Client
 	// retries keeps the Config semantics (0 = all remaining, <0 = none)
 	// and is resolved against the current ring size on every dispatch —
 	// the ring can grow and shrink at runtime.
@@ -170,19 +166,20 @@ type outcome struct {
 	cached bool
 }
 
-// New builds a Scheduler over eng's request canonicalization (RequestKey
-// and suite expansion use eng's defaults, so they must match the
-// backends' engine flags for cross-tier cache keys to align — sharding
-// and aggregation are correct either way).
+// New builds a Scheduler over eng's request canonicalization
+// (RequestKey and suite expansion).  Requests reach the backends as
+// given, so one that leaves its simulation lengths unset runs at the
+// backends' engine defaults, and eng must key it at the same lengths:
+// cmd/simd backends run the paper defaults, so the scheduler in front
+// of them builds eng without length options.
 func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
-	ring, err := NewRing(cfg.Backends, cfg.Replicas)
+	ring, err := NewRing(cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
 	s := &Scheduler{
 		eng:            eng,
 		client:         NewClient(cfg.HTTPClient),
-		replicas:       cfg.Replicas,
 		retries:        cfg.Retries,
 		cache:          cfg.Cache,
 		retryBackoff:   cfg.RetryBackoff,
@@ -195,7 +192,7 @@ func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
 		s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	if cfg.HintLimit > 0 {
-		s.hints = newHintQueue(cfg.HintLimit, cfg.Replicas, cfg.Backends, cfg.HTTPClient)
+		s.hints = newHintQueue(cfg.HintLimit, cfg.Backends, cfg.HTTPClient)
 	}
 	s.ring.Store(ring)
 	if cfg.Metrics != nil {
@@ -285,7 +282,7 @@ func (s *Scheduler) Ring() *Ring { return s.ring.Load() }
 // set.  An empty node list is rejected — the last ring stays in place so
 // a total outage degrades to per-request failures instead of a nil ring.
 func (s *Scheduler) SetBackends(nodes []string) error {
-	ring, err := NewRing(nodes, s.replicas)
+	ring, err := NewRing(nodes)
 	if err != nil {
 		return err
 	}
