@@ -116,11 +116,10 @@ demo:
 	$(GO) run ./examples/distributed
 
 # Deterministic fuzz smoke: 10 seconds of native fuzzing per target —
-# disk segment replay and the memcached get-response reader (each
-# differential against an independent reference decoder), the request
-# JSON round trip through the canonical key, suite keys derived from one
-# template encoding (against RequestKey and SuiteRequest.Validate), the
-# result view decoder (differential against encoding/json; its seeds
+# disk segment replay (differential against an independent reference
+# decoder), the request JSON round trip through the canonical key,
+# suite keys derived from one template encoding (against RequestKey and
+# SuiteRequest.Validate), the result view decoder (differential against encoding/json; its seeds
 # are kilobyte-sized result bodies, so minimization is capped to leave
 # the budget to fuzzing), fault rules posted to the control API (an
 # accepted rule must not panic the Proxy), and the
@@ -132,7 +131,6 @@ demo:
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
-	$(GO) test -run '^$$' -fuzz '^FuzzRemoteReadValues$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteKeys$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./pkg/frontendsim

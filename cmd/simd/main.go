@@ -7,8 +7,6 @@
 //
 //	simd [-addr :8723] [-cache 512] [-workers N]
 //	     [-store-dir DIR] [-store-max-bytes N]
-//	     [-remote-servers HOST:PORT,...] [-remote-ttl D]
-//	     [-compact-threshold 0.5] [-compact-interval 30s]
 //	     [-max-queue 64] [-queue-wait 5s]
 //	     [-announce SCHED_URL] [-self SELF_URL]
 //	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-antientropy-interval D]
@@ -55,21 +53,14 @@
 // (resultstore.OpenStack):
 //
 //	-store-dir DIR          crash-safe disk segments under DIR; survive restarts
-//	-remote-servers LIST    shared memcached tier; replicas on different
-//	                        machines serve each other's results
 //	-cache N (N > 0)        in-process LRU of N entries, write-through in
-//	                        front of either back tier, or alone without one
+//	                        front of the disk tier, or alone without one
 //
-// -store-dir and -remote-servers are exclusive.  With the default -cache
-// 512, -store-dir gives the single-machine shape (hot set in RAM,
-// everything survives a restart) and -remote-servers the fleet shape (an
-// unreachable remote degrades to local serving); with neither, results
-// live in memory only and die with the process.
-//
-// Disk-backed stores run a background compactor (see -compact-threshold
-// / -compact-interval): sealed segments whose live-byte ratio falls
-// below the threshold are rewritten so overwrite-heavy workloads
-// reclaim space without waiting for whole-segment eviction.
+// With the default -cache 512, -store-dir keeps the hot set in RAM and
+// everything across a restart; without it, results live in memory only
+// and die with the process.  Results are write-once (a result's bytes
+// are a pure function of its key), so the disk tier never rewrites a
+// record and needs no compaction.
 //
 // Endpoints:
 //
@@ -126,12 +117,8 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8723", "listen address")
 		cacheSize = flag.Int("cache", 512, "memory-tier response entries (0 disables the memory tier)")
-		storeDir  = flag.String("store-dir", "", "disk-tier segment directory (empty: no disk tier; exclusive with -remote-servers)")
+		storeDir  = flag.String("store-dir", "", "disk-tier segment directory (empty: no disk tier)")
 		storeMax  = flag.Int64("store-max-bytes", resultstore.DefaultMaxBytes, "disk-store total size cap in bytes")
-		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list (empty: no remote tier; exclusive with -store-dir)")
-		remoteTTL = flag.Duration("remote-ttl", 0, "expiry stored with remote-store writes (0 = no expiry)")
-		compactTh = flag.Float64("compact-threshold", resultstore.DefaultCompactThreshold, "rewrite a sealed disk segment when its live-byte ratio falls below this")
-		compactIv = flag.Duration("compact-interval", 30*time.Second, "disk-store compaction scan period (0 disables the compactor)")
 		workers   = flag.Int("workers", 0, "max concurrent simulations (default: GOMAXPROCS)")
 		maxQueue  = flag.Int("max-queue", 64, "max requests waiting for a simulation slot; excess is shed with 503 (0 = unbounded)")
 		queueWait = flag.Duration("queue-wait", 5*time.Second, "max time a request waits for a simulation slot before being shed with 503 (0 = unbounded)")
@@ -153,16 +140,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *compactTh <= 0 || *compactTh > 1 {
-		fmt.Fprintf(os.Stderr, "simd: -compact-threshold %v out of range (0, 1]\n", *compactTh)
-		os.Exit(2)
-	}
-
 	pprofserve.Maybe("simd", *pprofAddr)
 
-	store, disk, err := resultstore.OpenStack(*cacheSize,
-		resultstore.DiskConfig{Dir: *storeDir, MaxBytes: *storeMax},
-		resultstore.RemoteConfig{Servers: splitServers(*remoteSrv), TTL: *remoteTTL})
+	store, err := resultstore.OpenStack(*cacheSize,
+		resultstore.DiskConfig{Dir: *storeDir, MaxBytes: *storeMax})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(2)
@@ -172,13 +153,6 @@ func main() {
 		store = resultstore.NewMemory(0)
 	}
 	defer store.Close()
-	if disk != nil && *compactIv > 0 {
-		compactor := resultstore.StartCompactor(disk, resultstore.CompactorConfig{
-			Threshold: *compactTh,
-			Interval:  *compactIv,
-		})
-		defer compactor.Close()
-	}
 
 	eng := frontendsim.New(frontendsim.WithWorkers(*workers))
 	api := simd.NewServerWithStore(eng, store,

@@ -26,7 +26,6 @@
 //
 //	simsched -backends http://sim-1:8723,http://sim-2:8723 [-addr :8724]
 //	         [-retries -1] [-cache 512] [-workers N]
-//	         [-remote-servers HOST:PORT,...] [-remote-ttl D]
 //	         [-timeout 10m] [-probe-interval 2s]
 //	         [-probe-timeout 1s] [-quarantine-threshold 3] [-evict-after 1m]
 //	         [-retry-backoff 5ms] [-breaker-threshold 3] [-breaker-cooldown 5s]
@@ -50,10 +49,9 @@
 // slice from cache instead of recomputing
 // (sched_hints_{queued,replayed,dropped}_total on /metrics).
 //
-// The scheduler-tier cache follows from its tier flags the way simd's
-// store does (resultstore.OpenStack): -cache > 0 keeps a memory LRU,
-// -remote-servers adds a shared memcached tier behind it, and -cache 0
-// without -remote-servers disables the tier.
+// The scheduler-tier cache is a memory LRU of -cache entries, built the
+// way simd's store is (resultstore.OpenStack); -cache 0 disables the
+// tier.
 //
 // No flag sets a simulation length or the ring's shape, so simsched and
 // its backends cannot disagree on either: both key and run every
@@ -109,8 +107,6 @@ func main() {
 		backends  = flag.String("backends", "", "comma-separated simd base URLs (required)")
 		retries   = flag.Int("retries", 0, "failover nodes tried after the home backend (0 = all remaining, -1 = none)")
 		cache     = flag.Int("cache", 512, "scheduler-tier memory cache entries (0 disables the memory tier)")
-		remoteSrv = flag.String("remote-servers", "", "comma-separated memcached host:port list for a shared scheduler-tier cache (empty: no remote tier)")
-		remoteTTL = flag.Duration("remote-ttl", 0, "expiry stored with remote-store writes (0 = no expiry)")
 		workers   = flag.Int("workers", 0, "max concurrent backend dispatches per suite (default: GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-backend-request timeout")
 		probeInt  = flag.Duration("probe-interval", 2*time.Second, "backend health-probe interval")
@@ -138,17 +134,13 @@ func main() {
 	}
 
 	eng := frontendsim.New(frontendsim.WithWorkers(*workers))
-	// A nil store (-cache 0, no -remote-servers) disables the tier.
-	store, _, err := resultstore.OpenStack(*cache, resultstore.DiskConfig{},
-		resultstore.RemoteConfig{Servers: splitServers(*remoteSrv), TTL: *remoteTTL})
+	// A nil store (-cache 0) disables the tier.
+	store, err := resultstore.OpenStack(*cache, resultstore.DiskConfig{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simsched:", err)
 		os.Exit(2)
 	}
 	metrics := obs.NewRegistry()
-	if store != nil {
-		resultstore.RegisterMetrics(metrics, store)
-	}
 	// members is assigned below, before the server starts accepting
 	// requests; the closure lets the scheduler feed dispatch verdicts
 	// back into the registry that will own the ring.

@@ -3,8 +3,8 @@
 // distributed serving tier — three in-process simd backends behind the
 // consistent-hashing suite scheduler (pkg/scheduler, cmd/simsched),
 // sharing one tiered result store (pkg/resultstore: memory in front of
-// crash-safe disk segments, the stand-in for a memcached/Thanos-style
-// shared results cache).
+// crash-safe disk segments, the stand-in for a Thanos-style shared
+// results cache).
 //
 // The example runs one suite centralized vs distributed-frontend and
 // shows the scheduler's aggregate byte-identical to a serial in-process
@@ -34,14 +34,7 @@
 //     the injected faults show up in the proxy's own stats endpoint,
 //     and deleting the rule returns the fleet to quiet — all without
 //     restarting anything, and
-//  7. the shared tier goes network-native: two machines' worth of
-//     replicas (separate engines, separate memory tiers — nothing
-//     in-process in common) share one memcached-protocol result store,
-//     so the second machine serves the first machine's suite with zero
-//     engine runs; and the disk tier's background compactor rewrites
-//     overwrite-heavy segments, reclaiming space while every live key
-//     keeps answering, and
-//  8. the fleet shards its storage — per-replica stores, no shared
+//  7. the fleet shards its storage — per-replica stores, no shared
 //     tier — so a killed replica takes its slice's results with it;
 //     the replacement rejoins through join-time convergence (`simd
 //     -warmup-peer`): /healthz held at 503 while anti-entropy pulls the
@@ -65,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/memcachetest"
 	"repro/internal/simd"
 	"repro/pkg/faultinject"
 	"repro/pkg/frontendsim"
@@ -604,128 +596,7 @@ func main() {
 	}
 	fmt.Println()
 
-	// --- Act 7: the network-native shared tier. ---
-	// Until now "shared store" meant one in-process object.  Here the
-	// replicas share nothing but a cache server speaking the memcached
-	// text protocol (in production: `simd -remote-servers
-	// cache-1:11211,...`, a memory tier in front of the shared one).  Machine 1 computes a suite
-	// and writes through; machine 2 — fresh engines, fresh memory tiers,
-	// a different "host" — serves the identical suite with zero engine
-	// runs: the paper's cross-cluster work sharing over a real wire
-	// protocol.
-	fmt.Println("Network-native shared store (-remote-servers), two machines:")
-	cacheSrv, err := memcachetest.New()
-	if err != nil {
-		fatal(err)
-	}
-	defer cacheSrv.Close()
-
-	machine := func(replicas int) ([]*httptest.Server, *resultstore.Remote) {
-		remote, err := resultstore.NewRemote(resultstore.RemoteConfig{
-			Servers: []string{cacheSrv.Addr()},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		out := make([]*httptest.Server, replicas)
-		for i := range out {
-			store := resultstore.NewTiered(resultstore.NewMemory(64), remote)
-			out[i] = httptest.NewServer(simd.NewServerWithStore(frontendsim.New(backendOpts()...), store))
-		}
-		return out, remote
-	}
-
-	machine1, remote1 := machine(2)
-	defer func() {
-		for _, b := range machine1 {
-			b.Close()
-		}
-		remote1.Close()
-	}()
-	waitReady(urls(machine1))
-	sched7a, err := scheduler.New(eng, scheduler.Config{Backends: urls(machine1)})
-	if err != nil {
-		fatal(err)
-	}
-	before = engineRuns.Load()
-	warm, err := sched7a.RunSuite(ctx, suite(2))
-	if err != nil {
-		fatal(err)
-	}
-	warmJSON, _ := json.Marshal(warm)
-	fmt.Printf("  machine 1 computes the suite: %d engine runs, %d keys now on the cache server\n",
-		engineRuns.Load()-before, cacheSrv.Len())
-
-	machine2, remote2 := machine(2)
-	defer func() {
-		for _, b := range machine2 {
-			b.Close()
-		}
-		remote2.Close()
-	}()
-	waitReady(urls(machine2))
-	sched7b, err := scheduler.New(eng, scheduler.Config{Backends: urls(machine2)})
-	if err != nil {
-		fatal(err)
-	}
-	before = engineRuns.Load()
-	peer, err := sched7b.RunSuite(ctx, suite(2))
-	if err != nil {
-		fatal(err)
-	}
-	peerJSON, _ := json.Marshal(peer)
-	batches, keys := remote2.BatchStats()
-	fmt.Printf("  machine 2 serves it cold: byte-identical=%v, %d new engine runs, %d remote hits over %d multi-get batches (%d keys)\n",
-		bytes.Equal(peerJSON, warmJSON), engineRuns.Load()-before,
-		remote2.Stats()[0].Hits, batches, keys)
-	if engineRuns.Load()-before != 0 {
-		fatal(fmt.Errorf("machine 2 recomputed a peer's results"))
-	}
-	if !bytes.Equal(peerJSON, warmJSON) {
-		fatal(fmt.Errorf("machine 2's suite differs from machine 1's"))
-	}
-
-	// The disk tier's counterpart: the background compactor.  Hammer a
-	// small key set with overwrites until most sealed segments are dead
-	// weight, compact, and the store shrinks while every key still
-	// answers.
-	compactDir, err := os.MkdirTemp("", "resultstore-compact-demo-")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(compactDir)
-	cdisk, err := resultstore.OpenDisk(resultstore.DiskConfig{Dir: compactDir, SegmentBytes: 8 << 10})
-	if err != nil {
-		fatal(err)
-	}
-	defer cdisk.Close()
-	payload := bytes.Repeat([]byte("t"), 512)
-	for round := 0; round < 64; round++ {
-		for _, key := range []string{"hot-a", "hot-b", "hot-c"} {
-			if err := cdisk.Set(ctx, key, payload); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	beforeBytes := cdisk.Stats()[0].Bytes
-	reclaimedTotal, err := cdisk.Compact(resultstore.DefaultCompactThreshold)
-	if err != nil {
-		fatal(err)
-	}
-	after := cdisk.Stats()[0]
-	fmt.Printf("  disk compaction after overwrite-heavy load: %d -> %d bytes on disk (%d reclaimed, %d segments rewritten)\n",
-		beforeBytes, after.Bytes, reclaimedTotal, after.Compactions)
-	for _, key := range []string{"hot-a", "hot-b", "hot-c"} {
-		if _, ok, err := cdisk.Get(ctx, key); err != nil || !ok {
-			fatal(fmt.Errorf("key %s lost to compaction: %v", key, err))
-		}
-	}
-	if reclaimedTotal <= 0 || after.Bytes >= beforeBytes {
-		fatal(fmt.Errorf("compaction reclaimed nothing (%d -> %d)", beforeBytes, after.Bytes))
-	}
-	fmt.Println()
-
-	// --- Act 8: churn and repair — rejoin through join-time convergence. ---
+	// --- Act 7: churn and repair — rejoin through join-time convergence. ---
 	// Every act so far healed through a shared store.  Real fleets also
 	// shard: each replica owns its store, so a dead replica takes its
 	// slice's results with it and a cold replacement would recompute
@@ -736,7 +607,7 @@ func main() {
 	// /v1/store/entries/{key} for each missing key), and only then flips
 	// ready and joins.
 	fmt.Println("Join-time convergence (simd -warmup-peer): per-replica stores, kill -> rejoin warm:")
-	opts8 := []frontendsim.Option{
+	opts7 := []frontendsim.Option{
 		frontendsim.WithWarmupOps(12_000),
 		frontendsim.WithMeasureOps(25_000),
 		frontendsim.WithObserver(frontendsim.ObserverFunc(func(s frontendsim.Snapshot) {
@@ -745,86 +616,86 @@ func main() {
 			}
 		})),
 	}
-	eng8 := frontendsim.New(opts8...)
-	newReplica8 := func(simdOpts ...simd.Option) (*httptest.Server, *simd.Server) {
-		api := simd.NewServerWithStore(frontendsim.New(opts8...), resultstore.NewMemory(128), simdOpts...)
+	eng7 := frontendsim.New(opts7...)
+	newReplica7 := func(simdOpts ...simd.Option) (*httptest.Server, *simd.Server) {
+		api := simd.NewServerWithStore(frontendsim.New(opts7...), resultstore.NewMemory(128), simdOpts...)
 		srv := httptest.NewServer(api)
 		return srv, api
 	}
-	srvA, _ := newReplica8()
+	srvA, _ := newReplica7()
 	defer srvA.Close()
-	srvB, _ := newReplica8()
+	srvB, _ := newReplica7()
 	defer srvB.Close()
-	srvC, _ := newReplica8()
+	srvC, _ := newReplica7()
 	defer srvC.Close()
 	waitReady([]string{srvA.URL, srvB.URL, srvC.URL})
 
-	var members8 *membership.Registry
-	sched8, err := scheduler.New(eng8, scheduler.Config{
+	var members7 *membership.Registry
+	sched7, err := scheduler.New(eng7, scheduler.Config{
 		Backends:     []string{srvA.URL, srvB.URL, srvC.URL},
 		RetryBackoff: 2 * time.Millisecond,
 		ReportDispatch: func(node string, err error) {
-			if members8 != nil {
-				members8.ReportDispatch(node, err)
+			if members7 != nil {
+				members7.ReportDispatch(node, err)
 			}
 		},
 	})
 	if err != nil {
 		fatal(err)
 	}
-	members8, err = membership.New(membership.Config{
+	members7, err = membership.New(membership.Config{
 		QuarantineAfter: 1,
 		EvictAfter:      -1,
-		OnChange:        sched8.OnMembershipChange(),
+		OnChange:        sched7.OnMembershipChange(),
 	}, []string{srvA.URL, srvB.URL, srvC.URL})
 	if err != nil {
 		fatal(err)
 	}
-	defer members8.Close()
-	schedSrv8 := httptest.NewServer(scheduler.NewServer(sched8, scheduler.WithMembership(members8)))
-	defer schedSrv8.Close()
+	defer members7.Close()
+	schedSrv7 := httptest.NewServer(scheduler.NewServer(sched7, scheduler.WithMembership(members7)))
+	defer schedSrv7.Close()
 
-	suite8 := frontendsim.SuiteRequest{Benchmarks: frontendsim.Benchmarks()}
+	suite7 := frontendsim.SuiteRequest{Benchmarks: frontendsim.Benchmarks()}
 	before = engineRuns.Load()
-	if _, err := sched8.RunSuite(ctx, suite8); err != nil {
+	if _, err := sched7.RunSuite(ctx, suite7); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  %d-benchmark suite over 3 replicas with per-replica stores: %d engine runs\n",
-		len(suite8.Benchmarks), engineRuns.Load()-before)
+		len(suite7.Benchmarks), engineRuns.Load()-before)
 
 	srvC.Close()
 	before = engineRuns.Load()
-	if _, err := sched8.RunSuite(ctx, suite8); err != nil {
+	if _, err := sched7.RunSuite(ctx, suite7); err != nil {
 		fatal(err)
 	}
-	if got := len(sched8.Ring().Nodes()); got != 2 {
+	if got := len(sched7.Ring().Nodes()); got != 2 {
 		fatal(fmt.Errorf("dead replica not quarantined: ring has %d members", got))
 	}
 	fmt.Printf("  killed one replica; the next suite quarantines it and recomputes its slice on the survivors: %d new engine runs, ring down to 2 members\n",
 		engineRuns.Load()-before)
 
 	warmReg := obs.NewRegistry()
-	freshSrv, freshAPI := newReplica8(simd.WithMetrics(warmReg))
+	freshSrv, freshAPI := newReplica7(simd.WithMetrics(warmReg))
 	defer freshSrv.Close()
 	freshAPI.SetReady(false)
 	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
 		fatal(fmt.Errorf("cold replacement /healthz = %d, want 503 before convergence", code))
 	}
-	ae8, err := freshAPI.NewAntiEntropy(simd.AntiEntropyConfig{
+	ae7, err := freshAPI.NewAntiEntropy(simd.AntiEntropyConfig{
 		SelfURL: freshSrv.URL,
 		Peers:   []string{srvA.URL, srvB.URL},
-		RingURL: schedSrv8.URL,
+		RingURL: schedSrv7.URL,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	convergeCtx, cancel8 := context.WithTimeout(ctx, 30*time.Second)
-	pulled8, err := ae8.Converge(convergeCtx)
-	cancel8()
+	convergeCtx, cancel7 := context.WithTimeout(ctx, 30*time.Second)
+	pulled7, err := ae7.Converge(convergeCtx)
+	cancel7()
 	if err != nil {
 		fatal(fmt.Errorf("join-time convergence: %w", err))
 	}
-	if pulled8 == 0 {
+	if pulled7 == 0 {
 		fatal(fmt.Errorf("join-time convergence pulled nothing"))
 	}
 	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
@@ -832,26 +703,26 @@ func main() {
 	}
 	freshAPI.SetReady(true)
 	fmt.Printf("  replacement converged behind its 503 readiness gate: pulled %d keys from the survivors at ring epoch %d; /healthz now %d\n",
-		pulled8, members8.Epoch(), healthzCode(freshSrv.URL))
+		pulled7, members7.Epoch(), healthzCode(freshSrv.URL))
 
 	// The warmed replica must serve the slice it now owns — the ring the
 	// scheduler will route once it announces — without a single engine
 	// run; a recompute here is the bug this act exists to catch.
-	ring8, err := scheduler.NewRing([]string{srvA.URL, srvB.URL, freshSrv.URL})
+	ring7, err := scheduler.NewRing([]string{srvA.URL, srvB.URL, freshSrv.URL})
 	if err != nil {
 		fatal(err)
 	}
 	before = engineRuns.Load()
-	served8 := 0
-	for _, bench := range suite8.Benchmarks {
-		key, err := eng8.RequestKey(frontendsim.Request{Benchmark: bench})
+	served7 := 0
+	for _, bench := range suite7.Benchmarks {
+		key, err := eng7.RequestKey(frontendsim.Request{Benchmark: bench})
 		if err != nil {
 			fatal(err)
 		}
-		if ring8.Node(key) != freshSrv.URL {
+		if ring7.Node(key) != freshSrv.URL {
 			continue
 		}
-		served8++
+		served7++
 		resp, err := http.Post(freshSrv.URL+"/v1/simulations", "application/json",
 			strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
 		if err != nil {
@@ -864,13 +735,13 @@ func main() {
 				bench, resp.StatusCode, resp.Header.Get("X-Cache")))
 		}
 	}
-	if served8 == 0 {
+	if served7 == 0 {
 		fatal(fmt.Errorf("no benchmark homed on the rejoined replica"))
 	}
 	if runs := engineRuns.Load() - before; runs != 0 {
 		fatal(fmt.Errorf("the warmed replica recomputed %d results; its slice must serve from store", runs))
 	}
-	fmt.Printf("  rejoined replica serves its %d-key slice: every request X-Cache=HIT, 0 new engine runs\n", served8)
+	fmt.Printf("  rejoined replica serves its %d-key slice: every request X-Cache=HIT, 0 new engine runs\n", served7)
 	for _, line := range strings.Split(warmReg.Render(), "\n") {
 		if strings.HasPrefix(line, "simd_antientropy_pulled_total") {
 			fmt.Printf("  /metrics: %s\n", line)

@@ -2,34 +2,49 @@ package chaos
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/memcachetest"
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/obs"
 	"repro/pkg/resultstore"
 )
 
-// TestChaosDeadRemoteCacheDegrades kills the shared remote cache under
-// a memory-over-remote simd and asserts the degradation contract: every
-// request keeps succeeding (warm keys from the memory tier, cold keys
-// from the engine), /healthz stays 200, no client ever sees an error —
-// and the failure is *visible*, not swallowed: the remote tier's error
-// counters move on /metrics while the requests stay clean.
+// deadTier errors on every operation and counts each failure in its
+// stats — a back tier that died under a live replica.
+type deadTier struct{ errs atomic.Uint64 }
+
+func (d *deadTier) Get(context.Context, string) ([]byte, bool, error) {
+	d.errs.Add(1)
+	return nil, false, errors.New("back tier down")
+}
+
+func (d *deadTier) Set(context.Context, string, []byte) error {
+	d.errs.Add(1)
+	return errors.New("back tier down")
+}
+
+func (d *deadTier) Stats() []resultstore.TierStats {
+	return []resultstore.TierStats{{Tier: "back", Errors: d.errs.Load()}}
+}
+
+func (d *deadTier) Close() error { return nil }
+
+// TestChaosDeadRemoteCacheDegrades runs a memory-over-dead-back-tier
+// simd and asserts the degradation contract: every request keeps
+// succeeding (warm keys from the memory tier, cold keys from the
+// engine), /healthz stays 200, no client ever sees an error — and the
+// failure is *visible*, not swallowed: the back tier's error counter
+// moves on /metrics while the requests stay clean.
 func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
-	cache := memcachetest.Start(t)
-	remote, err := resultstore.NewRemote(resultstore.RemoteConfig{
-		Servers: []string{cache.Addr()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := resultstore.NewTiered(resultstore.NewMemory(16), remote)
+	store := resultstore.NewTiered(resultstore.NewMemory(16), &deadTier{})
 	t.Cleanup(func() { store.Close() })
 
 	reg := obs.NewRegistry()
@@ -47,23 +62,18 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 		return resp
 	}
 
-	// Warm one key while the cache lives: it lands in both tiers.
+	// Warm one key: it lands in the memory tier, the dead tier refuses it.
 	warm := post("gzip")
 	warm.Body.Close()
 	if warm.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up status = %d", warm.StatusCode)
 	}
-	if n := cache.Counts().Sets; n != 1 {
-		t.Fatalf("remote cache saw %d sets during warm-up, want 1", n)
-	}
-
-	cache.Close() // the shared tier is now a corpse
 
 	// The warm key answers from the memory tier.
 	hit := post("gzip")
 	hit.Body.Close()
 	if hit.StatusCode != http.StatusOK || hit.Header.Get("X-Cache") != "HIT" {
-		t.Fatalf("warm key with dead cache: status %d, X-Cache %q, want 200 HIT",
+		t.Fatalf("warm key with a dead back tier: status %d, X-Cache %q, want 200 HIT",
 			hit.StatusCode, hit.Header.Get("X-Cache"))
 	}
 	// Cold keys compute: the dead back tier reads as a miss, never as a
@@ -72,7 +82,7 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 		resp := post(bench)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cold %s with dead cache: status %d, want 200", bench, resp.StatusCode)
+			t.Fatalf("cold %s with a dead back tier: status %d, want 200", bench, resp.StatusCode)
 		}
 	}
 	// Health stays green: a live front tier means degraded, not down.
@@ -82,10 +92,10 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 	}
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
-		t.Errorf("healthz with dead remote cache = %d, want 200", health.StatusCode)
+		t.Errorf("healthz with a dead back tier = %d, want 200", health.StatusCode)
 	}
 
-	// The degradation is observable: remote get errors and memory-tier
+	// The degradation is observable: back-tier errors and memory-tier
 	// misses both moved.
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -100,13 +110,10 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 		sb.WriteString("\n")
 	}
 	exposition := sb.String()
-	if n := metricSum(t, exposition, "store_remote_ops_total", `result="error"`); n < 1 {
-		t.Errorf(`store_remote_ops_total{result="error"} = %v, want >= 1`, n)
-	}
 	if n := metricSum(t, exposition, "simd_store_ops_total", `tier="memory",op="miss"`); n < 3 {
 		t.Errorf(`memory-tier misses = %v, want >= 3 (the cold keys)`, n)
 	}
-	if n := metricSum(t, exposition, "simd_store_ops_total", `tier="remote",op="error"`); n < 1 {
-		t.Errorf(`remote-tier errors on the store exposition = %v, want >= 1`, n)
+	if n := metricSum(t, exposition, "simd_store_ops_total", `tier="back",op="error"`); n < 1 {
+		t.Errorf(`back-tier errors on the store exposition = %v, want >= 1`, n)
 	}
 }

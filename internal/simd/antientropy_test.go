@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/memcachetest"
 	"repro/pkg/resultstore"
 )
 
@@ -139,25 +138,19 @@ func TestAntiEntropyFallsPastDeadPeer(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyUnscannableLocalStore: a remote-backed local store
+// TestAntiEntropyUnscannableLocalStore: a local store without Keys
 // cannot digest itself; RunOnce reports ErrScanUnsupported so the loop
 // can disable itself instead of erroring forever.
 func TestAntiEntropyUnscannableLocalStore(t *testing.T) {
-	cache := memcachetest.Start(t)
-	store, err := resultstore.NewRemote(resultstore.RemoteConfig{Servers: []string{cache.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
 	eng, _ := warmEngine()
-	api := NewServerWithStore(eng, store)
+	api := NewServerWithStore(eng, bareStore{resultstore.NewMemory(16)})
 	peer := newReplica(t)
 	ae, err := api.NewAntiEntropy(AntiEntropyConfig{SelfURL: "http://self", Peers: []string{peer.url}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ae.RunOnce(context.Background()); !errors.Is(err, resultstore.ErrScanUnsupported) {
-		t.Fatalf("RunOnce over a remote store = %v, want ErrScanUnsupported", err)
+		t.Fatalf("RunOnce over a store without Keys = %v, want ErrScanUnsupported", err)
 	}
 }
 

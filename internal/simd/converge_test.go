@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/hashring"
-	"repro/internal/memcachetest"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 	"repro/pkg/scheduler"
@@ -149,17 +148,11 @@ func TestConvergePullsOnlyOwnSlice(t *testing.T) {
 }
 
 // TestConvergeFallsBackPast501Peer pins the capability fallback: the
-// first peer is remote-backed (its store answers 501 to the digest), so
+// first peer's store cannot enumerate (it answers 501 to the digest), so
 // the joiner converges from the second peer alone.
 func TestConvergeFallsBackPast501Peer(t *testing.T) {
-	cache := memcachetest.Start(t)
-	remoteStore, err := resultstore.NewRemote(resultstore.RemoteConfig{Servers: []string{cache.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remoteStore.Close() })
 	eng, _ := warmEngine()
-	blind := httptest.NewServer(NewServerWithStore(eng, remoteStore))
+	blind := httptest.NewServer(NewServerWithStore(eng, bareStore{resultstore.NewMemory(16)}))
 	t.Cleanup(blind.Close)
 
 	sighted, joiner := newReplica(t), newReplica(t)

@@ -147,9 +147,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 
 // registerMetrics re-exports the server's counters on reg.
 func (s *Server) registerMetrics(reg *obs.Registry) {
-	// Store-level families (remote ops, batch sizes, compactions) ride
-	// along whenever the configured backend has them.
-	resultstore.RegisterMetrics(reg, s.store)
 	reg.Sampled("simd_store_ops_total", "Response store counters, by tier.",
 		obs.TypeCounter, []string{"tier", "op"}, func(emit func([]string, float64)) {
 			for _, t := range s.store.Stats() {

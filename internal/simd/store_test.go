@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/pkg/frontendsim"
+	"repro/pkg/obs"
 	"repro/pkg/resultstore"
 )
 
@@ -142,5 +146,69 @@ func TestTieredStoreReportsPerTierStats(t *testing.T) {
 	}
 	if st.Tiers[1].Hits != 0 {
 		t.Errorf("disk tier served %d hits, memory should have absorbed them", st.Tiers[1].Hits)
+	}
+}
+
+// failingTier errors on every operation and counts each failure in its
+// stats — a stand-in for a back tier that died.
+type failingTier struct{ errs atomic.Uint64 }
+
+var errTierDown = errors.New("tier down")
+
+func (f *failingTier) Get(context.Context, string) ([]byte, bool, error) {
+	f.errs.Add(1)
+	return nil, false, errTierDown
+}
+
+func (f *failingTier) Set(context.Context, string, []byte) error {
+	f.errs.Add(1)
+	return errTierDown
+}
+
+func (f *failingTier) Stats() []resultstore.TierStats {
+	return []resultstore.TierStats{{Tier: "back", Errors: f.errs.Load()}}
+}
+
+func (f *failingTier) Close() error { return nil }
+
+// TestTieredRemoteDegradesWhenCacheDies: a replica with a memory tier
+// in front of a failing back tier keeps serving (memory tier + engine)
+// — requests succeed, nothing hangs, /healthz stays ready, and the back
+// tier's failures show as errors in simd_store_ops_total.
+func TestTieredRemoteDegradesWhenCacheDies(t *testing.T) {
+	store := resultstore.NewTiered(resultstore.NewMemory(16), &failingTier{})
+	defer store.Close()
+	eng, runs := countingEngine(nil)
+	reg := obs.NewRegistry()
+	srv := NewServerWithStore(eng, store, WithMetrics(reg))
+
+	const reqBody = `{"benchmark":"gzip"}`
+	if w := post(t, srv, "/v1/simulations", reqBody); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("first request: status %d, X-Cache %q, want 200 MISS", w.Code, w.Header().Get("X-Cache"))
+	}
+	// The memory tier answers the warm key.
+	if w := post(t, srv, "/v1/simulations", reqBody); w.Header().Get("X-Cache") != "HIT" {
+		t.Errorf("X-Cache with a failing back tier = %q, want HIT from the memory tier",
+			w.Header().Get("X-Cache"))
+	}
+	// A cold key computes: the failing back tier reads as a miss, not a
+	// failure.
+	w := post(t, srv, "/v1/simulations", `{"benchmark":"mcf"}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("cold request with a failing back tier: status %d, body %s", w.Code, w.Body.String())
+	}
+	if runs.Load() != 2 {
+		t.Errorf("engine ran %d times, want 2", runs.Load())
+	}
+	// Peek-backed health stays green: front tier healthy ⇒ degraded,
+	// not down.
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("healthz with a failing back tier = %d, want 200", rec.Code)
+	}
+	if !strings.Contains(reg.Render(), `simd_store_ops_total{tier="back",op="error"}`) ||
+		strings.Contains(reg.Render(), `simd_store_ops_total{tier="back",op="error"} 0`) {
+		t.Errorf("back-tier errors absent from /metrics:\n%s", reg.Render())
 	}
 }

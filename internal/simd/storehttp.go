@@ -13,9 +13,9 @@ import (
 
 // Store plane: the response store exposed over HTTP so peers can repair
 // each other.  GET /v1/store/keys and /v1/store/digest require the
-// store's optional Scanner capability (501 without it — a remote-backed
-// replica cannot enumerate the shared tier, and a converging peer falls
-// back to a replica that can); GET and PUT /v1/store/entries/{key} work
+// store's optional Scanner capability (501 without it — every store
+// OpenStack builds can enumerate, but a caller-supplied Store need not,
+// and a converging peer falls back to a replica that can); GET and PUT /v1/store/entries/{key} work
 // against any store.  The anti-entropy client in this package and the
 // scheduler's hint replay are the intended consumers, but the endpoints
 // are plain HTTP: an operator can inspect or reseed a store with curl.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memcachetest"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 )
@@ -173,18 +172,16 @@ func TestStoreDigestEndpoint(t *testing.T) {
 	}
 }
 
+// bareStore hides its inner store's Keys: a Store without the Scanner
+// capability.
+type bareStore struct{ resultstore.Store }
+
 // TestStoreScanEndpointsUnsupported pins the capability-absent contract:
-// a remote-backed replica answers 501 for enumeration and digests (a
-// warming peer falls back to a replica that can enumerate) while entry
-// GET/PUT still work.
+// a replica whose store cannot enumerate answers 501 for enumeration and
+// digests (a warming peer falls back to a replica that can enumerate)
+// while entry GET/PUT still work.
 func TestStoreScanEndpointsUnsupported(t *testing.T) {
-	cache := memcachetest.Start(t)
-	store, err := resultstore.NewRemote(resultstore.RemoteConfig{Servers: []string{cache.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv := NewServerWithStore(frontendsim.New(), store)
+	srv := NewServerWithStore(frontendsim.New(), bareStore{resultstore.NewMemory(16)})
 	if w := get(t, srv, "/v1/store/keys"); w.Code != http.StatusNotImplemented {
 		t.Errorf("keys = %d, want 501", w.Code)
 	}

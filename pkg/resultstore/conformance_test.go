@@ -1,19 +1,16 @@
 package resultstore
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/memcachetest"
 )
 
 // The store conformance suite: one harness, every backend.  Each
 // backend registers an opener (and, when it has durable state, a
 // reopener standing in for a process restart); the suite then pins the
-// Store contract — round trips, newest-record-wins, Peek invisibility,
+// Store contract — round trips, first-write-wins, Peek invisibility,
 // Stats accounting and its uniform semantics (op counters are
 // process-lifetime, Entries/Bytes describe what the open store serves),
 // Close-then-op failures, and concurrent use under -race.  A future
@@ -27,17 +24,13 @@ type conformanceCase struct {
 	// same durable state — a process restart.  Backends without durable
 	// state leave it nil.
 	reopen func(t *testing.T, s Store) Store
-	// countsEntries is false for backends that cannot know their entry
-	// count (the remote client).
-	countsEntries bool
 }
 
 func conformanceCases() []conformanceCase {
 	return []conformanceCase{
 		{
-			name:          "memory",
-			open:          func(t *testing.T) Store { return NewMemory(1024) },
-			countsEntries: true,
+			name: "memory",
+			open: func(t *testing.T) Store { return NewMemory(1024) },
 		},
 		{
 			name: "disk",
@@ -52,7 +45,6 @@ func conformanceCases() []conformanceCase {
 				}
 				return openDisk(t, dir, DiskConfig{})
 			},
-			countsEntries: true,
 		},
 		{
 			name: "tiered",
@@ -66,25 +58,6 @@ func conformanceCases() []conformanceCase {
 					t.Fatal(err)
 				}
 				return NewTiered(NewMemory(1024), openDisk(t, dir, DiskConfig{}))
-			},
-			countsEntries: true,
-		},
-		{
-			name: "remote",
-			open: func(t *testing.T) Store {
-				srv := memcachetest.Start(t)
-				return newRemote(t, RemoteConfig{Servers: []string{srv.Addr()}})
-			},
-			reopen: func(t *testing.T, s Store) Store {
-				// The server-side data outlives the client: a fresh
-				// client over the same servers is this backend's
-				// "restart".
-				old := s.(*Remote)
-				servers := old.cfg.Servers
-				if err := old.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return newRemote(t, RemoteConfig{Servers: servers})
 			},
 		},
 	}
@@ -123,14 +96,34 @@ func TestConformanceRoundTrip(t *testing.T) {
 	})
 }
 
-func TestConformanceNewestRecordWins(t *testing.T) {
+// TestConformanceFirstWriteWins pins the write-once contract: a Set of
+// a key the store already holds keeps the held bytes, while Sets still
+// counts every call.  After a reopen the durable backends serve the
+// first write, and a further Set keeps it.
+func TestConformanceFirstWriteWins(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, tc conformanceCase) {
 		s := tc.open(t)
 		for i := 0; i < 5; i++ {
 			mustSet(t, s, "key", fmt.Sprintf("value-%d", i))
 		}
-		if v, ok := mustGet(t, s, "key"); !ok || string(v) != "value-4" {
-			t.Errorf("key = %q %v, want the newest record", v, ok)
+		if v, ok := mustGet(t, s, "key"); !ok || string(v) != "value-0" {
+			t.Errorf("key = %q %v, want the first write", v, ok)
+		}
+		for _, ts := range s.Stats() {
+			if ts.Sets != 5 {
+				t.Errorf("tier %s counts %d sets, want all 5 calls", ts.Tier, ts.Sets)
+			}
+		}
+		if tc.reopen == nil {
+			return
+		}
+		s = tc.reopen(t, s)
+		if v, ok := mustGet(t, s, "key"); !ok || string(v) != "value-0" {
+			t.Errorf("key after reopen = %q %v, want the first write", v, ok)
+		}
+		mustSet(t, s, "key", "after-reopen")
+		if v, ok := mustGet(t, s, "key"); !ok || string(v) != "value-0" {
+			t.Errorf("key after a post-reopen Set = %q %v, want the first write", v, ok)
 		}
 	})
 }
@@ -171,7 +164,7 @@ func TestConformanceStatsAccounting(t *testing.T) {
 		if misses != 2 {
 			t.Errorf("misses = %d, want 2", misses)
 		}
-		if tc.countsEntries && entries != 3 {
+		if entries != 3 {
 			t.Errorf("entries = %d, want 3", entries)
 		}
 		if _, _, sets := opCounters(s); sets < 3 {
@@ -233,19 +226,16 @@ func TestConformanceStatsAfterReopen(t *testing.T) {
 				t.Errorf("%s after reopen = %q %v", key, v, ok)
 			}
 		}
-		if tc.countsEntries {
-			if entries, _, _ := Totals(s.Stats()); entries != 4 {
-				t.Errorf("entries after reopen = %d, want 4", entries)
-			}
+		if entries, _, _ := Totals(s.Stats()); entries != 4 {
+			t.Errorf("entries after reopen = %d, want 4", entries)
 		}
 	})
 }
 
 // TestConformanceScanKeys pins the Scanner capability across backends:
-// scannable stores enumerate exactly the live key set (newest-wins, one
-// entry per key, filter honored), the remote client cleanly reports the
-// capability absent, and durable backends enumerate the same set after
-// a reopen.
+// every store enumerates exactly the live key set (one entry per key,
+// filter honored), and durable backends enumerate the same set after a
+// reopen.
 func TestConformanceScanKeys(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, tc conformanceCase) {
 		s := tc.open(t)
@@ -253,15 +243,9 @@ func TestConformanceScanKeys(t *testing.T) {
 		for _, k := range want {
 			mustSet(t, s, k, "v1")
 		}
-		mustSet(t, s, "alpha", "v2") // overwrite must not duplicate the key
+		mustSet(t, s, "alpha", "v2") // a second Set must not duplicate the key
 
 		keys, ok, err := ScanKeys(ctx, s, nil)
-		if _, isScanner := s.(Scanner); !isScanner {
-			if ok || !errors.Is(err, ErrScanUnsupported) {
-				t.Fatalf("non-Scanner backend: ScanKeys = ok %v err %v, want capability-absent", ok, err)
-			}
-			return
-		}
 		if !ok || err != nil {
 			t.Fatalf("ScanKeys = ok %v err %v", ok, err)
 		}

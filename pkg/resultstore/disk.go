@@ -13,16 +13,18 @@ import (
 	"sync/atomic"
 )
 
-// Disk record framing: every Set appends one record to the active
-// segment file —
+// Disk record framing: every Set of a key the store does not hold
+// appends one record to the active segment file —
 //
 //	u32 keyLen | u32 valLen | key | val | u32 crc32(key ‖ val)
 //
-// (little-endian, IEEE CRC).  Records are never rewritten in place; a
-// key written twice leaves its old record as garbage until the whole
-// segment is evicted.  Recovery replays every segment in sequence
-// order, so the newest record for a key wins, and a torn tail (a crash
-// mid-append) fails its length or CRC check and is truncated away.
+// (little-endian, IEEE CRC).  Results are write-once, so a Set of an
+// indexed key appends nothing and no record is ever superseded by a
+// later one.  Recovery still replays every segment in sequence order
+// with the newest record for a key winning, because directories written
+// before the write-once rule may hold duplicate records; a torn tail (a
+// crash mid-append) fails its length or CRC check and is truncated
+// away.
 const (
 	recHeaderLen  = 8
 	recTrailerLen = 4
@@ -67,13 +69,10 @@ type segment struct {
 	path string
 	f    *os.File
 	size int64
-	// live is the bytes of records in this segment that the index still
-	// points at; size-live is dead weight (overwritten records, corrupt
-	// tails) the compactor can reclaim.
-	live int64
 	// keys lists every key with a record in this segment (duplicates
-	// possible after rewrites), so eviction drops exactly its own index
-	// entries without scanning the whole index.
+	// possible in directories replayed from before the write-once rule),
+	// so eviction drops exactly its own index entries without scanning
+	// the whole index.
 	keys []string
 }
 
@@ -105,11 +104,6 @@ type Disk struct {
 	misses atomic.Uint64
 	sets   atomic.Uint64
 	errs   atomic.Uint64
-
-	// compactions / reclaimed count segments rewritten by the compactor
-	// and the net bytes it freed (see compact.go).
-	compactions atomic.Uint64
-	reclaimed   atomic.Uint64
 }
 
 var errClosed = errors.New("resultstore: store is closed")
@@ -232,18 +226,12 @@ func (d *Disk) replay(path string, seq uint64, last bool) error {
 			break // torn or corrupt record
 		}
 		key := string(payload[:keyLen])
-		if old, ok := d.index[key]; ok {
-			// This record supersedes an earlier one: the older record is
-			// dead weight in its segment.
-			old.seg.live -= recordSize(len(key), int(old.valLen))
-		}
 		d.index[key] = diskLoc{
 			seg:    seg,
 			valOff: off + recHeaderLen + int64(keyLen),
 			valLen: valLen,
 		}
 		seg.keys = append(seg.keys, key)
-		seg.live += recHeaderLen + bodyLen
 		off += recHeaderLen + bodyLen
 	}
 	if off < size && last {
@@ -284,7 +272,8 @@ func recordSize(keyLen, valLen int) int64 {
 }
 
 // Set appends one record to the active segment, rotating and evicting
-// as the size caps require.
+// as the size caps require.  A key the index already holds keeps its
+// record: Set appends nothing and returns nil, still counting the call.
 func (d *Disk) Set(_ context.Context, key string, val []byte) error {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return fmt.Errorf("resultstore: key length %d out of range", len(key))
@@ -292,24 +281,10 @@ func (d *Disk) Set(_ context.Context, key string, val []byte) error {
 	if len(val) > maxValLen {
 		return fmt.Errorf("resultstore: value length %d exceeds %d", len(val), maxValLen)
 	}
+	// appendMu serializes Sets end to end, so no other Set can index the
+	// key between the held check below and the append.
 	d.appendMu.Lock()
 	defer d.appendMu.Unlock()
-	return d.appendRecord(key, val, true)
-}
-
-// appendRecord appends one framed record and installs it in the index.
-// The caller holds appendMu.  userSet distinguishes a caller's Set
-// (counted, cap-enforced) from a compaction rewrite (neither: the
-// compactor settles the byte accounting itself once the victim segment
-// is gone).
-func (d *Disk) appendRecord(key string, val []byte, userSet bool) error {
-	rec := make([]byte, recordSize(len(key), len(val)))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
-	copy(rec[recHeaderLen:], key)
-	copy(rec[recHeaderLen+len(key):], val)
-	crc := crc32.ChecksumIEEE(rec[recHeaderLen : recHeaderLen+len(key)+len(val)])
-	binary.LittleEndian.PutUint32(rec[len(rec)-recTrailerLen:], crc)
 
 	// Pick (rotating if needed) the active segment and the append
 	// offset under the lock; the committed size only advances after a
@@ -320,8 +295,14 @@ func (d *Disk) appendRecord(key string, val []byte, userSet bool) error {
 		d.mu.Unlock()
 		return errClosed
 	}
+	if _, held := d.index[key]; held {
+		d.mu.Unlock()
+		d.sets.Add(1)
+		return nil
+	}
+	recLen := recordSize(len(key), len(val))
 	active := d.segs[len(d.segs)-1]
-	if active.size > 0 && active.size+int64(len(rec)) > d.cfg.SegmentBytes {
+	if active.size > 0 && active.size+recLen > d.cfg.SegmentBytes {
 		next, err := d.newSegment(active.seq + 1)
 		if err != nil {
 			d.mu.Unlock()
@@ -332,6 +313,14 @@ func (d *Disk) appendRecord(key string, val []byte, userSet bool) error {
 	}
 	off := active.size
 	d.mu.Unlock()
+
+	rec := make([]byte, recLen)
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
+	copy(rec[recHeaderLen:], key)
+	copy(rec[recHeaderLen+len(key):], val)
+	crc := crc32.ChecksumIEEE(rec[recHeaderLen : recHeaderLen+len(key)+len(val)])
+	binary.LittleEndian.PutUint32(rec[len(rec)-recTrailerLen:], crc)
 
 	// The write itself runs outside mu: appendMu guarantees exclusive
 	// ownership of [off, off+len(rec)), and eviction never touches the
@@ -346,31 +335,24 @@ func (d *Disk) appendRecord(key string, val []byte, userSet bool) error {
 	if d.closed {
 		return errClosed
 	}
-	if old, ok := d.index[key]; ok {
-		// The overwritten record becomes dead weight in its segment.
-		old.seg.live -= recordSize(len(key), int(old.valLen))
-	}
-	active.size = off + int64(len(rec))
-	active.live += int64(len(rec))
-	d.total += int64(len(rec))
+	active.size = off + recLen
+	d.total += recLen
 	d.index[key] = diskLoc{
 		seg:    active,
 		valOff: off + recHeaderLen + int64(len(key)),
 		valLen: uint32(len(val)),
 	}
 	active.keys = append(active.keys, key)
-	if userSet {
-		d.sets.Add(1)
-		d.enforceCap()
-	}
+	d.sets.Add(1)
+	d.enforceCap()
 	return nil
 }
 
 // enforceCap evicts whole segments oldest-first while the store exceeds
 // MaxBytes, keeping at least the active segment.  Each eviction walks
-// only the victim's own key list (a key rewritten into a newer segment
-// keeps its index entry).  Callers hold mu (or have exclusive access
-// during OpenDisk).
+// only the victim's own key list (a key whose replayed newer record
+// lives in a younger segment keeps its index entry).  Callers hold mu
+// (or have exclusive access during OpenDisk).
 func (d *Disk) enforceCap() {
 	for d.total > d.cfg.MaxBytes && len(d.segs) > 1 {
 		victim := d.segs[0]
@@ -421,10 +403,15 @@ func (d *Disk) get(_ context.Context, key string, count bool) ([]byte, bool, err
 		// The segment may have been evicted (its file closed) between
 		// the index lookup and the read: if the key no longer points at
 		// this location, the entry is simply gone — a miss, not an I/O
-		// failure.
-		d.mu.RLock()
+		// failure.  Otherwise the record the index points at cannot be
+		// read: drop the entry so the caller's recompute-and-Set writes
+		// a fresh record instead of keeping the unreadable one.
+		d.mu.Lock()
 		cur, still := d.index[key]
-		d.mu.RUnlock()
+		if still && cur == loc {
+			delete(d.index, key)
+		}
+		d.mu.Unlock()
 		if !still || cur != loc {
 			if count {
 				d.misses.Add(1)
@@ -446,15 +433,13 @@ func (d *Disk) Stats() []TierStats {
 	entries, bytes := len(d.index), d.total
 	d.mu.RUnlock()
 	return []TierStats{{
-		Tier:           "disk",
-		Entries:        entries,
-		Bytes:          bytes,
-		Hits:           d.hits.Load(),
-		Misses:         d.misses.Load(),
-		Sets:           d.sets.Load(),
-		Errors:         d.errs.Load(),
-		Compactions:    d.compactions.Load(),
-		ReclaimedBytes: int64(d.reclaimed.Load()),
+		Tier:    "disk",
+		Entries: entries,
+		Bytes:   bytes,
+		Hits:    d.hits.Load(),
+		Misses:  d.misses.Load(),
+		Sets:    d.sets.Load(),
+		Errors:  d.errs.Load(),
 	}}
 }
 

@@ -55,6 +55,25 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// appendRaw appends framed records straight to a segment file, the way
+// a directory written before the write-once rule can hold a second
+// record for a key.
+func appendRaw(t *testing.T, path string, recs ...[]byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDiskKillAndReopen is the crash-safety round trip: everything
 // written before Close (standing in for a process death — no flush
 // path exists besides the appends themselves) is served after reopening
@@ -68,12 +87,13 @@ func TestDiskKillAndReopen(t *testing.T) {
 		mustSet(t, d, k, v)
 		want[k] = v
 	}
-	// Overwrites: the newest record must win after replay.
-	mustSet(t, d, "key-7", "rewritten")
-	want["key-7"] = "rewritten"
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A duplicate record for a key: the newest record must win after
+	// replay.
+	appendRaw(t, segments(t, dir)[0], encodeRecord("key-7", []byte("rewritten")))
+	want["key-7"] = "rewritten"
 
 	re := openDisk(t, dir, DiskConfig{})
 	if re.Len() != len(want) {
@@ -254,24 +274,85 @@ func TestDiskRotationAndEviction(t *testing.T) {
 // whose newest record lives in a young segment survives the eviction of
 // the old segment holding its stale record.
 func TestDiskRewrittenKeySurvivesEviction(t *testing.T) {
-	d := openDisk(t, t.TempDir(), DiskConfig{SegmentBytes: 256, MaxBytes: 1 << 20})
+	dir := t.TempDir()
 	val := bytes.Repeat([]byte("y"), 64)
-	mustSet(t, d, "pinned", "v1")
-	for i := 0; i < 20; i++ {
+	filler := func(i int) []byte { return encodeRecord(fmt.Sprintf("filler-%d", i), val) }
+	appendRaw(t, filepath.Join(dir, "seg-00000001.log"),
+		encodeRecord("pinned", []byte("v1")), filler(0), filler(1), filler(2))
+	appendRaw(t, filepath.Join(dir, "seg-00000002.log"),
+		filler(3), filler(4), filler(5), encodeRecord("pinned", []byte("v2")))
+
+	d := openDisk(t, dir, DiskConfig{SegmentBytes: 256, MaxBytes: 700})
+	if v, ok := mustGet(t, d, "pinned"); !ok || string(v) != "v2" {
+		t.Fatalf("pinned after replay = %q %v, want the newest record v2", v, ok)
+	}
+	// Fill past the cap until the oldest segment is evicted.
+	for i := 6; i < 20; i++ {
+		if _, ok, _ := d.Peek(ctx, "filler-0"); !ok {
+			break
+		}
 		if err := d.Set(ctx, fmt.Sprintf("filler-%d", i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustSet(t, d, "pinned", "v2") // newest record in a young segment
-	// Shrink the cap by evicting through more fillers on a tighter store.
-	d.cfg.MaxBytes = 512
-	for i := 20; i < 30; i++ {
-		if err := d.Set(ctx, fmt.Sprintf("filler-%d", i), val); err != nil {
+	if _, ok := mustGet(t, d, "filler-0"); ok {
+		t.Fatal("the oldest segment was never evicted")
+	}
+	if v, ok := mustGet(t, d, "pinned"); !ok || string(v) != "v2" {
+		t.Errorf("pinned = %q %v, want v2 to survive its stale record's eviction", v, ok)
+	}
+}
+
+// TestDiskSecondSetAppendsNothing pins the write-once disk store: a Set
+// of an indexed key leaves the segment file and the byte accounting
+// unchanged and keeps serving the first value.
+func TestDiskSecondSetAppendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, DiskConfig{})
+	mustSet(t, d, "key", "first")
+	size := func() int64 {
+		st, err := os.Stat(segments(t, dir)[0])
+		if err != nil {
 			t.Fatal(err)
 		}
+		return st.Size()
 	}
-	if v, ok := mustGet(t, d, "pinned"); ok && string(v) != "v2" {
-		t.Errorf("pinned = %q, stale record served", v)
+	fileBefore, bytesBefore := size(), d.Stats()[0].Bytes
+	mustSet(t, d, "key", "second")
+	if got := size(); got != fileBefore {
+		t.Errorf("segment grew from %d to %d bytes on a second Set", fileBefore, got)
+	}
+	if got := d.Stats()[0].Bytes; got != bytesBefore {
+		t.Errorf("Bytes moved from %d to %d on a second Set", bytesBefore, got)
+	}
+	if v, ok := mustGet(t, d, "key"); !ok || string(v) != "first" {
+		t.Errorf("key = %q %v, want the first value", v, ok)
+	}
+	if st := d.Stats()[0]; st.Sets != 2 {
+		t.Errorf("sets = %d, want both calls counted", st.Sets)
+	}
+}
+
+// TestDiskUnreadableRecordIsRestored truncates the segment under an
+// open store: the Get of a record that can no longer be read errors and
+// drops the index entry, so the next Set writes a fresh record that the
+// following Get serves.
+func TestDiskUnreadableRecordIsRestored(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, DiskConfig{})
+	mustSet(t, d, "key", "value")
+	if err := os.Truncate(segments(t, dir)[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Get(ctx, "key"); err == nil {
+		t.Fatal("Get of a truncated record succeeded")
+	}
+	if st := d.Stats()[0]; st.Errors != 1 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want 1 error and the entry dropped", st)
+	}
+	mustSet(t, d, "key", "value")
+	if v, ok := mustGet(t, d, "key"); !ok || string(v) != "value" {
+		t.Errorf("key after the repairing Set = %q %v", v, ok)
 	}
 }
 

@@ -1,15 +1,10 @@
 package resultstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/pkg/faultinject"
@@ -116,123 +111,6 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		if v, ok := mustGet(t, d, "post-replay"); !ok || string(v) != "still writable" {
 			t.Fatalf("post-replay readback = %q %v", v, ok)
-		}
-	})
-}
-
-// getResponse renders pairs as a memcached get response, in order.
-func getResponse(pairs [][2]string, flags []uint32) []byte {
-	var b bytes.Buffer
-	for i, p := range pairs {
-		fmt.Fprintf(&b, "VALUE %s %d %d\r\n%s\r\n", p[0], flags[i], len(p[1]), p[1])
-	}
-	b.WriteString("END\r\n")
-	return b.Bytes()
-}
-
-// referenceValues is an independent walk of the get-response framing:
-// header lines parsed with the protocol's grammar, data blocks located
-// by byte offset.  It returns the values (a repeated key's last value
-// wins), the size each value's VALUE line declared, and false when the
-// response is malformed or unterminated.
-func referenceValues(data []byte) (map[string][]byte, map[string]int, bool) {
-	values, sizes := map[string][]byte{}, map[string]int{}
-	for {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return nil, nil, false
-		}
-		line := strings.TrimRight(string(data[:nl]), "\r\n")
-		data = data[nl+1:]
-		if line == "END" {
-			return values, sizes, true
-		}
-		var key string
-		var flags uint32
-		var size int
-		if n, err := fmt.Sscanf(line, "VALUE %s %d %d", &key, &flags, &size); n != 3 || err != nil || size < 0 || size > maxValLen {
-			return nil, nil, false
-		}
-		if len(data) < size+2 || data[size] != '\r' || data[size+1] != '\n' {
-			return nil, nil, false
-		}
-		values[key], sizes[key] = data[:size], size
-		data = data[size+2:]
-	}
-}
-
-// FuzzRemoteReadValues feeds arbitrary bytes to the memcached get
-// response reader.  Whatever the bytes, it must not panic, must agree
-// with the reference walk on whether the response is well formed, and
-// every value it returns must be exactly as long as its VALUE line
-// declared — never longer than maxValLen.  A hostile length must not
-// cost a matching allocation either: the fuzzer's memory limit catches
-// a reader that trusts it.
-func FuzzRemoteReadValues(f *testing.F) {
-	// Seed corpus: well-formed responses over random key/value pairs
-	// (binary values, CRLFs inside them included), each of which must
-	// parse back to exactly those pairs.
-	rng := rand.New(rand.NewSource(1))
-	const keyChars = "abcdefghijklmnopqrstuvwxyz0123456789-_:"
-	for seed := 0; seed < 8; seed++ {
-		var pairs [][2]string
-		var flags []uint32
-		want := map[string]string{}
-		for i := rng.Intn(4); i >= 0; i-- {
-			key := make([]byte, 1+rng.Intn(40))
-			for j := range key {
-				key[j] = keyChars[rng.Intn(len(keyChars))]
-			}
-			if _, dup := want[string(key)]; dup {
-				continue
-			}
-			val := make([]byte, rng.Intn(200))
-			rng.Read(val)
-			if seed%2 == 0 && len(val) > 2 {
-				copy(val[len(val)/2:], "\r\n")
-			}
-			pairs = append(pairs, [2]string{string(key), string(val)})
-			flags = append(flags, rng.Uint32())
-			want[string(key)] = string(val)
-		}
-		resp := getResponse(pairs, flags)
-		got, err := readValues(bufio.NewReader(bytes.NewReader(resp)))
-		if err != nil {
-			f.Fatalf("seed %d: readValues: %v", seed, err)
-		}
-		if len(got) != len(want) {
-			f.Fatalf("seed %d: parsed %d values, built %d", seed, len(got), len(want))
-		}
-		for k, v := range want {
-			if string(got[k]) != v {
-				f.Fatalf("seed %d: value of %q = %q, want %q", seed, k, got[k], v)
-			}
-		}
-		f.Add(resp)
-	}
-	f.Add([]byte("END\r\n"))
-	f.Add([]byte("VALUE k 0 1073741824\r\nshort\r\nEND\r\n"))
-	f.Add([]byte("VALUE k 0 3\r\nabcde\r\nEND\r\n"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := readValues(bufio.NewReader(bytes.NewReader(data)))
-		want, sizes, ok := referenceValues(data)
-		if (err == nil) != ok {
-			t.Fatalf("readValues err = %v, reference well-formed = %v", err, ok)
-		}
-		if err != nil {
-			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("parsed %d values, reference found %d", len(got), len(want))
-		}
-		for k, v := range got {
-			if len(v) != sizes[k] || len(v) > maxValLen {
-				t.Fatalf("value of %q is %d bytes, its VALUE line declared %d", k, len(v), sizes[k])
-			}
-			if !bytes.Equal(v, want[k]) {
-				t.Fatalf("value of %q = %q, reference %q", k, v, want[k])
-			}
 		}
 	})
 }

@@ -72,7 +72,8 @@ func (m *Memory) Peek(_ context.Context, key string) ([]byte, bool, error) {
 }
 
 // Set stores a response, evicting the least recently used entry when
-// the store is full.
+// the store is full.  A key the store already holds keeps its bytes;
+// Set only marks it most recently used.
 func (m *Memory) Set(_ context.Context, key string, val []byte) error {
 	if m.cap < 1 {
 		return nil
@@ -84,7 +85,6 @@ func (m *Memory) Set(_ context.Context, key string, val []byte) error {
 	}
 	m.sets.Add(1)
 	if el, ok := m.entries[key]; ok {
-		el.Value.(*memEntry).val = val
 		m.order.MoveToFront(el)
 		return nil
 	}

@@ -48,15 +48,25 @@ func TestMemoryEviction(t *testing.T) {
 	}
 }
 
+// TestMemoryUpdateExisting: a Set of a held key keeps its value and
+// only refreshes its recency, so the next eviction takes another key.
 func TestMemoryUpdateExisting(t *testing.T) {
 	m := NewMemory(2)
 	mustSet(t, m, "a", "1")
-	mustSet(t, m, "a", "2")
-	if m.Len() != 1 {
-		t.Fatalf("len = %d after double set", m.Len())
+	mustSet(t, m, "b", "2")
+	mustSet(t, m, "a", "changed") // a is now most recent
+	if m.Len() != 2 {
+		t.Fatalf("len = %d after a second Set of a held key", m.Len())
 	}
-	if v, _ := mustGet(t, m, "a"); string(v) != "2" {
-		t.Errorf("a = %q, want updated value", v)
+	mustSet(t, m, "c", "3") // evicts b, the least recent
+	if v, ok := mustGet(t, m, "a"); !ok || string(v) != "1" {
+		t.Errorf("a = %q %v, want the held value", v, ok)
+	}
+	if _, ok := mustGet(t, m, "b"); ok {
+		t.Error("b survived: the second Set of a did not refresh it")
+	}
+	if st := m.Stats()[0]; st.Sets != 4 {
+		t.Errorf("sets = %d, want every call counted", st.Sets)
 	}
 }
 

@@ -4,59 +4,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memcachetest"
 	"repro/pkg/obs"
 )
 
-// TestRegisterMetricsExposition drives every store shape RegisterMetrics
-// understands — a tiered memory/disk pair and a remote client — and
-// asserts the promised families land on the exposition with moving
-// values: store_remote_ops_total by {op,result}, the
-// store_remote_batch_size histogram, and the disk compactor counters.
+// TestRegisterMetricsExposition drives the store shape the serving
+// processes build — a tiered memory/disk pair — through RegisterMetrics
+// and traffic: the deprecated call registers no family, because every
+// store counter reaches /metrics through Stats instead.
 func TestRegisterMetricsExposition(t *testing.T) {
-	srv := memcachetest.Start(t)
-	remote := newRemote(t, RemoteConfig{Servers: []string{srv.Addr()}})
 	disk := openDisk(t, t.TempDir(), DiskConfig{SegmentBytes: 4096})
 	tiered := NewTiered(NewMemory(16), disk)
 	t.Cleanup(func() { tiered.Close() })
 
 	reg := obs.NewRegistry()
-	RegisterMetrics(reg, tiered) // recurses into memory (no-op) + disk
-	RegisterMetrics(reg, remote)
+	RegisterMetrics(reg, tiered)
+	mustSet(t, tiered, "key", "value")
+	mustGet(t, tiered, "key")
+	mustGet(t, tiered, "missing")
 
-	// Remote traffic: one set, one hit, one miss.
-	mustSet(t, remote, "key", "value")
-	mustGet(t, remote, "key")
-	mustGet(t, remote, "missing")
-
-	// Disk churn dense enough to seal a segment, then compact it.
-	val := strings.Repeat("v", 512)
-	for i := 0; i < 32; i++ {
-		mustSet(t, tiered, "hot", val)
-	}
-	if _, err := disk.Compact(DefaultCompactThreshold); err != nil {
-		t.Fatal(err)
-	}
-
-	exposition := reg.Render()
-	for _, want := range []string{
-		`store_remote_ops_total{op="set",result="ok"} 1`,
-		`store_remote_ops_total{op="get",result="hit"} 1`,
-		`store_remote_ops_total{op="get",result="miss"} 1`,
-		`store_remote_batch_size_count 2`,
-		`store_remote_batch_size_bucket{le="1"} 2`,
-	} {
-		if !strings.Contains(exposition, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if !strings.Contains(exposition, "store_compactions_total") ||
-		strings.Contains(exposition, "store_compactions_total 0") {
-		t.Errorf("compaction count absent or zero:\n%s", grepLines(exposition, "compact"))
-	}
-	if strings.Contains(exposition, "store_compact_reclaimed_bytes 0") ||
-		!strings.Contains(exposition, "store_compact_reclaimed_bytes") {
-		t.Errorf("reclaimed bytes absent or zero:\n%s", grepLines(exposition, "compact"))
+	if got := reg.Render(); strings.Contains(got, "store_") {
+		t.Errorf("RegisterMetrics registered families:\n%s", got)
 	}
 }
 
@@ -68,14 +35,4 @@ func TestRegisterMetricsIgnoresUnknownStores(t *testing.T) {
 	if got := reg.Render(); strings.Contains(got, "store_") {
 		t.Errorf("memory store registered families:\n%s", got)
 	}
-}
-
-func grepLines(s, substr string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, substr) {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
 }

@@ -11,18 +11,20 @@ type Store interface {
 	// (nil, false, nil); an error reports a store failure (callers
 	// should treat it as a miss and keep serving).
 	Get(ctx context.Context, key string) ([]byte, bool, error)
-	// Set stores val under key, overwriting any previous value.
+	// Set stores val under key.  Results are write-once — a result's
+	// bytes are a pure function of its key — so a Set of a key the
+	// store already holds keeps the held bytes.
 	Set(ctx context.Context, key string, val []byte) error
 	// Stats returns cumulative per-tier counters, front tier first.
 	// Single-tier stores return one element.
 	//
 	// Semantics are uniform across backends: the op counters (Hits,
-	// Misses, Sets, Errors, Compactions) are process-lifetime — they
-	// start at zero when the store is opened, including a Disk store
-	// reopened over existing segments — while Entries and Bytes always
-	// describe what the open store can serve right now (so both are
-	// zero after Close, and a reopened Disk store reports the replayed
-	// entries).  The conformance suite pins this for every backend.
+	// Misses, Sets, Errors) are process-lifetime — they start at zero
+	// when the store is opened, including a Disk store reopened over
+	// existing segments — while Entries and Bytes always describe what
+	// the open store can serve right now (so both are zero after Close,
+	// and a reopened Disk store reports the replayed entries).  The
+	// conformance suite pins this for every backend.
 	Stats() []TierStats
 	// Close releases the store's resources.  Get and Set fail after
 	// Close.
@@ -57,15 +59,11 @@ type TierStats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts Gets this tier was consulted for and missed.
 	Misses uint64 `json:"misses"`
-	// Sets counts writes into this tier (including tier promotions).
+	// Sets counts Set calls into this tier (including tier promotions
+	// and Sets of keys the tier already held).
 	Sets uint64 `json:"sets"`
 	// Errors counts failed reads and writes.
 	Errors uint64 `json:"errors,omitempty"`
-	// Compactions counts segment rewrites by the disk compactor (0 for
-	// tiers without one).
-	Compactions uint64 `json:"compactions,omitempty"`
-	// ReclaimedBytes is the net disk space freed by compaction.
-	ReclaimedBytes int64 `json:"reclaimed_bytes,omitempty"`
 }
 
 // Totals folds per-tier stats into the store-level counters reported at

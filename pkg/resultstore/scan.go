@@ -8,12 +8,12 @@ import (
 )
 
 // Scanner is the optional capability of enumerating a store's live key
-// set — the keys a Get would currently hit, after newest-wins overwrite
-// resolution and eviction.  Memory, Disk and Tiered implement it; Remote
-// does not (the memcached protocol has no sane key enumeration), so
-// callers discover the capability with ScanKeys and fall back to a peer
-// that has it.  The filter restricts the result to keys the caller cares
-// about (typically "hashes to my ring slice"); nil means every key.
+// set — the keys a Get would currently hit, after eviction.  Memory,
+// Disk and Tiered implement it; a Store that does not (say, a wrapper
+// that hides its inner store's Keys) is discovered with ScanKeys, and
+// callers fall back to a peer that can enumerate.  The filter restricts
+// the result to keys the caller cares about (typically "hashes to my
+// ring slice"); nil means every key.
 type Scanner interface {
 	Keys(ctx context.Context, filter func(key string) bool) ([]string, error)
 }
@@ -58,10 +58,9 @@ func (m *Memory) Keys(_ context.Context, filter func(key string) bool) ([]string
 }
 
 // Keys enumerates the live key set of the disk store: exactly the keys a
-// Get would hit, after newest-wins replay resolution and whole-segment
-// eviction.  The index snapshot is taken under the read lock, so a scan
-// concurrent with compaction still sees the full live set — compaction
-// copies records without changing which keys are live.
+// Get would hit, after replay and whole-segment eviction.  The index
+// snapshot is taken under the read lock, so a scan concurrent with Sets
+// sees each live key once.
 func (d *Disk) Keys(_ context.Context, filter func(key string) bool) ([]string, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -78,9 +77,9 @@ func (d *Disk) Keys(_ context.Context, filter func(key string) bool) ([]string, 
 }
 
 // Keys enumerates the union of the scannable tiers' live key sets.  A
-// tier without the capability is skipped (a Memory-over-Remote store
-// scans as just its memory tier); if no tier is scannable the error
-// wraps ErrScanUnsupported.  A scannable tier's failure surfaces only
+// tier without the capability is skipped (a Memory front over an
+// unscannable back tier scans as just its memory tier); if no tier is
+// scannable the error wraps ErrScanUnsupported.  A scannable tier's failure surfaces only
 // when every scannable tier failed, mirroring Peek's degraded contract.
 func (t *Tiered) Keys(ctx context.Context, filter func(key string) bool) ([]string, error) {
 	seen := map[string]bool{}

@@ -1,33 +1,27 @@
 package resultstore
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
-
-	"repro/internal/memcachetest"
 )
 
 // TestOpenStack maps each combination of tier settings to the stack it
 // assembles, front tier first, and round-trips a value through it.  A
-// disk tier together with a remote one is an error.
+// disk directory that cannot be opened is an error.
 func TestOpenStack(t *testing.T) {
-	srv := memcachetest.Start(t)
-	remote := RemoteConfig{Servers: []string{srv.Addr()}}
 	cases := []struct {
-		name   string
-		cache  int
-		disk   bool
-		remote bool
-		tiers  []string // nil: no store
-		err    bool
+		name  string
+		cache int
+		disk  bool
+		tiers []string // nil: no store
 	}{
-		{"nothing", 0, false, false, nil, false},
-		{"memory", 8, false, false, []string{"memory"}, false},
-		{"disk", 0, true, false, []string{"disk"}, false},
-		{"memory-disk", 8, true, false, []string{"memory", "disk"}, false},
-		{"remote", 0, false, true, []string{"remote"}, false},
-		{"memory-remote", 8, false, true, []string{"memory", "remote"}, false},
-		{"disk-and-remote", 8, true, true, nil, true},
+		{"nothing", 0, false, nil},
+		{"memory", 8, false, []string{"memory"}},
+		{"disk", 0, true, []string{"disk"}},
+		{"memory-disk", 8, true, []string{"memory", "disk"}},
+		{"unopenable-disk", 8, true, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,16 +29,16 @@ func TestOpenStack(t *testing.T) {
 			if tc.disk {
 				dc.Dir = t.TempDir()
 			}
-			var rc RemoteConfig
-			if tc.remote {
-				rc = remote
+			if tc.disk && tc.tiers == nil {
+				// A regular file where the segment directory should be.
+				dc.Dir = filepath.Join(dc.Dir, "file")
+				if err := os.WriteFile(dc.Dir, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			store, disk, err := OpenStack(tc.cache, dc, rc)
-			if (err != nil) != tc.err {
-				t.Fatalf("err = %v, want error %v", err, tc.err)
-			}
-			if (disk != nil) != (tc.disk && !tc.err) {
-				t.Errorf("disk tier returned = %v, want %v", disk != nil, tc.disk && !tc.err)
+			store, err := OpenStack(tc.cache, dc)
+			if (err != nil) != (tc.disk && tc.tiers == nil) {
+				t.Fatalf("err = %v", err)
 			}
 			if tc.tiers == nil {
 				if store != nil {

@@ -41,8 +41,8 @@ func (t *Tiered) Get(ctx context.Context, key string) ([]byte, bool, error) {
 // Peek reads through both tiers without counting or promoting.  As in
 // Get, a front-tier failure falls through to the back tier.  A Peek
 // error surfaces only when *every* tier errored: health probes use Peek,
-// and a tiered store with a live front and a dead back (say, an
-// unreachable remote cache) is degraded, not down — it still serves.
+// and a tiered store with a live front and a dead back (say, a disk
+// whose segments fail to read) is degraded, not down — it still serves.
 func (t *Tiered) Peek(ctx context.Context, key string) ([]byte, bool, error) {
 	frontVal, frontOK, frontErr := Peek(ctx, t.front, key)
 	if frontErr == nil && frontOK {

@@ -107,24 +107,49 @@ func (failStore) Close() error                              { return nil }
 
 // TestTieredFrontFailureFallsThrough pins the Store contract applied
 // between tiers: a failing front tier is treated as a missing one, so
-// a back-tier hit is still served.
+// a back-tier hit is still served; a failing back tier leaves the front
+// serving, degraded but not down.
 func TestTieredFrontFailureFallsThrough(t *testing.T) {
-	disk := openDisk(t, t.TempDir(), DiskConfig{})
-	mustSet(t, disk, "a", "alpha")
-	tiered := NewTiered(failStore{}, disk)
-	if v, ok := mustGet(t, tiered, "a"); !ok || string(v) != "alpha" {
-		t.Errorf("front-tier failure masked a back-tier hit: %q %v", v, ok)
-	}
-	if v, ok, err := tiered.Peek(ctx, "a"); err != nil || !ok || string(v) != "alpha" {
-		t.Errorf("Peek through failing front = %q %v %v", v, ok, err)
-	}
-	// Set still reports the partial failure while landing in the back.
-	if err := tiered.Set(ctx, "b", []byte("beta")); err == nil {
-		t.Error("Set with a failing front tier reported no error")
-	}
-	if v, ok, _ := disk.Peek(ctx, "b"); !ok || string(v) != "beta" {
-		t.Errorf("back tier missed the write-through: %q %v", v, ok)
-	}
+	t.Run("failing-front", func(t *testing.T) {
+		disk := openDisk(t, t.TempDir(), DiskConfig{})
+		mustSet(t, disk, "a", "alpha")
+		tiered := NewTiered(failStore{}, disk)
+		if v, ok := mustGet(t, tiered, "a"); !ok || string(v) != "alpha" {
+			t.Errorf("front-tier failure masked a back-tier hit: %q %v", v, ok)
+		}
+		if v, ok, err := tiered.Peek(ctx, "a"); err != nil || !ok || string(v) != "alpha" {
+			t.Errorf("Peek through failing front = %q %v %v", v, ok, err)
+		}
+		// Set still reports the partial failure while landing in the back.
+		if err := tiered.Set(ctx, "b", []byte("beta")); err == nil {
+			t.Error("Set with a failing front tier reported no error")
+		}
+		if v, ok, _ := disk.Peek(ctx, "b"); !ok || string(v) != "beta" {
+			t.Errorf("back tier missed the write-through: %q %v", v, ok)
+		}
+	})
+	t.Run("failing-back", func(t *testing.T) {
+		mem := NewMemory(8)
+		tiered := NewTiered(mem, failStore{})
+		// Set reports the partial failure while landing in the front.
+		if err := tiered.Set(ctx, "a", []byte("alpha")); err == nil {
+			t.Error("Set with a failing back tier reported no error")
+		}
+		if v, ok := mustGet(t, tiered, "a"); !ok || string(v) != "alpha" {
+			t.Errorf("front-tier hit with a failing back = %q %v", v, ok)
+		}
+		if v, ok, err := tiered.Peek(ctx, "a"); err != nil || !ok || string(v) != "alpha" {
+			t.Errorf("Peek with a failing back = %q %v %v", v, ok, err)
+		}
+		// A front miss surfaces the back's error to Get, which callers
+		// treat as a miss; Peek, the health probe, stays clean.
+		if _, ok, err := tiered.Get(ctx, "missing"); err == nil || ok {
+			t.Errorf("Get of a missing key = %v %v, want the back tier's error", ok, err)
+		}
+		if _, ok, err := tiered.Peek(ctx, "missing"); err != nil || ok {
+			t.Errorf("Peek of a missing key = %v %v, want a clean miss", ok, err)
+		}
+	})
 }
 
 func TestTieredConcurrent(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/memcachetest"
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
@@ -321,23 +320,15 @@ func postRaw(t *testing.T, url, body string) (string, []byte) {
 }
 
 // TestSharedRemoteStoreBytesIdentical runs one simd replica and one
-// scheduler over one memcached-protocol store, as a deployment with a
-// single -remote-servers list does: both tiers cache a key under the
-// same canonical name, so whichever writes last decides what the other
+// scheduler over one shared store: both tiers cache a key under the
+// same canonical name, so either one's write decides what the other
 // serves.  Every body for the key — simd's own MISS, the scheduler's
 // MISS, COALESCED and HIT, and simd's HIT after the scheduler's
 // write-through — must be the same bytes.
 func TestSharedRemoteStoreBytesIdentical(t *testing.T) {
-	mc := memcachetest.Start(t)
-	remote := func() resultstore.Store {
-		r, err := resultstore.NewRemote(resultstore.RemoteConfig{Servers: []string{mc.Addr()}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		return r
-	}
-	inner := simd.NewServerWithStore(frontendsim.New(testOpts()...), remote())
+	shared := resultstore.NewMemory(16)
+	t.Cleanup(func() { shared.Close() })
+	inner := simd.NewServerWithStore(frontendsim.New(testOpts()...), shared)
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var simdMiss []byte
@@ -352,7 +343,7 @@ func TestSharedRemoteStoreBytesIdentical(t *testing.T) {
 		}
 	}))
 	t.Cleanup(backend.Close)
-	sched, err := New(frontendsim.New(testOpts()...), Config{Backends: []string{backend.URL}, Cache: remote()})
+	sched, err := New(frontendsim.New(testOpts()...), Config{Backends: []string{backend.URL}, Cache: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
