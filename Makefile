@@ -44,8 +44,10 @@ race:
 # Docs gate: the three docs exist and are linked from the README, every
 # relative markdown link in README + docs/ resolves, the usage comments
 # of cmd/simd and cmd/simsched list exactly the flags each registers
-# (the per-command flag count is printed), and gofmt/vet cover the
-# result-store package the docs describe.
+# (the per-command flag count is printed), docs/API.md names exactly
+# the routes simd serves and the metric families simd and simsched
+# render (the MatchAPIDoc tests), and gofmt/vet cover the result-store
+# package the docs describe.
 USAGE_CMDS = simd simsched
 docs-check:
 	@for f in docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md; do \
@@ -73,6 +75,7 @@ docs-check:
 	@out="$$(gofmt -l pkg/resultstore)"; if [ -n "$$out" ]; then \
 		echo "docs-check: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./pkg/resultstore/...
+	$(GO) test -run 'MatchAPIDoc$$' ./internal/simd ./pkg/scheduler
 
 # Tier-1 benchmarks with allocation accounting; raw output passes
 # through and the parsed results land in BENCH_results.json.
@@ -152,7 +155,7 @@ cover-resultstore:
 # proxies (latency spikes, injected 500s, a flapping backend) driven
 # through the real scheduler — zero client-visible errors in strict
 # mode, correct PARTIAL-ERROR accounting in degraded mode, passive
-# breaker + quarantine before any probe round, and 503 + Retry-After
+# quarantine before any probe round, and 503 + Retry-After
 # shedding from a saturated backend, all asserted via /metrics.
 chaos:
 	$(GO) test -run TestChaos -v ./internal/chaos

@@ -68,7 +68,8 @@
 //	POST /v1/simulations/stream JSON request -> NDJSON per-interval stream
 //	GET  /v1/benchmarks         available benchmark profiles
 //	GET  /v1/cache/stats        per-tier response-store counters
-//	GET|PUT /v1/store/...       store plane: keys, digest, entries (repair)
+//	GET  /v1/store/...          read-only store plane: keys, digest, entries
+//	                            (anti-entropy repair pulls from it)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               readiness (503 while draining or when the
 //	                            response store is down)

@@ -28,26 +28,19 @@
 //	         [-retries -1] [-cache 512] [-workers N]
 //	         [-timeout 10m] [-probe-interval 2s]
 //	         [-probe-timeout 1s] [-quarantine-threshold 3] [-evict-after 1m]
-//	         [-retry-backoff 5ms] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	         [-hint-limit 256] [-partial-results] [-pprof ADDR]
+//	         [-retry-backoff 5ms] [-partial-results] [-pprof ADDR]
 //
 // Resilience: retries within one dispatch wait out a jittered
 // exponential backoff (-retry-backoff, 0 disables) before the next ring
-// node; -breaker-threshold consecutive dispatch failures open a
-// per-backend circuit that diverts the ring walk around the backend for
-// -breaker-cooldown before a single half-open probe (0 disables the
-// breaker).  Every dispatch verdict also feeds the membership registry,
-// so live traffic quarantines a flapping backend between probe rounds.
-// With -partial-results, a suite whose shards exhaust the ring answers
-// 200 with per-shard `errors` entries and X-Cache: PARTIAL-ERROR
-// instead of failing the whole sweep.
-//
-// Hinted handoff: results computed while their home backend is
-// quarantined are buffered (up to -hint-limit per backend, newest kept)
-// and replayed into the backend's store the moment the membership
-// registry reinstates it, so a briefly-dead backend answers its ring
-// slice from cache instead of recomputing
-// (sched_hints_{queued,replayed,dropped}_total on /metrics).
+// node.  Every dispatch verdict also feeds the membership registry, so
+// -quarantine-threshold consecutive failures of live traffic quarantine
+// a backend between probe rounds, and the ring routes around it.  When
+// every backend is quarantined the last ring stays, so dispatches keep
+// trying backends and the first to answer serves.  A reinstated backend
+// recomputes the keys it missed or pulls them from a peer through
+// simd's anti-entropy.  With -partial-results, a suite whose shards
+// exhaust the ring answers 200 with per-shard `errors` entries and
+// X-Cache: PARTIAL-ERROR instead of failing the whole sweep.
 //
 // The scheduler-tier cache is a memory LRU of -cache entries, built the
 // way simd's store is (resultstore.OpenStack); -cache 0 disables the
@@ -111,12 +104,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-backend-request timeout")
 		probeInt  = flag.Duration("probe-interval", 2*time.Second, "backend health-probe interval")
 		probeTO   = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-		quarAfter = flag.Int("quarantine-threshold", 3, "consecutive probe failures before a backend is quarantined")
+		quarAfter = flag.Int("quarantine-threshold", 3, "consecutive probe or dispatch failures before a backend is quarantined")
 		evictAft  = flag.Duration("evict-after", time.Minute, "quarantine time before permanent eviction (negative disables)")
 		backoff   = flag.Duration("retry-backoff", 5*time.Millisecond, "jittered exponential backoff base between ring-walk retries (0 disables)")
-		brkThresh = flag.Int("breaker-threshold", 3, "consecutive dispatch failures that open a backend's circuit (0 disables the breaker)")
-		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "time an open circuit diverts traffic before a half-open probe")
-		hintLimit = flag.Int("hint-limit", 256, "hinted-handoff entries buffered per quarantined backend, replayed on reinstatement (0 disables)")
 		partial   = flag.Bool("partial-results", false, "degrade suite runs gracefully: per-shard error entries and X-Cache: PARTIAL-ERROR instead of failing the whole suite")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables)")
 	)
@@ -146,16 +136,13 @@ func main() {
 	// back into the registry that will own the ring.
 	var members *membership.Registry
 	sched, err := scheduler.New(eng, scheduler.Config{
-		Backends:         nodes,
-		Retries:          *retries,
-		HTTPClient:       &http.Client{Timeout: *timeout},
-		Cache:            store,
-		Metrics:          metrics,
-		RetryBackoff:     *backoff,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCool,
-		HintLimit:        *hintLimit,
-		PartialResults:   *partial,
+		Backends:       nodes,
+		Retries:        *retries,
+		HTTPClient:     &http.Client{Timeout: *timeout},
+		Cache:          store,
+		Metrics:        metrics,
+		RetryBackoff:   *backoff,
+		PartialResults: *partial,
 		ReportDispatch: func(node string, err error) {
 			if members != nil {
 				members.ReportDispatch(node, err)
@@ -172,7 +159,6 @@ func main() {
 		QuarantineAfter: *quarAfter,
 		EvictAfter:      *evictAft,
 		OnChange:        sched.OnMembershipChange(),
-		OnTransition:    sched.OnMembershipTransition(),
 		Metrics:         metrics,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

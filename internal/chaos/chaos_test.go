@@ -3,7 +3,7 @@
 // the real scheduler, asserting the resilience layer end to end — zero
 // client-visible errors in strict mode under latency spikes, injected
 // 500s and a flapping backend; correct PARTIAL-ERROR accounting in
-// degraded mode; passive breaker + quarantine before any probe round;
+// degraded mode; passive quarantine before any probe round;
 // and 503 + Retry-After shedding from a saturated backend.  All fault
 // draws come from seeded PRNGs, and every suite is built from the ring's
 // actual key assignment, so the scenarios do not depend on port numbers
@@ -282,11 +282,11 @@ func TestChaosPartialErrorDegradedMode(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerQuarantinesBeforeProbeRound kills one backend and
-// asserts the passive path alone — no health probe ever runs — opens
-// its circuit and quarantines it in the membership registry, visible in
-// sched_breaker_transitions_total{to="open"}.
-func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
+// TestChaosPassiveQuarantineBeforeProbeRound kills one backend and
+// asserts the passive path alone — no health probe ever runs —
+// quarantines it in the membership registry and drops it from the
+// scheduler's ring, visible in ring_passive_reports_total{result="fail"}.
+func TestChaosPassiveQuarantineBeforeProbeRound(t *testing.T) {
 	fleet := newFleet(t, 3, 44)
 	fleet[0].inj.Add(faultinject.Rule{Drop: true}) // dead, permanently
 
@@ -294,11 +294,9 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 	reg := obs.NewRegistry()
 	var members *membership.Registry
 	sched, err := scheduler.New(eng, scheduler.Config{
-		Backends:         fleetURLs(fleet),
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Metrics:          reg,
+		Backends:     fleetURLs(fleet),
+		RetryBackoff: time.Millisecond,
+		Metrics:      reg,
 		ReportDispatch: func(node string, err error) {
 			members.ReportDispatch(node, err)
 		},
@@ -311,6 +309,7 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 		QuarantineAfter: 2,
 		EvictAfter:      -1,
 		OnChange:        sched.OnMembershipChange(),
+		Metrics:         reg,
 	}, fleetURLs(fleet))
 	if err != nil {
 		t.Fatal(err)
@@ -326,10 +325,10 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 		}
 	}
 
-	// Two live-traffic failures: the circuit is open and the member is
-	// quarantined — before any probe round has run.
-	if n := metricSum(t, reg.Render(), "sched_breaker_transitions_total", `to="open"`); n < 1 {
-		t.Errorf(`sched_breaker_transitions_total{to="open"} = %v, want >= 1`, n)
+	// Two live-traffic failures: the member is quarantined — before any
+	// probe round has run.
+	if n := metricSum(t, reg.Render(), "ring_passive_reports_total", `result="fail"`); n < 2 {
+		t.Errorf(`ring_passive_reports_total{result="fail"} = %v, want >= 2`, n)
 	}
 	active := members.Active()
 	if len(active) != 2 {

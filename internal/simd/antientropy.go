@@ -25,9 +25,9 @@ import (
 //
 //   - periodic (Start): a slow background round against this replica's
 //     clockwise ring successor, falling back around the ring when it is
-//     down, so stores that diverged (a missed hint, an evicted segment,
-//     a write that raced a quarantine) converge without waiting for
-//     request misses to notice;
+//     down, so stores that diverged (a key computed while this replica
+//     was quarantined, an evicted segment, a write that raced a
+//     quarantine) converge without waiting for request misses to notice;
 //   - join-time (Converge): before a (re)joining replica reports ready,
 //     passes against every reachable peer, restricted to the keys that
 //     home on this replica, repeated until one completes cleanly — so
@@ -261,9 +261,10 @@ type peerListing struct {
 
 // decodePeerListing decodes a peer's digest body (bucket < 0), which
 // must carry one digest per bucket, or its key listing of bucket out of
-// buckets.  Listed keys PUT /v1/store/entries would refuse
+// buckets.  Listed keys GET /v1/store/entries/{key} would refuse
 // (storeKeyError) or that hash outside bucket are dropped and counted
-// in refused, so every returned key is one this replica may store.
+// in refused, so every returned key is one this replica may pull and
+// store.
 func decodePeerListing(body []byte, bucket, buckets int) (l peerListing, refused int, err error) {
 	if err := json.Unmarshal(body, &l); err != nil {
 		return peerListing{}, 0, err
@@ -287,9 +288,9 @@ func decodePeerListing(body []byte, bucket, buckets int) (l peerListing, refused
 }
 
 // getListing reads one peer listing (see decodePeerListing).  A digest
-// is read under the body cap of PUT /v1/store/entries (4,096 buckets
-// are ~200 KB); a key listing is not capped, because Converge lists a
-// whole store in one bucket.
+// is read under DefaultMaxBodyBytes, the cap pullEntry holds an entry
+// to (4,096 buckets are ~200 KB); a key listing is not capped, because
+// Converge lists a whole store in one bucket.
 func (ae *AntiEntropy) getListing(ctx context.Context, target string, bucket, buckets int) (peerListing, int, error) {
 	limit := int64(0)
 	if bucket < 0 {
@@ -434,8 +435,9 @@ func (ae *AntiEntropy) convergePass(ctx context.Context) (int, error) {
 	return pulled, nil
 }
 
-// pullEntry fetches key's entry from peer under the rules of PUT
-// /v1/store/entries: a non-empty body of at most DefaultMaxBodyBytes.
+// pullEntry fetches key's entry from peer (GET /v1/store/entries/{key})
+// and accepts only what a replica may store: a non-empty body of at
+// most DefaultMaxBodyBytes.
 func (ae *AntiEntropy) pullEntry(ctx context.Context, peer, key string) ([]byte, error) {
 	target := peer + "/v1/store/entries/" + url.PathEscape(key)
 	body, err := httpGet(ctx, ae.cfg.Client, target, DefaultMaxBodyBytes)

@@ -175,7 +175,7 @@ func TestAntiEntropyLoop(t *testing.T) {
 // TestAntiEntropyRefusesBadEntries pulls from a peer that serves one
 // good entry, one empty entry and one entry over DefaultMaxBodyBytes:
 // the bad two count as failed pulls and only the good one is stored,
-// the same rules PUT /v1/store/entries applies.
+// the body rules pullEntry applies.
 func TestAntiEntropyRefusesBadEntries(t *testing.T) {
 	a, b := newReplica(t), newReplica(t)
 	good, empty, big := digestKey(0), digestKey(1), digestKey(2)
@@ -212,8 +212,8 @@ func TestAntiEntropyRefusesBadEntries(t *testing.T) {
 // TestAntiEntropyRefusesBadListings pulls from a peer whose key listing
 // adds an empty key, an over-long key and a key outside the listed
 // bucket to one good key, and serves an entry for each: the three count
-// as failed and only the good key is stored, the key rules PUT
-// /v1/store/entries applies.  A digest or ring answer over
+// as failed and only the good key is stored, the key rules GET
+// /v1/store/entries/{key} applies.  A digest or ring answer over
 // DefaultMaxBodyBytes fails the exchange or the ring read.
 func TestAntiEntropyRefusesBadListings(t *testing.T) {
 	const buckets = 8

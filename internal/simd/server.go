@@ -19,9 +19,10 @@ import (
 
 // DefaultMaxBodyBytes caps every request body (http.MaxBytesReader):
 // a simulation request is a few KB even with a full config override,
-// and a repair write carries one stored result, so 1 MiB is generous
-// headroom while keeping a hostile multi-GB POST from being read to the
-// end by the JSON decoder.  An oversized body gets 413.
+// so 1 MiB is generous headroom while keeping a hostile multi-GB POST
+// from being read to the end by the JSON decoder.  An oversized body
+// gets 413.  Anti-entropy holds a pulled entry to the same cap: one
+// stored result is far below it.
 const DefaultMaxBodyBytes = 1 << 20
 
 // Server is the HTTP API of the simulation service; routes lists its
@@ -50,12 +51,10 @@ type Server struct {
 	coalesced atomic.Uint64
 
 	// Self-healing counters: anti-entropy digest exchanges (periodic and
-	// join-time), the entries they pulled and their failures, and repair
-	// writes accepted through PUT /v1/store/entries.
-	aeRounds     atomic.Uint64
-	aePulled     atomic.Uint64
-	aeErrs       atomic.Uint64
-	repairWrites atomic.Uint64
+	// join-time), the entries they pulled and their failures.
+	aeRounds atomic.Uint64
+	aePulled atomic.Uint64
+	aeErrs   atomic.Uint64
 }
 
 // Option configures NewServer / NewServerWithStore.
@@ -128,7 +127,6 @@ var routes = []struct {
 	{"GET /v1/store/keys", (*Server).handleStoreKeys},
 	{"GET /v1/store/digest", (*Server).handleStoreDigest},
 	{"GET /v1/store/entries/{key}", (*Server).handleStoreGetEntry},
-	{"PUT /v1/store/entries/{key}", (*Server).handleStorePutEntry},
 	{"GET /healthz", (*Server).handleHealthz},
 }
 
@@ -198,10 +196,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.Sampled("simd_antientropy_errors_total", "Anti-entropy rounds or pulls that failed.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.aeErrs.Load()))
-		})
-	reg.Sampled("simd_store_repair_writes_total", "Entries accepted through PUT /v1/store/entries (hint replay, reseeding).",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.repairWrites.Load()))
 		})
 }
 

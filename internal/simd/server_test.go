@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -345,25 +346,31 @@ func TestInternalFaultIs500(t *testing.T) {
 	}
 }
 
-// TestRoutesMatchAPIDoc pins docs/API.md's simd section to the route
-// table: every route has a "### `METHOD /path`" heading, and no heading
-// names a route simd does not serve.
-func TestRoutesMatchAPIDoc(t *testing.T) {
+// apiDocSection returns docs/API.md's "## name" section.
+func apiDocSection(t *testing.T, name string) string {
+	t.Helper()
 	doc, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	section := string(doc)
-	start := strings.Index(section, "\n## simd endpoints\n")
+	start := strings.Index(section, "\n## "+name+"\n")
 	if start < 0 {
-		t.Fatal("docs/API.md has no simd endpoints section")
+		t.Fatalf("docs/API.md has no %q section", name)
 	}
 	section = section[start+1:]
 	if end := strings.Index(section, "\n## "); end >= 0 {
 		section = section[:end]
 	}
+	return section
+}
+
+// TestRoutesMatchAPIDoc pins docs/API.md's simd section to the route
+// table: every route has a "### `METHOD /path`" heading, and no heading
+// names a route simd does not serve.
+func TestRoutesMatchAPIDoc(t *testing.T) {
 	documented := map[string]bool{}
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range strings.Split(apiDocSection(t, "simd endpoints"), "\n") {
 		if route, ok := strings.CutPrefix(line, "### `"); ok {
 			documented[strings.TrimSuffix(route, "`")] = true
 		}
@@ -380,6 +387,47 @@ func TestRoutesMatchAPIDoc(t *testing.T) {
 	for route := range documented {
 		if !served[route] {
 			t.Errorf("docs/API.md documents simd route %q, which the route table lacks", route)
+		}
+	}
+}
+
+// metricName matches a backticked snake_case metric family name, with
+// or without a label selector.
+var metricName = regexp.MustCompile("`([a-z][a-z0-9]*_[a-z0-9_]*)[^`]*`")
+
+// TestMetricsMatchAPIDoc pins the GET /metrics paragraph of docs/API.md's
+// simd section to the registry: every family simd renders is named
+// there, and every family named there is rendered.
+func TestMetricsMatchAPIDoc(t *testing.T) {
+	section := apiDocSection(t, "simd endpoints")
+	start := strings.Index(section, "### `"+metricsRoute+"`")
+	if start < 0 {
+		t.Fatal("docs/API.md's simd section has no GET /metrics paragraph")
+	}
+	para := section[start:]
+	if end := strings.Index(para, "\n### "); end >= 0 {
+		para = para[:end]
+	}
+	documented := map[string]bool{}
+	for _, m := range metricName.FindAllStringSubmatch(para, -1) {
+		documented[m[1]] = true
+	}
+	reg := obs.NewRegistry()
+	NewServer(frontendsim.New(), 4, WithMetrics(reg))
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(reg.Render(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			rendered[f[2]] = true
+		}
+	}
+	for name := range rendered {
+		if !documented[name] {
+			t.Errorf("simd renders %s, which docs/API.md's GET /metrics paragraph does not name", name)
+		}
+	}
+	for name := range documented {
+		if !rendered[name] {
+			t.Errorf("docs/API.md's simd GET /metrics paragraph names %s, which simd does not render", name)
 		}
 	}
 }

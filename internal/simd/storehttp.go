@@ -4,21 +4,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
 	"repro/pkg/resultstore"
 )
 
-// Store plane: the response store exposed over HTTP so peers can repair
-// each other.  GET /v1/store/keys and /v1/store/digest require the
-// store's optional Scanner capability (501 without it — every store
-// OpenStack builds can enumerate, but a caller-supplied Store need not,
-// and a converging peer falls back to a replica that can); GET and PUT /v1/store/entries/{key} work
-// against any store.  The anti-entropy client in this package and the
-// scheduler's hint replay are the intended consumers, but the endpoints
-// are plain HTTP: an operator can inspect or reseed a store with curl.
+// Store plane: the response store exposed read-only over HTTP so peers
+// can repair each other.  GET /v1/store/keys and /v1/store/digest
+// require the store's optional Scanner capability (501 without it —
+// every store OpenStack builds can enumerate, but a caller-supplied
+// Store need not, and a converging peer falls back to a replica that
+// can); GET /v1/store/entries/{key} works against any store.  The
+// anti-entropy client in this package is the intended consumer, but
+// the endpoints are plain HTTP: an operator can inspect a store with
+// curl.  Nothing writes through the plane: a replica's store holds only
+// what its own engine computed or its anti-entropy pulled.
 
 // maxStoreKeyLen bounds the key path element of /v1/store/entries —
 // canonical request keys are short hex strings, so anything longer is a
@@ -150,34 +151,4 @@ func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-}
-
-// handleStorePutEntry writes one entry into the store — the repair
-// write path used by hinted-handoff replay and operator reseeding (an
-// anti-entropy pull applies the same body rules on the puller's side,
-// in pullEntry).  The body is
-// stored verbatim, so a replayed entry serves byte-identical to the
-// original computation.
-func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if err := storeKeyError(key); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	if len(body) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("simd: empty store entry body"))
-		return
-	}
-	if err := s.store.Set(r.Context(), key, body); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.repairWrites.Add(1)
-	w.WriteHeader(http.StatusNoContent)
 }

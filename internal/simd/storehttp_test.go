@@ -20,13 +20,6 @@ func get(t *testing.T, srv http.Handler, path string) *httptest.ResponseRecorder
 	return w
 }
 
-func put(t *testing.T, srv http.Handler, path, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPut, path, strings.NewReader(body)))
-	return w
-}
-
 // storeServer is a simd server over an explicit memory store, with the
 // engine unused by the store-plane endpoints.
 func storeServer(t *testing.T) (*Server, resultstore.Store) {
@@ -37,11 +30,13 @@ func storeServer(t *testing.T) (*Server, resultstore.Store) {
 	return NewServerWithStore(eng, store), store
 }
 
+// TestStoreEntryPutGetRoundTrip: an entry put into the store is served
+// by GET /v1/store/entries/{key} as the stored bytes verbatim.
 func TestStoreEntryPutGetRoundTrip(t *testing.T) {
-	srv, _ := storeServer(t)
+	srv, store := storeServer(t)
 	body := `{"benchmark":"gzip","meas_cycles":123}` + "\n"
-	if w := put(t, srv, "/v1/store/entries/key-1", body); w.Code != http.StatusNoContent {
-		t.Fatalf("PUT = %d, body %s", w.Code, w.Body.String())
+	if err := store.Set(context.Background(), "key-1", []byte(body)); err != nil {
+		t.Fatal(err)
 	}
 	w := get(t, srv, "/v1/store/entries/key-1")
 	if w.Code != http.StatusOK {
@@ -55,13 +50,20 @@ func TestStoreEntryPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreEntryErrors pins the entry route's refusals, and that the
+// store plane is read-only: a PUT of an entry answers 405.
 func TestStoreEntryErrors(t *testing.T) {
-	srv, _ := storeServer(t)
+	srv, store := storeServer(t)
 	if w := get(t, srv, "/v1/store/entries/absent"); w.Code != http.StatusNotFound {
 		t.Errorf("GET absent = %d, want 404", w.Code)
 	}
-	if w := put(t, srv, "/v1/store/entries/empty", ""); w.Code != http.StatusBadRequest {
-		t.Errorf("PUT empty body = %d, want 400", w.Code)
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/v1/store/entries/k", strings.NewReader(`{"v":1}`)))
+	if w.Code != http.StatusMethodNotAllowed {
+		t.Errorf("PUT = %d, want 405", w.Code)
+	}
+	if _, ok, _ := resultstore.Peek(context.Background(), store, "k"); ok {
+		t.Error("a refused PUT stored its body")
 	}
 	long := strings.Repeat("k", maxStoreKeyLen+1)
 	if w := get(t, srv, "/v1/store/entries/"+long); w.Code != http.StatusBadRequest {
@@ -179,17 +181,18 @@ type bareStore struct{ resultstore.Store }
 // TestStoreScanEndpointsUnsupported pins the capability-absent contract:
 // a replica whose store cannot enumerate answers 501 for enumeration and
 // digests (a warming peer falls back to a replica that can enumerate)
-// while entry GET/PUT still work.
+// while entry GET still works.
 func TestStoreScanEndpointsUnsupported(t *testing.T) {
-	srv := NewServerWithStore(frontendsim.New(), bareStore{resultstore.NewMemory(16)})
+	store := bareStore{resultstore.NewMemory(16)}
+	srv := NewServerWithStore(frontendsim.New(), store)
 	if w := get(t, srv, "/v1/store/keys"); w.Code != http.StatusNotImplemented {
 		t.Errorf("keys = %d, want 501", w.Code)
 	}
 	if w := get(t, srv, "/v1/store/digest"); w.Code != http.StatusNotImplemented {
 		t.Errorf("digest = %d, want 501", w.Code)
 	}
-	if w := put(t, srv, "/v1/store/entries/k", `{"v":1}`); w.Code != http.StatusNoContent {
-		t.Errorf("PUT = %d, want 204", w.Code)
+	if err := store.Set(context.Background(), "k", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
 	}
 	if w := get(t, srv, "/v1/store/entries/k"); w.Code != http.StatusOK || w.Body.String() != `{"v":1}` {
 		t.Errorf("GET = %d %q", w.Code, w.Body.String())

@@ -41,20 +41,6 @@ const (
 	StateQuarantined State = "quarantined"
 )
 
-// Transition is one member lifecycle event, delivered through
-// Config.OnTransition.
-type Transition string
-
-// Member lifecycle events.  Join covers only brand-new members; a Join
-// call that revives a quarantined member is delivered as Reinstate.
-const (
-	TransitionJoin       Transition = "join"
-	TransitionReinstate  Transition = "reinstate"
-	TransitionQuarantine Transition = "quarantine"
-	TransitionLeave      Transition = "leave"
-	TransitionEvict      Transition = "evict"
-)
-
 // Config configures a Registry.  Zero values select the defaults.
 type Config struct {
 	// ProbeInterval is the time between probe rounds (default 2s).
@@ -83,15 +69,6 @@ type Config struct {
 	// the registry's mutating methods (Join/Leave/ProbeNow) — reads like
 	// Active and Snapshot are fine.
 	OnChange func(epoch uint64, active []string)
-	// OnTransition, when set, is called once per member lifecycle event
-	// (join, reinstate, quarantine, leave, evict) with the member URL.
-	// Calls are serialized with each other and with OnChange; for an
-	// event that changes the routable set, OnChange (with the bumped
-	// epoch) is delivered first.  The same blocking/re-entrancy rules as
-	// OnChange apply.  The scheduler's hinted-handoff queue subscribes
-	// here: quarantine starts buffering a member's writes, reinstatement
-	// replays them, eviction drops them.
-	OnTransition func(url string, t Transition)
 	// Metrics, when set, registers the membership counters and state
 	// gauges on the registry.
 	Metrics *obs.Registry
@@ -409,7 +386,6 @@ func (r *Registry) ReportDispatch(url string, dispatchErr error) {
 		r.logf("membership: %s quarantined after %d consecutive failures (dispatch: %v)",
 			url, m.fails, dispatchErr)
 		r.bumpLocked() // unlocks
-		r.notifyTransition(url, TransitionQuarantine)
 		return
 	}
 	r.mu.Unlock()
@@ -426,7 +402,6 @@ func (r *Registry) Join(url string) error {
 	defer r.changeMu.Unlock()
 	r.mu.Lock()
 	m, ok := r.members[url]
-	event := TransitionJoin
 	switch {
 	case !ok:
 		r.members[url] = &member{url: url, state: StateActive, joinedAt: r.now()}
@@ -438,13 +413,11 @@ func (r *Registry) Join(url string) error {
 		m.lastErr = ""
 		r.reinstates.Add(1)
 		r.logf("membership: %s reinstated by join", url)
-		event = TransitionReinstate
 	default:
 		r.mu.Unlock()
 		return nil
 	}
 	r.bumpLocked() // unlocks
-	r.notifyTransition(url, event)
 	return nil
 }
 
@@ -468,7 +441,6 @@ func (r *Registry) Leave(url string) error {
 	} else {
 		r.mu.Unlock()
 	}
-	r.notifyTransition(url, TransitionLeave)
 	return nil
 }
 
@@ -571,7 +543,6 @@ func (r *Registry) applyProbe(m *member, latency time.Duration, probeErr error) 
 			r.reinstates.Add(1)
 			r.logf("membership: %s recovered, reinstated", url)
 			r.bumpLocked() // unlocks
-			r.notifyTransition(url, TransitionReinstate)
 			return
 		}
 		r.mu.Unlock()
@@ -587,23 +558,18 @@ func (r *Registry) applyProbe(m *member, latency time.Duration, probeErr error) 
 		r.logf("membership: %s quarantined after %d consecutive probe failures (%v)",
 			url, m.fails, probeErr)
 		r.bumpLocked() // unlocks
-		r.notifyTransition(url, TransitionQuarantine)
 		return
 	}
 	r.mu.Unlock()
 }
 
 // evictOverdue permanently removes members quarantined past EvictAfter.
-// Eviction does not bump the epoch — the member already left the
-// routable set when it was quarantined — but it is still an
-// OnTransition event, so changeMu is held to keep the event stream
-// ordered against epoch changes.
+// Eviction does not bump the epoch: the member already left the
+// routable set when it was quarantined.
 func (r *Registry) evictOverdue() {
 	if r.cfg.EvictAfter < 0 {
 		return
 	}
-	r.changeMu.Lock()
-	defer r.changeMu.Unlock()
 	r.mu.Lock()
 	now := r.now()
 	var evicted []string
@@ -617,16 +583,6 @@ func (r *Registry) evictOverdue() {
 	r.mu.Unlock()
 	for _, url := range evicted {
 		r.logf("membership: %s evicted after %v in quarantine", url, r.cfg.EvictAfter)
-		r.notifyTransition(url, TransitionEvict)
-	}
-}
-
-// notifyTransition delivers one lifecycle event.  The caller must hold
-// changeMu (and not mu), so events arrive strictly ordered against
-// OnChange epochs.
-func (r *Registry) notifyTransition(url string, t Transition) {
-	if r.cfg.OnTransition != nil {
-		r.cfg.OnTransition(url, t)
 	}
 }
 

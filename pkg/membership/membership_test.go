@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -460,47 +461,62 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// transitionLog records OnTransition deliveries in order.
-type transitionLog struct {
-	mu     sync.Mutex
-	events []string
+// changeLog records OnChange deliveries in order.
+type changeLog struct {
+	mu      sync.Mutex
+	changes []string
 }
 
-func (l *transitionLog) record(url string, tr Transition) {
+func (l *changeLog) record(epoch uint64, active []string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, fmt.Sprintf("%s:%s", tr, url))
+	l.changes = append(l.changes, fmt.Sprintf("%d:%s", epoch, strings.Join(active, ",")))
 }
 
-func (l *transitionLog) snapshot() []string {
+func (l *changeLog) snapshot() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.events...)
+	return append([]string(nil), l.changes...)
+}
+
+// lifecycle is the member-lifecycle part of Stats (probe and passive
+// report counts left out).
+type lifecycle struct{ joins, quarantines, reinstates, leaves, evictions uint64 }
+
+func lifecycleOf(st Stats) lifecycle {
+	return lifecycle{st.Joins, st.Quarantines, st.Reinstatements, st.Leaves, st.Evictions}
+}
+
+// checkLifecycle asserts reg's lifecycle counters and that log holds
+// exactly the OnChange deliveries want, in epoch order.
+func checkLifecycle(t *testing.T, step string, reg *Registry, log *changeLog, want lifecycle, changes ...string) {
+	t.Helper()
+	if got := lifecycleOf(reg.Stats()); got != want {
+		t.Errorf("%s: lifecycle counters = %+v, want %+v", step, got, want)
+	}
+	if got := log.snapshot(); strings.Join(got, " ") != strings.Join(changes, " ") {
+		t.Errorf("%s: OnChange deliveries = %v, want %v", step, got, changes)
+	}
 }
 
 // TestTransitionLifecycle drives one member through every transition —
 // join, quarantine, reinstate, leave, rejoin, quarantine, evict — and
-// pins the OnTransition sequence plus its ordering after OnChange for
-// epoch-bumping events.
+// pins each step's lifecycle counters and OnChange delivery: every step
+// but eviction bumps the epoch by one and delivers the new active set,
+// and eviction (of a member already out of the routable set) delivers
+// nothing.
 func TestTransitionLifecycle(t *testing.T) {
 	stub := newHealthStub(t)
 	url := stub.srv.URL
 	seed := newHealthStub(t).srv.URL
+	pair := []string{seed, url}
+	sort.Strings(pair)
+	both := strings.Join(pair, ",")
 
-	var log transitionLog
-	var changeSeen atomic.Int64
+	var log changeLog
 	cfg := testConfig()
 	cfg.EvictAfter = time.Hour
-	cfg.OnChange = func(uint64, []string) { changeSeen.Add(1) }
-	cfg.OnTransition = func(u string, tr Transition) {
-		// Every epoch-bumping transition must observe its OnChange
-		// already delivered — replay wiring relies on the new ring
-		// being in place before the hint queue reacts.
-		if changeSeen.Load() == 0 {
-			t.Errorf("transition %s:%s delivered before any OnChange", tr, u)
-		}
-		log.record(u, tr)
-	}
+	cfg.OnChange = log.record
 	reg, err := New(cfg, []string{seed})
 	if err != nil {
 		t.Fatal(err)
@@ -511,53 +527,53 @@ func TestTransitionLifecycle(t *testing.T) {
 	if err := reg.Join(url); err != nil { // brand-new member
 		t.Fatal(err)
 	}
+	checkLifecycle(t, "join", reg, &log, lifecycle{joins: 2}, "1:"+both)
 	stub.fail.Store(true)
 	reg.ProbeNow(ctx)
-	reg.ProbeNow(ctx)                     // second failure quarantines
+	reg.ProbeNow(ctx) // second failure quarantines
+	checkLifecycle(t, "quarantine", reg, &log, lifecycle{joins: 2, quarantines: 1},
+		"1:"+both, "2:"+seed)
 	if err := reg.Join(url); err != nil { // join while quarantined = reinstate
 		t.Fatal(err)
 	}
+	checkLifecycle(t, "reinstate", reg, &log, lifecycle{joins: 2, quarantines: 1, reinstates: 1},
+		"1:"+both, "2:"+seed, "3:"+both)
 	if err := reg.Leave(url); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Join(url); err != nil { // back again
 		t.Fatal(err)
 	}
+	checkLifecycle(t, "leave and rejoin", reg, &log,
+		lifecycle{joins: 3, quarantines: 1, reinstates: 1, leaves: 1},
+		"1:"+both, "2:"+seed, "3:"+both, "4:"+seed, "5:"+both)
 	reg.ProbeNow(ctx)
 	reg.ProbeNow(ctx)
 	reg.mu.Lock()
 	reg.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
 	reg.mu.Unlock()
 	reg.ProbeNow(ctx) // past the deadline: evict
-
-	want := []string{
-		"join:" + url,
-		"quarantine:" + url,
-		"reinstate:" + url,
-		"leave:" + url,
-		"join:" + url,
-		"quarantine:" + url,
-		"evict:" + url,
+	checkLifecycle(t, "quarantine and evict", reg, &log,
+		lifecycle{joins: 3, quarantines: 2, reinstates: 1, leaves: 1, evictions: 1},
+		"1:"+both, "2:"+seed, "3:"+both, "4:"+seed, "5:"+both, "6:"+seed)
+	if got := reg.Epoch(); got != 6 {
+		t.Errorf("epoch = %d, want 6", got)
 	}
-	got := log.snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("transitions = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("transition %d = %s, want %s (full: %v)", i, got[i], want[i], got)
-		}
+	if snap := reg.Snapshot(); len(snap) != 1 || snap[0].URL != seed {
+		t.Errorf("members after eviction = %+v, want only the seed", snap)
 	}
 }
 
 // TestTransitionReinstateViaProbe pins that a probe-driven recovery
-// (not just an explicit Join) delivers TransitionReinstate.
+// (not just an explicit Join) reinstates the member: it counts a
+// reinstatement and delivers the routable set with it.
 func TestTransitionReinstateViaProbe(t *testing.T) {
 	stub := newHealthStub(t)
-	var log transitionLog
+	url := stub.srv.URL
+	var log changeLog
 	cfg := testConfig()
-	cfg.OnTransition = log.record
-	reg, err := New(cfg, []string{stub.srv.URL})
+	cfg.OnChange = log.record
+	reg, err := New(cfg, []string{url})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,35 +585,33 @@ func TestTransitionReinstateViaProbe(t *testing.T) {
 	reg.ProbeNow(ctx)
 	stub.fail.Store(false)
 	reg.ProbeNow(ctx)
-
-	want := []string{"quarantine:" + stub.srv.URL, "reinstate:" + stub.srv.URL}
-	if got := log.snapshot(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("transitions = %v, want %v", got, want)
-	}
+	checkLifecycle(t, "probe recovery", reg, &log,
+		lifecycle{joins: 1, quarantines: 1, reinstates: 1}, "1:", "2:"+url)
 }
 
-// TestTransitionQuarantineViaDispatch pins that live dispatch verdicts
-// (ReportDispatch) deliver TransitionQuarantine like probes do.
-func TestTransitionQuarantineViaDispatch(t *testing.T) {
+// TestLifecycleQuarantineViaDispatch pins that live dispatch verdicts
+// (ReportDispatch) quarantine a member like probes do, with no probe
+// round.
+func TestLifecycleQuarantineViaDispatch(t *testing.T) {
 	stub := newHealthStub(t)
-	var log transitionLog
+	url := stub.srv.URL
+	var log changeLog
 	cfg := testConfig()
-	cfg.OnTransition = log.record
-	reg, err := New(cfg, []string{stub.srv.URL})
+	cfg.OnChange = log.record
+	reg, err := New(cfg, []string{url})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
 
-	reg.ReportDispatch(stub.srv.URL, fmt.Errorf("boom"))
-	reg.ReportDispatch(stub.srv.URL, fmt.Errorf("boom"))
-	if got := log.snapshot(); len(got) != 1 || got[0] != "quarantine:"+stub.srv.URL {
-		t.Fatalf("transitions = %v, want one quarantine", got)
-	}
+	reg.ReportDispatch(url, fmt.Errorf("boom"))
+	reg.ReportDispatch(url, fmt.Errorf("boom"))
+	checkLifecycle(t, "dispatch failures", reg, &log, lifecycle{joins: 1, quarantines: 1}, "1:")
 	// Success does not reinstate through the dispatch path (that is the
-	// probe's job), so no further transitions.
-	reg.ReportDispatch(stub.srv.URL, nil)
-	if got := log.snapshot(); len(got) != 1 {
-		t.Fatalf("transitions after success report = %v", got)
+	// probe's job), so nothing further changes.
+	reg.ReportDispatch(url, nil)
+	checkLifecycle(t, "dispatch success", reg, &log, lifecycle{joins: 1, quarantines: 1}, "1:")
+	if st := reg.Stats(); st.Probes != 0 {
+		t.Errorf("probes = %d, want none", st.Probes)
 	}
 }

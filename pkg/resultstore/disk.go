@@ -69,6 +69,11 @@ type segment struct {
 	path string
 	f    *os.File
 	size int64
+	// sealed stops appends to an active segment whose file no longer
+	// reaches size (a record in it could not be read back): the next
+	// Set rotates to a fresh segment instead of writing past the end
+	// of the file.
+	sealed bool
 	// keys lists every key with a record in this segment (duplicates
 	// possible in directories replayed from before the write-once rule),
 	// so eviction drops exactly its own index entries without scanning
@@ -302,7 +307,7 @@ func (d *Disk) Set(_ context.Context, key string, val []byte) error {
 	}
 	recLen := recordSize(len(key), len(val))
 	active := d.segs[len(d.segs)-1]
-	if active.size > 0 && active.size+recLen > d.cfg.SegmentBytes {
+	if active.sealed || (active.size > 0 && active.size+recLen > d.cfg.SegmentBytes) {
 		next, err := d.newSegment(active.seq + 1)
 		if err != nil {
 			d.mu.Unlock()
@@ -405,11 +410,16 @@ func (d *Disk) get(_ context.Context, key string, count bool) ([]byte, bool, err
 		// this location, the entry is simply gone — a miss, not an I/O
 		// failure.  Otherwise the record the index points at cannot be
 		// read: drop the entry so the caller's recompute-and-Set writes
-		// a fresh record instead of keeping the unreadable one.
+		// a fresh record instead of keeping the unreadable one.  The
+		// segment's file is shorter than its committed size, so an
+		// append there would leave a hole that replay reads as a torn
+		// tail, losing every record after it: seal the segment, and the
+		// next Set rotates.
 		d.mu.Lock()
 		cur, still := d.index[key]
 		if still && cur == loc {
 			delete(d.index, key)
+			loc.seg.sealed = true
 		}
 		d.mu.Unlock()
 		if !still || cur != loc {

@@ -356,6 +356,37 @@ func TestDiskUnreadableRecordIsRestored(t *testing.T) {
 	}
 }
 
+// TestDiskRepairSurvivesReopen: after a Get drops a record of the
+// truncated active segment, the repairing Set and every later one must
+// survive a reopen.  Appending past the truncated end of file would
+// leave a zero-filled hole that replay reads as a torn tail.
+func TestDiskRepairSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, DiskConfig{})
+	mustSet(t, d, "key", "value")
+	if err := os.Truncate(segments(t, dir)[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Get(ctx, "key"); err == nil {
+		t.Fatal("Get of a truncated record succeeded")
+	}
+	mustSet(t, d, "key", "value")
+	mustSet(t, d, "other", "more")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = openDisk(t, dir, DiskConfig{})
+	if n := d.Len(); n != 2 {
+		t.Errorf("reopened store holds %d entries, want 2", n)
+	}
+	for key, want := range map[string]string{"key": "value", "other": "more"} {
+		if v, ok := mustGet(t, d, key); !ok || string(v) != want {
+			t.Errorf("%s after reopen = %q %v, want %q", key, v, ok, want)
+		}
+	}
+}
+
 // TestDiskConcurrent exercises concurrent Get/Set/Stats across
 // rotation; the race detector is the assertion.
 func TestDiskConcurrent(t *testing.T) {

@@ -14,107 +14,8 @@ import (
 	"time"
 
 	"repro/pkg/frontendsim"
+	"repro/pkg/membership"
 )
-
-func TestBreakerOpensAfterThreshold(t *testing.T) {
-	b := newBreaker(3, time.Minute)
-	node := "http://backend-1"
-	fault := errors.New("boom")
-
-	for i := 0; i < 2; i++ {
-		if !b.allow(node) {
-			t.Fatalf("closed breaker refused attempt %d", i)
-		}
-		b.record(node, classifyDispatch(context.Background(), fault))
-	}
-	if b.stateOf(node) != breakerClosed {
-		t.Fatal("breaker opened below threshold")
-	}
-	b.record(node, outcomeFailure) // third consecutive failure
-	if b.stateOf(node) != breakerOpen {
-		t.Fatal("breaker did not open at threshold")
-	}
-	if b.allow(node) {
-		t.Error("open breaker admitted a request inside the cooldown")
-	}
-	if b.opened.Load() != 1 {
-		t.Errorf("opened transitions = %d, want 1", b.opened.Load())
-	}
-}
-
-func TestBreakerHalfOpenProbeCycle(t *testing.T) {
-	b := newBreaker(1, time.Minute)
-	node := "http://backend-1"
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	b.allow(node)
-	b.record(node, outcomeFailure)
-	if b.allow(node) {
-		t.Fatal("open breaker admitted a request")
-	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(2 * time.Minute)
-	if !b.allow(node) {
-		t.Fatal("cooled-down breaker refused the probe")
-	}
-	if b.stateOf(node) != breakerHalfOpen {
-		t.Fatal("probe admission did not flip to half-open")
-	}
-	if b.allow(node) {
-		t.Fatal("second request admitted while the probe is in flight")
-	}
-
-	// A failed probe re-opens for another full cooldown.
-	b.record(node, outcomeFailure)
-	if b.stateOf(node) != breakerOpen {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-	if b.allow(node) {
-		t.Fatal("re-opened breaker admitted a request")
-	}
-
-	// Next probe succeeds: closed, traffic flows.
-	now = now.Add(2 * time.Minute)
-	if !b.allow(node) {
-		t.Fatal("second probe refused")
-	}
-	b.record(node, outcomeSuccess)
-	if b.stateOf(node) != breakerClosed {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	if !b.allow(node) || !b.allow(node) {
-		t.Error("closed breaker limits traffic")
-	}
-	if b.closed.Load() != 1 || b.opened.Load() != 2 || b.halfOpen.Load() != 2 {
-		t.Errorf("transitions open=%d half=%d closed=%d, want 2/2/1",
-			b.opened.Load(), b.halfOpen.Load(), b.closed.Load())
-	}
-}
-
-func TestBreakerCancelledProbeReleasesSlot(t *testing.T) {
-	b := newBreaker(1, time.Minute)
-	node := "http://backend-1"
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	b.allow(node)
-	b.record(node, outcomeFailure)
-	now = now.Add(2 * time.Minute)
-	if !b.allow(node) {
-		t.Fatal("probe refused")
-	}
-	// The probe's caller went away: outcome unknown.  The slot must free
-	// so the *next* request can probe — and the circuit must not re-open.
-	b.record(node, outcomeUnknown)
-	if b.stateOf(node) != breakerHalfOpen {
-		t.Fatal("unknown outcome changed the breaker state")
-	}
-	if !b.allow(node) {
-		t.Fatal("released probe slot not re-admitted")
-	}
-}
 
 func TestClassifyDispatch(t *testing.T) {
 	bg := context.Background()
@@ -142,8 +43,8 @@ func TestClassifyDispatch(t *testing.T) {
 }
 
 // homedOn returns benchmarks whose ring-walk home is node, in benchmark
-// order — so breaker tests pick dispatches that deterministically
-// contact (or avoid) a chosen backend.
+// order — so tests pick dispatches that deterministically contact (or
+// avoid) a chosen backend.
 func homedOn(t *testing.T, s *Scheduler, node string) []string {
 	t.Helper()
 	var out []string
@@ -159,10 +60,36 @@ func homedOn(t *testing.T, s *Scheduler, node string) []string {
 	return out
 }
 
+// newPassiveFleet builds a scheduler over cfg.Backends with a membership
+// registry wired as simsched wires it — dispatch verdicts feed
+// ReportDispatch, routable-set changes swap the ring — but never
+// started, so no probe round runs: every quarantine is dispatch-driven.
+func newPassiveFleet(t *testing.T, cfg Config, quarantineAfter int) (*Scheduler, *membership.Registry) {
+	t.Helper()
+	var members *membership.Registry
+	cfg.ReportDispatch = func(node string, err error) { members.ReportDispatch(node, err) }
+	sched, err := New(frontendsim.New(testOpts()...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, err = membership.New(membership.Config{
+		QuarantineAfter: quarantineAfter,
+		EvictAfter:      -1,
+		OnChange:        sched.OnMembershipChange(),
+	}, cfg.Backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(members.Close)
+	return sched, members
+}
+
 // TestSchedulerBreakerDivertsRingWalk runs a real two-backend ring where
-// one backend always 500s: after threshold failures its circuit opens
-// and subsequent dispatches homed on it divert to the healthy node
-// without contacting it.
+// one backend always 500s, under a registry fed only by dispatch
+// verdicts: after threshold failures the registry quarantines it, the
+// ring drops it, and later dispatches homed on it go straight to the
+// healthy node — without contacting the dead one, retrying or backing
+// off.
 func TestSchedulerBreakerDivertsRingWalk(t *testing.T) {
 	var badHits atomic.Int64
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -172,45 +99,45 @@ func TestSchedulerBreakerDivertsRingWalk(t *testing.T) {
 	defer bad.Close()
 	good := newBackends(t, 1)[0]
 
-	eng := frontendsim.New(testOpts()...)
-	sched, err := New(eng, Config{
-		Backends:         []string{bad.URL, good.URL()},
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // no probe during the test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched, members := newPassiveFleet(t, Config{
+		Backends:     []string{bad.URL, good.URL()},
+		RetryBackoff: time.Millisecond,
+	}, 2)
+	sched.sleep = func(context.Context, time.Duration) error { return nil }
 	onBad := homedOn(t, sched, bad.URL)
 	if len(onBad) < 4 {
 		t.Fatalf("only %d benchmarks homed on the bad backend; need 4", len(onBad))
 	}
 
 	// Two dispatches homed on the bad backend: each fails there, fails
-	// over to the healthy node, and succeeds.  The second failure trips
-	// the breaker.
+	// over to the healthy node, and succeeds.  The second failure
+	// quarantines the bad backend.
 	for _, bench := range onBad[:2] {
 		if _, err := sched.Dispatch(context.Background(), frontendsim.Request{Benchmark: bench}); err != nil {
 			t.Fatalf("dispatch %s: %v", bench, err)
 		}
 	}
-	if got := sched.brk.stateOf(bad.URL); got != breakerOpen {
-		t.Fatalf("bad backend breaker state = %v, want open", got)
+	if got := members.Active(); len(got) != 1 || got[0] != good.URL() {
+		t.Fatalf("active members = %v, want only the healthy backend", got)
 	}
-	hitsWhenOpen := badHits.Load()
+	if st := members.Stats(); st.Probes != 0 || st.Quarantines != 1 {
+		t.Fatalf("membership stats = %+v, want 1 quarantine and no probe", st)
+	}
+	hitsWhenOut, before := badHits.Load(), sched.Stats()
 
-	// Further dispatches homed on the bad backend divert around the open
-	// circuit: they succeed without contacting it.
+	// Further dispatches homed on the bad backend succeed without
+	// contacting it, at the cost of no retry and no backoff.
 	for _, bench := range onBad[2:4] {
 		if _, err := sched.Dispatch(context.Background(), frontendsim.Request{Benchmark: bench}); err != nil {
-			t.Fatalf("dispatch %s after open: %v", bench, err)
+			t.Fatalf("dispatch %s after quarantine: %v", bench, err)
 		}
 	}
-	if got := badHits.Load(); got != hitsWhenOpen {
-		t.Errorf("open circuit still passed %d requests to the bad backend", got-hitsWhenOpen)
+	if got := badHits.Load(); got != hitsWhenOut {
+		t.Errorf("quarantined backend still received %d requests", got-hitsWhenOut)
 	}
-	if sched.Stats().BreakerSkips == 0 {
-		t.Error("no breaker skips recorded")
+	if after := sched.Stats(); after.Retried != before.Retried || after.Backoffs != before.Backoffs {
+		t.Errorf("dispatches after quarantine cost %d retries and %d backoffs, want 0 and 0",
+			after.Retried-before.Retried, after.Backoffs-before.Backoffs)
 	}
 }
 
@@ -260,10 +187,11 @@ func TestSchedulerBackoffSpacing(t *testing.T) {
 	}
 }
 
-// TestWalkSkipsOpenNodesWithoutBackoff pins what a breaker skip costs:
-// when the only attempt fails and every remaining node's circuit is
-// open, the walk ends at once — no backoff is slept before finding
-// nothing left to try.
+// TestWalkSkipsOpenNodesWithoutBackoff pins what a quarantined node
+// costs the walk: when the only attempt fails and the remaining node was
+// quarantined by a dispatch verdict, the walk ends at once — the ring no
+// longer holds that node, so no backoff is slept before finding nothing
+// left to try.
 func TestWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
 	var nodes []string
 	for i := 0; i < 2; i++ {
@@ -273,27 +201,21 @@ func TestWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
 		defer srv.Close()
 		nodes = append(nodes, srv.URL)
 	}
-	sched, err := New(frontendsim.New(testOpts()...), Config{
-		Backends:         nodes,
-		RetryBackoff:     10 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched, members := newPassiveFleet(t, Config{
+		Backends:     nodes,
+		RetryBackoff: 10 * time.Millisecond,
+	}, 1)
 	sched.sleep = func(context.Context, time.Duration) error { return nil }
 	req, _ := homedRequest(t, sched, nodes[0])
-	sched.brk.record(nodes[1], outcomeFailure) // the failover node is open
+	members.ReportDispatch(nodes[1], errors.New("injected")) // the failover node is quarantined
 
-	_, err = sched.Dispatch(context.Background(), req)
+	_, err := sched.Dispatch(context.Background(), req)
 	var ee *ExhaustedError
 	if !errors.As(err, &ee) || ee.Attempts != 1 {
 		t.Fatalf("err = %v, want ExhaustedError after 1 attempt", err)
 	}
-	st := sched.Stats()
-	if st.Backoffs != 0 || st.Retried != 0 || st.BreakerSkips != 1 {
-		t.Errorf("stats = %+v, want 0 backoffs, 0 retries, 1 breaker skip", st)
+	if st := sched.Stats(); st.Backoffs != 0 || st.Retried != 0 {
+		t.Errorf("stats = %+v, want 0 backoffs, 0 retries", st)
 	}
 }
 

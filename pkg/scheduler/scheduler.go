@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -43,33 +42,36 @@ type Config struct {
 	// (jittered ±50%) before hammering the next backend.  0 disables
 	// (retries fire back-to-back, the pre-backoff behaviour).
 	RetryBackoff time.Duration
-	// BreakerThreshold enables the per-backend passive circuit breaker:
-	// that many consecutive dispatch failures open a backend's circuit
-	// and the ring walk diverts around it until a cooldown probe
-	// succeeds.  0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit diverts traffic before
-	// admitting a half-open probe (0 selects 5s; only meaningful with
-	// BreakerThreshold > 0).
-	BreakerCooldown time.Duration
 	// ReportDispatch, when set, receives every dispatch attempt's verdict
 	// about a backend: nil error for success, the failure otherwise.
 	// Attempts that say nothing about the backend (caller cancellation,
 	// 4xx request errors) are not reported.  Wire it to
-	// membership.Registry.ReportDispatch so real traffic quarantines a
-	// flapping backend between probe rounds.
+	// membership.Registry.ReportDispatch, with the registry's OnChange
+	// wired to OnMembershipChange: real traffic then quarantines a
+	// failing backend between probe rounds and the ring routes around
+	// it.  Without a registry, a dead backend is retried on every
+	// dispatch homed on it.
 	ReportDispatch func(node string, err error)
 	// PartialResults switches RunSuite* to graceful degradation: shards
 	// whose ring walk exhausts every backend become per-shard error
 	// entries (X-Cache: PARTIAL-ERROR at the server tier) instead of
 	// failing the whole suite.
 	PartialResults bool
-	// HintLimit enables hinted handoff: up to this many write-throughs
-	// per quarantined member are buffered and replayed into its store
-	// (PUT /v1/store/entries/{key}) on reinstatement, so the member
-	// serves the keys computed during its absence without recompute.
-	// Requires OnMembershipTransition to be wired to
-	// membership.Config.OnTransition.  0 disables.
+
+	// BreakerThreshold is ignored.
+	//
+	// Deprecated: membership's passive quarantine (ReportDispatch) is
+	// the one health signal dispatch verdicts feed; there is no
+	// per-backend circuit breaker.
+	BreakerThreshold int
+	// BreakerCooldown is ignored.
+	//
+	// Deprecated: see BreakerThreshold.
+	BreakerCooldown time.Duration
+	// HintLimit is ignored.
+	//
+	// Deprecated: anti-entropy is the one repair path; a reinstated
+	// member recomputes a key deterministically or pulls it from a peer.
 	HintLimit int
 }
 
@@ -90,21 +92,8 @@ type Stats struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// RingSwaps counts atomic ring replacements (SetBackends).
 	RingSwaps uint64 `json:"ring_swaps"`
-	// BreakerSkips counts dispatch attempts diverted around an open
-	// circuit (the breaker doing its job: no request burned on a backend
-	// that just failed repeatedly).
-	BreakerSkips uint64 `json:"breaker_skips"`
 	// Backoffs counts jittered waits slept between retry attempts.
 	Backoffs uint64 `json:"backoffs"`
-	// HintsQueued counts write-throughs buffered for quarantined
-	// members (hinted handoff).
-	HintsQueued uint64 `json:"hints_queued"`
-	// HintsReplayed counts buffered writes delivered into a reinstated
-	// member's store.
-	HintsReplayed uint64 `json:"hints_replayed"`
-	// HintsDropped counts buffered writes lost to the per-member bound,
-	// replay failures, or the member's eviction/departure.
-	HintsDropped uint64 `json:"hints_dropped"`
 }
 
 // Scheduler is the multi-node suite frontend: it expands a suite into
@@ -130,11 +119,9 @@ type Scheduler struct {
 	cache   resultstore.Store // nil disables the scheduler-tier store
 	flight  singleflight.Group[outcome]
 
-	// Resilience plumbing: the passive per-backend breaker (nil when
-	// disabled), the jittered retry backoff, and the passive membership
-	// feed.  sleep is injectable so backoff tests assert spacing under a
-	// stubbed clock.
-	brk            *breaker
+	// Resilience plumbing: the jittered retry backoff and the passive
+	// membership feed.  sleep is injectable so backoff tests assert
+	// spacing under a stubbed clock.
 	retryBackoff   time.Duration
 	rngMu          sync.Mutex
 	rng            *rand.Rand
@@ -142,24 +129,21 @@ type Scheduler struct {
 	backoffSeconds *obs.Histogram
 	reportDispatch func(node string, err error)
 	partial        bool
-	// hints is the hinted-handoff queue (nil when disabled).
-	hints *hintQueue
 
-	dispatched   atomic.Uint64
-	retried      atomic.Uint64
-	coalesced    atomic.Uint64
-	cacheHits    atomic.Uint64
-	ringSwaps    atomic.Uint64
-	breakerSkips atomic.Uint64
-	backoffs     atomic.Uint64
+	dispatched atomic.Uint64
+	retried    atomic.Uint64
+	coalesced  atomic.Uint64
+	cacheHits  atomic.Uint64
+	ringSwaps  atomic.Uint64
+	backoffs   atomic.Uint64
 }
 
 // outcome is one single-flighted dispatch's result plus whether the
 // scheduler-tier store served it.  body is simd's response body
-// verbatim — the one representation the scheduler caches, hints and
-// serves, so a result's bytes stay those the backend computed — and res
-// is its decoding for suite aggregation: in full for a backend body,
-// the aggregation view (frontendsim.DecodeResultView) for a stored one.
+// verbatim — the one representation the scheduler caches and serves,
+// so a result's bytes stay those the backend computed — and res is its
+// decoding for suite aggregation: in full for a backend body, the
+// aggregation view (frontendsim.DecodeResultView) for a stored one.
 type outcome struct {
 	body   []byte
 	res    *frontendsim.Result
@@ -187,12 +171,6 @@ func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
 		sleep:          sleepCtx,
 		reportDispatch: cfg.ReportDispatch,
 		partial:        cfg.PartialResults,
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	if cfg.HintLimit > 0 {
-		s.hints = newHintQueue(cfg.HintLimit, cfg.Backends, cfg.HTTPClient)
 	}
 	s.ring.Store(ring)
 	if cfg.Metrics != nil {
@@ -231,38 +209,14 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 	h := reg.Histogram("sched_retry_backoff_seconds",
 		"Jittered backoff slept between ring-walk retry attempts.", nil)
 	s.backoffSeconds = &h
-	reg.Sampled("sched_breaker_transitions_total", "Circuit-breaker state transitions, by destination state.",
-		obs.TypeCounter, []string{"to"}, func(emit func([]string, float64)) {
-			if s.brk == nil {
-				return
-			}
-			emit([]string{"open"}, float64(s.brk.opened.Load()))
-			emit([]string{"half_open"}, float64(s.brk.halfOpen.Load()))
-			emit([]string{"closed"}, float64(s.brk.closed.Load()))
-		})
-	reg.Sampled("sched_breaker_skips_total", "Dispatch attempts diverted around an open circuit.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.breakerSkips.Load()))
-		})
-	reg.Sampled("sched_hints_queued_total", "Write-throughs buffered for quarantined members (hinted handoff).",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsQueued))
-		})
-	reg.Sampled("sched_hints_replayed_total", "Buffered writes delivered into reinstated members' stores.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsReplayed))
-		})
-	reg.Sampled("sched_hints_dropped_total", "Buffered writes lost to the per-member bound, replay failures, or eviction.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsDropped))
-		})
 }
 
 // OnMembershipChange returns a callback for membership.Config.OnChange
 // that atomically swaps the scheduler's ring to each new active set.  A
-// total outage (empty active set) keeps the last ring in place: routing
-// to recently-dead backends degrades to per-request failures, which
-// beats having no ring at all when the fleet comes back.
+// total outage (empty active set) keeps the last ring in place, so
+// dispatches are never left with nothing to try: each still tries the
+// last ring's backends, and the first one that answers serves, with no
+// probe round needed.
 func (s *Scheduler) OnMembershipChange() func(epoch uint64, active []string) {
 	return func(_ uint64, active []string) {
 		if len(active) == 0 {
@@ -293,21 +247,14 @@ func (s *Scheduler) SetBackends(nodes []string) error {
 
 // Stats returns a snapshot of the cumulative dispatch counters.
 func (s *Scheduler) Stats() Stats {
-	st := Stats{
-		Dispatched:   s.dispatched.Load(),
-		Retried:      s.retried.Load(),
-		Coalesced:    s.coalesced.Load(),
-		CacheHits:    s.cacheHits.Load(),
-		RingSwaps:    s.ringSwaps.Load(),
-		BreakerSkips: s.breakerSkips.Load(),
-		Backoffs:     s.backoffs.Load(),
+	return Stats{
+		Dispatched: s.dispatched.Load(),
+		Retried:    s.retried.Load(),
+		Coalesced:  s.coalesced.Load(),
+		CacheHits:  s.cacheHits.Load(),
+		RingSwaps:  s.ringSwaps.Load(),
+		Backoffs:   s.backoffs.Load(),
 	}
-	if s.hints != nil {
-		st.HintsQueued = s.hints.queued.Load()
-		st.HintsReplayed = s.hints.replayed.Load()
-		st.HintsDropped = s.hints.dropped.Load()
-	}
-	return st
 }
 
 // CacheStats returns the scheduler-tier store's per-tier counters (nil
@@ -521,7 +468,6 @@ func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Re
 			return outcome{}, err
 		}
 		s.cacheSet(runCtx, key, out.body)
-		s.hintResult(key, out.body)
 		return out, nil
 	})
 	if err != nil {
@@ -591,86 +537,41 @@ func (s *Scheduler) attempts(ringSize int) int {
 	return s.retries + 1
 }
 
-// permanent reports whether err cannot be cured by trying another
-// backend, so the ring walk must stop: the caller's own cancellation or
-// deadline (retrying a dead request would hammer the remaining
-// backends), or a request error (4xx — every backend would refuse the
-// same request).  A per-attempt transport timeout (the HTTP client's
-// own deadline, with the caller's context still live) stays retryable:
-// that is exactly the hung-backend case failover exists for.
-func permanent(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	if errors.Is(err, context.Canceled) {
-		// A Canceled without ctx being done can only have leaked in from
-		// the caller side of a race; no backend produces one.
-		return true
-	}
-	var be *BackendError
-	return errors.As(err, &be) && !be.Retryable()
-}
-
 // dispatchKey walks the key's ring sequence on the caller's goroutine:
 // the home node first, then up to retries failover nodes, one attempt at
-// a time.  Nodes whose circuit breaker is open are skipped without
-// costing an attempt or a backoff; when every permitted node is open,
-// the home node is forced (it doubles as a breaker probe) rather than
-// failing with nothing tried.  After a failed attempt the next admitted
-// node is tried after the jittered retry backoff.  Request errors (4xx —
-// every backend would refuse) and the caller's own cancellation abort
-// the walk immediately.
+// a time, each failover after the jittered retry backoff.  The ring
+// holds only members the registry has not quarantined, so a backend
+// that keeps failing dispatches leaves the walk once ReportDispatch
+// quarantines it.  Request errors (4xx — every backend would refuse)
+// and the caller's own cancellation abort the walk immediately.
 func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (outcome, error) {
 	s.dispatched.Add(1)
 	nodes := s.Ring().Sequence(key)
 	nodes = nodes[:s.attempts(len(nodes))]
 
-	walked := 0
-	// next advances to the next node whose circuit admits a request, or
-	// returns -1 when every remaining node is breaker-open.  It asks the
-	// breaker lazily, one node at a time: allow admits half-open probes
-	// as a side effect, so a node the walk will not try is never asked.
-	next := func() int {
-		for walked < len(nodes) {
-			idx := walked
-			walked++
-			if s.allowNode(nodes[idx]) {
-				return idx
-			}
-		}
-		return -1
-	}
-	idx := next()
-	if idx < 0 {
-		// Refusing outright would make a fleet-wide blip self-sustaining:
-		// no requests, no probes, no recovery.
-		idx = 0
-	}
-	fired := 0
 	var lastErr error
-	for ; idx >= 0; idx = next() {
-		if fired > 0 {
+	for i, node := range nodes {
+		if i > 0 {
 			s.retried.Add(1)
-			if err := s.backoff(ctx, fired); err != nil {
+			if err := s.backoff(ctx, i); err != nil {
 				return outcome{}, err
 			}
 		}
-		fired++
-		node := nodes[idx]
 		body, res, err := s.client.Simulate(ctx, node, req)
-		s.reportAttempt(ctx, node, err)
-		if err == nil {
+		switch classifyDispatch(ctx, err) {
+		case outcomeSuccess:
+			s.report(node, nil)
 			return outcome{body: body, res: res}, nil
-		}
-		if permanent(ctx, err) {
+		case outcomeUnknown:
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return outcome{}, ctxErr
 			}
 			return outcome{}, err
 		}
+		s.report(node, err)
 		lastErr = err
 	}
-	return outcome{}, &ExhaustedError{Benchmark: req.Benchmark, Attempts: fired, Last: lastErr}
+	return outcome{}, &ExhaustedError{Benchmark: req.Benchmark, Attempts: len(nodes), Last: lastErr}
 }
 
 // ExhaustedError reports that every permitted ring node failed to serve

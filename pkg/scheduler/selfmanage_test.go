@@ -3,6 +3,7 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -230,6 +231,56 @@ func TestQuarantinedMemberServesInFlight(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("in-flight request did not complete after quarantine")
+	}
+}
+
+// TestTotalOutageKeepsLastRing pins that the fleet cannot latch open:
+// when dispatch verdicts quarantine the last active member, the
+// registry's active set is empty but the scheduler keeps the ring it
+// had, so dispatches still reach that ring's backend, and it serves as
+// soon as it answers again — with no probe round.
+func TestTotalOutageKeepsLastRing(t *testing.T) {
+	nodes := []*fleetNode{newFleetNode(t), newFleetNode(t)}
+	for _, n := range nodes {
+		n.down.Store(true)
+	}
+	urls := fleetURLs(nodes)
+	sched, members := newPassiveFleet(t, Config{Backends: urls}, 1)
+
+	members.ReportDispatch(urls[0], errors.New("injected"))
+	last := sched.Ring().Nodes()
+	if len(last) != 1 || last[0] != urls[1] {
+		t.Fatalf("ring after the first quarantine = %v, want [%s]", last, urls[1])
+	}
+	members.ReportDispatch(urls[1], errors.New("injected"))
+	if got := members.Active(); len(got) != 0 {
+		t.Fatalf("active members = %v, want none", got)
+	}
+	if got := sched.Ring().Nodes(); len(got) != 1 || got[0] != last[0] {
+		t.Fatalf("ring after total outage = %v, want the last ring %v", got, last)
+	}
+
+	// Still down: a dispatch still tries the last ring's backend.
+	req := frontendsim.Request{Benchmark: "gzip"}
+	reported := members.Stats().PassiveFailures
+	if _, err := sched.Dispatch(t.Context(), req); err == nil {
+		t.Fatal("dispatch over a dead fleet succeeded")
+	}
+	if got := members.Stats().PassiveFailures - reported; got != 1 {
+		t.Errorf("dispatch during the outage made %d failed attempts, want 1", got)
+	}
+
+	// The backend answers again: the next dispatch reaches it and
+	// succeeds, though the registry still has it quarantined.
+	nodes[1].down.Store(false)
+	if _, err := sched.Dispatch(t.Context(), req); err != nil {
+		t.Fatalf("dispatch after the backend came back: %v", err)
+	}
+	if got := nodes[1].simHits.Load(); got != 1 {
+		t.Errorf("recovered backend served %d requests, want 1", got)
+	}
+	if st := members.Stats(); st.Probes != 0 {
+		t.Errorf("membership ran %d probes, want none", st.Probes)
 	}
 }
 
