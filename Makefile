@@ -79,18 +79,18 @@ docs-check:
 
 # Tier-1 benchmarks with allocation accounting; raw output passes
 # through and the parsed results land in BENCH_results.json.
-BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch)$$
+BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult)$$
 # Each rung gets a benchtime that fits its scale: the ~180 ms simulator
 # loop runs a fixed 3 iterations, while the microsecond rungs run for
 # 2 s so connection setup and timer noise amortise away.
 BENCH_SIM  = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config)$$
-BENCH_FAST = ^(BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch)$$
+BENCH_FAST = ^(BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult)$$
 
 # Separate steps, not a pipe: a benchmark build/run failure must fail
 # the target instead of being masked by benchjson's exit status.
 bench:
 	$(GO) test -run NONE -bench '$(BENCH_SIM)' -benchmem -benchtime 3x . > BENCH_raw.out
-	$(GO) test -run NONE -bench '$(BENCH_FAST)' -benchmem -benchtime 2s . ./pkg/scheduler >> BENCH_raw.out
+	$(GO) test -run NONE -bench '$(BENCH_FAST)' -benchmem -benchtime 2s . ./pkg/scheduler ./pkg/frontendsim >> BENCH_raw.out
 	$(GO) run ./cmd/benchjson -o BENCH_results.json < BENCH_raw.out && rm -f BENCH_raw.out
 
 # Fast regression gate: the short tier-1 benchmarks, the AllocsPerRun
@@ -100,7 +100,7 @@ bench:
 bench-short:
 	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs' -v ./internal/sim
 	$(GO) test -run 'SimulatorThroughputCyclesPinned' -v .
-	$(GO) test -run NONE -bench '$(BENCH_TIER1)' -benchmem -benchtime 1x . ./pkg/scheduler
+	$(GO) test -run NONE -bench '$(BENCH_TIER1)' -benchmem -benchtime 1x . ./pkg/scheduler ./pkg/frontendsim
 
 bench-full:
 	$(GO) test -bench=. -benchtime=1x .

@@ -29,8 +29,9 @@
 //     position's key from that encoding, and the SourcedDispatcher of
 //     RunSuiteStream and RunSuitePartial is handed each shard's key
 //     (equal to RequestKey of its request), and
-//   - byte-level serving: DecodeResultView decodes only the fields a
-//     suite aggregate folds from stored result bytes, and the suite
+//   - byte-level serving: DecodeResultView type-checks result bytes
+//     as strictly as json.Unmarshal and decodes only the fields a
+//     suite aggregate folds, and the suite
 //     encoders (SuiteResult.AppendJSON, SuiteStreamLine.AppendJSON)
 //     splice those bytes into responses instead of re-encoding them.
 //

@@ -2,8 +2,13 @@ package frontendsim
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/metrics"
 )
@@ -22,21 +27,17 @@ func DecodeResult(data []byte) (*Result, error) {
 }
 
 // DecodeResultView decodes the aggregation view of an encoded Result:
-// data is checked for JSON syntax, and only the six fields a suite
-// aggregate folds (ipc, tc_hit_rate, meas_cycles, meas_ops, tc_hops and
-// units) are decoded.  Like DecodeResult, the view remembers data, and
-// Full decodes the rest.  Whenever json.Unmarshal into a Result accepts
-// data, DecodeResultView accepts it with the same six values.  The
-// caller must not modify data afterwards.
+// data is checked in one pass, and only the six fields a suite aggregate
+// folds (ipc, tc_hit_rate, meas_cycles, meas_ops, tc_hops and units) are
+// decoded.  It accepts exactly the bodies json.Unmarshal into a Result
+// accepts, with the same six values, so it validates bytes from another
+// process as strictly as DecodeResult does.  Like DecodeResult, the view
+// remembers data, and Full decodes the rest.  The caller must not modify
+// data afterwards.
 func DecodeResultView(data []byte) (*Result, error) {
 	r := &Result{body: data, view: true}
 	if !r.scanView(data) {
-		var v resultView
-		if err := json.Unmarshal(data, &v); err != nil {
-			return nil, err
-		}
-		r.IPC, r.MeasCycles, r.MeasOps = v.IPC, v.MeasCycles, v.MeasOps
-		r.TCHitRate, r.TCHops, r.Units = v.TCHitRate, v.TCHops, v.Units
+		return DecodeResult(data)
 	}
 	return r, nil
 }
@@ -50,60 +51,250 @@ func (r *Result) Full() (*Result, error) {
 	return DecodeResult(r.body)
 }
 
-// resultView holds the Result fields a suite aggregate folds.  Its tags
-// match Result's, so encoding/json decodes the same six values from
-// either.
-type resultView struct {
-	IPC        float64                   `json:"ipc"`
-	MeasCycles uint64                    `json:"meas_cycles"`
-	MeasOps    uint64                    `json:"meas_ops"`
-	TCHitRate  float64                   `json:"tc_hit_rate"`
-	TCHops     uint64                    `json:"tc_hops"`
-	Units      map[string]metrics.Triple `json:"units"`
-}
-
-// viewKeys are the JSON names of the resultView fields.
-var viewKeys = [...]string{"ipc", "meas_cycles", "meas_ops", "tc_hit_rate", "tc_hops", "units"}
-
-// scanView checks the syntax of data and fills the view fields of r in
-// one pass, which is less work than json.Valid alone.  It accepts the
-// shape json.Marshal writes: an object whose view keys are spelled
-// exactly and hold plain numbers, with units mapping plain triples.  It
-// reports false on anything else — invalid JSON, a key that matches only
-// case-insensitively, an escape or non-ASCII byte in a key, a null, a
-// number that does not fit its field, deep nesting — and
-// DecodeResultView then decodes with encoding/json, so such input
-// decodes, or fails, exactly as json.Unmarshal has it.  Whatever it
-// accepts, json.Valid accepts too.
+// scanView checks data against Result's JSON type and fills the view
+// fields of r in one pass, which is less work than json.Valid alone.  It
+// accepts the shape json.Marshal writes: an object whose keys are
+// spelled exactly and whose values have the JSON type each field needs
+// (resultType), with units mapping plain triples.  It reports false on
+// anything else — invalid JSON, a value json.Unmarshal would refuse, a
+// key that matches only case-insensitively, an escape or non-ASCII byte
+// in a key, a null in a view field, deep nesting — and DecodeResultView
+// then decodes with encoding/json, so such input decodes, or fails,
+// exactly as json.Unmarshal has it.  Whatever it accepts, json.Unmarshal
+// into a Result accepts too.
 func (r *Result) scanView(data []byte) bool {
 	s := scanner{d: data}
+	next := 0
 	ok := s.object(func(key []byte) bool {
-		if !plain(key) {
-			return false
+		f, ok := resultType.member(key, &next)
+		if !ok || f == nil || f.view == nil {
+			return ok && s.field(f, 1)
 		}
-		switch string(key) {
-		case "ipc":
-			return s.float(&r.IPC)
-		case "tc_hit_rate":
-			return s.float(&r.TCHitRate)
-		case "meas_cycles":
-			return s.uint(&r.MeasCycles)
-		case "meas_ops":
-			return s.uint(&r.MeasOps)
-		case "tc_hops":
-			return s.uint(&r.TCHops)
-		case "units":
-			return s.units(&r.Units)
+		switch v := f.view(r).(type) {
+		case *float64:
+			return s.float(v)
+		case *uint64:
+			return s.uint(v)
+		case *map[string]metrics.Triple:
+			return s.units(v)
 		}
-		for _, k := range viewKeys {
-			if bytes.EqualFold(key, []byte(k)) {
-				return false
-			}
-		}
-		return s.value(1)
+		return false
 	})
 	s.space()
 	return ok && s.i == len(s.d)
+}
+
+// resultType is Result's JSON type, with the six fields a suite
+// aggregate folds bound to the Result fields scanView decodes them into.
+var resultType = func() *jsonType {
+	t := typeOf(reflect.TypeFor[Result](), map[reflect.Type]*jsonType{})
+	views := map[string]func(*Result) any{
+		"IPC":        func(r *Result) any { return &r.IPC },
+		"TCHitRate":  func(r *Result) any { return &r.TCHitRate },
+		"MeasCycles": func(r *Result) any { return &r.MeasCycles },
+		"MeasOps":    func(r *Result) any { return &r.MeasOps },
+		"TCHops":     func(r *Result) any { return &r.TCHops },
+		"Units":      func(r *Result) any { return &r.Units },
+	}
+	for i := range t.fields {
+		f := &t.fields[i]
+		if view, ok := views[f.goName]; ok {
+			f.view = view
+			delete(views, f.goName)
+		}
+	}
+	for name := range views {
+		panic("frontendsim: Result has no JSON field " + name + " for the view")
+	}
+	return t
+}()
+
+// jsonKind is the JSON value a jsonType takes.
+type jsonKind uint8
+
+const (
+	// kindOther is a Go type scanView leaves to encoding/json: one that
+	// decodes itself (json.Unmarshaler), a pointer, an interface, a
+	// []byte, a struct with embedded fields or ",string" options.
+	kindOther jsonKind = iota
+	kindString
+	kindBool
+	kindInt
+	kindUint
+	kindFloat
+	kindArray  // a slice
+	kindObject // a map with string keys
+	kindStruct
+)
+
+// jsonType is what json.Unmarshal needs of a JSON value to decode it
+// into one Go type without error, derived from the type by reflection.
+type jsonType struct {
+	kind jsonKind
+	// bits is the size of a number type.  limit bounds the numbers that
+	// obviously fit it: integers of at most limit digits, and floats
+	// below 10^limit.
+	bits, limit int
+	// elem is the element type of an array or object.
+	elem *jsonType
+	// fields are a struct's members, in declaration order, and index
+	// maps their names to their positions.
+	fields []jsonField
+	index  map[string]int
+}
+
+// jsonField is one member of a struct type.
+type jsonField struct {
+	name   string // the key json.Marshal writes
+	goName string
+	typ    *jsonType
+	// view returns where scanView decodes the member of a Result; nil
+	// outside the view.
+	view func(*Result) any
+}
+
+var (
+	unmarshalerType     = reflect.TypeFor[json.Unmarshaler]()
+	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
+)
+
+// typeOf derives the jsonType of t, memoized in seen.
+func typeOf(t reflect.Type, seen map[reflect.Type]*jsonType) *jsonType {
+	if jt, ok := seen[t]; ok {
+		return jt
+	}
+	jt := &jsonType{}
+	seen[t] = jt
+	if p := reflect.PointerTo(t); p.Implements(unmarshalerType) || p.Implements(textUnmarshalerType) {
+		return jt
+	}
+	switch t.Kind() {
+	case reflect.String:
+		jt.kind = kindString
+	case reflect.Bool:
+		jt.kind = kindBool
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		jt.kind, jt.bits = kindInt, t.Bits()
+		jt.limit = len(strconv.FormatInt(math.MaxInt64>>(64-jt.bits), 10)) - 1
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		jt.kind, jt.bits = kindUint, t.Bits()
+		jt.limit = len(strconv.FormatUint(math.MaxUint64>>(64-jt.bits), 10)) - 1
+	case reflect.Float32, reflect.Float64:
+		jt.kind, jt.bits, jt.limit = kindFloat, t.Bits(), 308
+		if jt.bits == 32 {
+			jt.limit = 38
+		}
+	case reflect.Slice:
+		if t.Elem().Kind() != reflect.Uint8 { // []byte is a base64 string
+			jt.kind, jt.elem = kindArray, typeOf(t.Elem(), seen)
+		}
+	case reflect.Map:
+		if k := t.Key(); k.Kind() == reflect.String && !reflect.PointerTo(k).Implements(textUnmarshalerType) {
+			jt.kind, jt.elem = kindObject, typeOf(t.Elem(), seen)
+		}
+	case reflect.Struct:
+		structOf(jt, t, seen)
+	}
+	return jt
+}
+
+// structOf fills jt with the members of struct type t, as encoding/json
+// names them, or leaves it kindOther.
+func structOf(jt *jsonType, t reflect.Type, seen map[reflect.Type]*jsonType) {
+	var fields []jsonField
+	index := map[string]int{}
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if sf.Anonymous {
+			return
+		}
+		tag := sf.Tag.Get("json")
+		if !sf.IsExported() || tag == "-" {
+			continue
+		}
+		name, opts, _ := strings.Cut(tag, ",")
+		if slices.Contains(strings.Split(opts, ","), "string") {
+			return
+		}
+		if name == "" {
+			name = sf.Name
+		}
+		if _, dup := index[name]; dup {
+			return
+		}
+		index[name] = len(fields)
+		fields = append(fields, jsonField{name: name, goName: sf.Name, typ: typeOf(sf.Type, seen)})
+	}
+	jt.kind, jt.fields, jt.index = kindStruct, fields, index
+}
+
+// member looks up an object key of struct type t: the field it names
+// exactly, or nil for a key json.Unmarshal ignores.  ok is false for a
+// key scanView leaves to encoding/json — one with an escape or a
+// non-ASCII byte, or one that matches a field only case-insensitively.
+// json.Marshal writes the fields in order, so the one after the
+// previous match, *next, is tried before the index.
+func (t *jsonType) member(key []byte, next *int) (f *jsonField, ok bool) {
+	i := *next
+	ok = i < len(t.fields) && t.fields[i].name == string(key)
+	if !ok {
+		i, ok = t.index[string(key)]
+	}
+	if ok {
+		*next = i + 1
+		return &t.fields[i], true
+	}
+	if !plain(key) {
+		return nil, false
+	}
+	for i := range t.fields {
+		if strings.EqualFold(string(key), t.fields[i].name) {
+			return nil, false
+		}
+	}
+	return nil, true
+}
+
+// field consumes the value of member f nested depth deep; a nil f is an
+// ignored key, whose value only has to be valid JSON.
+func (s *scanner) field(f *jsonField, depth int) bool {
+	if f == nil {
+		return s.value(depth)
+	}
+	return s.check(f.typ, depth)
+}
+
+// check consumes one value nested depth deep and reports whether
+// json.Unmarshal decodes it into type t without error.
+func (s *scanner) check(t *jsonType, depth int) bool {
+	s.space()
+	if t.kind == kindOther || s.i == len(s.d) || depth > maxScanDepth {
+		return false
+	}
+	c := s.d[s.i]
+	if c == 'n' {
+		// null leaves any field as it is (or nil).
+		return s.literal("null")
+	}
+	switch t.kind {
+	case kindString:
+		_, ok := s.str()
+		return ok
+	case kindBool:
+		return c == 't' && s.literal("true") || c == 'f' && s.literal("false")
+	case kindInt, kindUint, kindFloat:
+		var n num
+		return s.number(&n) && n.fits(t)
+	case kindArray:
+		return s.array(func() bool { return s.check(t.elem, depth+1) })
+	case kindObject:
+		return s.object(func([]byte) bool { return s.check(t.elem, depth+1) })
+	}
+	next := 0
+	return s.object(func(key []byte) bool {
+		f, ok := t.member(key, &next)
+		return ok && s.field(f, depth+1)
+	})
 }
 
 // units reads a units object into *m, allocating it if nil and keeping
@@ -156,7 +347,7 @@ type scanner struct {
 
 func (s *scanner) space() {
 	d, i := s.d, s.i
-	for i < len(d) && (d[i] == ' ' || d[i] == '\t' || d[i] == '\n' || d[i] == '\r') {
+	for i < len(d) && d[i] <= ' ' && (d[i] == ' ' || d[i] == '\t' || d[i] == '\n' || d[i] == '\r') {
 		i++
 	}
 	s.i = i
@@ -197,6 +388,23 @@ func (s *scanner) object(member func(key []byte) bool) bool {
 	}
 }
 
+// array consumes an array, calling elem for each element; elem
+// consumes the element.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.next('[') {
+		return false
+	}
+	if s.next(']') {
+		return true
+	}
+	for elem() {
+		if !s.next(',') {
+			return s.next(']')
+		}
+	}
+	return false
+}
+
 // value consumes one value nested depth deep.
 func (s *scanner) value(depth int) bool {
 	s.space()
@@ -207,19 +415,7 @@ func (s *scanner) value(depth int) bool {
 	case '{':
 		return depth < maxScanDepth && s.object(func([]byte) bool { return s.value(depth + 1) })
 	case '[':
-		if depth >= maxScanDepth {
-			return false
-		}
-		s.i++
-		if s.next(']') {
-			return true
-		}
-		for s.value(depth + 1) {
-			if !s.next(',') {
-				return s.next(']')
-			}
-		}
-		return false
+		return depth < maxScanDepth && s.array(func() bool { return s.value(depth + 1) })
 	case '"':
 		_, ok := s.str()
 		return ok
@@ -230,8 +426,8 @@ func (s *scanner) value(depth int) bool {
 	case 'n':
 		return s.literal("null")
 	}
-	_, ok := s.number()
-	return ok
+	var n num
+	return s.number(&n)
 }
 
 func (s *scanner) literal(lit string) bool {
@@ -248,22 +444,23 @@ func (s *scanner) str() ([]byte, bool) {
 		return nil, false
 	}
 	start := s.i
-	for s.i < len(s.d) {
-		switch c := s.d[s.i]; {
-		case c == '"':
-			s.i++
-			return s.d[start : s.i-1], true
-		case c < 0x20:
+	for {
+		d, i := s.d, s.i
+		for i < len(d) && d[i] != '"' && d[i] != '\\' && d[i] >= 0x20 {
+			i++
+		}
+		s.i = i
+		switch {
+		case i == len(d) || d[i] < 0x20:
 			return nil, false
-		case c == '\\':
-			if !s.escape() {
-				return nil, false
-			}
-		default:
+		case d[i] == '"':
 			s.i++
+			return d[start:i], true
+		}
+		if !s.escape() {
+			return nil, false
 		}
 	}
-	return nil, false
 }
 
 // escape consumes one escape sequence inside a string.
@@ -290,56 +487,123 @@ func (s *scanner) escape() bool {
 	return false
 }
 
-// number consumes a number and returns it.
-func (s *scanner) number() ([]byte, bool) {
-	s.space()
-	start := s.i
-	s.accept('-')
-	if !s.accept('0') && s.digits() == 0 {
-		return nil, false
-	}
-	if s.accept('.') && s.digits() == 0 {
-		return nil, false
-	}
-	if s.accept('e') || s.accept('E') {
-		if !s.accept('+') {
-			s.accept('-')
-		}
-		if s.digits() == 0 {
-			return nil, false
-		}
-	}
-	return s.d[start:s.i], true
+// num is a number token with what number learnt of its size on the
+// way: whether it is negative, how many digits its integer part has,
+// whether it has a fraction or an exponent, and the exponent's value
+// (clamped to ±maxExp10, which no float reaches).
+type num struct {
+	tok       []byte
+	neg       bool
+	intDigits int
+	frac, exp bool
+	exp10     int
 }
 
-// digits consumes a run of decimal digits and returns its length.
-func (s *scanner) digits() int {
+const maxExp10 = 9999
+
+// number consumes a number into n; s.d[s.i] is its first byte.
+func (s *scanner) number(n *num) bool {
 	d, i := s.d, s.i
+	if i < len(d) && d[i] == '-' {
+		n.neg = true
+		i++
+	}
+	if i < len(d) && d[i] == '0' {
+		n.intDigits = 1
+		i++
+	} else if n.intDigits = skipDigits(d, i) - i; n.intDigits == 0 {
+		return false
+	} else {
+		i += n.intDigits
+	}
+	if i < len(d) && d[i] == '.' {
+		n.frac = true
+		from := i + 1
+		if i = skipDigits(d, from); i == from {
+			return false
+		}
+	}
+	if i < len(d) && d[i]|0x20 == 'e' {
+		n.exp = true
+		i++
+		neg := i < len(d) && d[i] == '-'
+		if neg || i < len(d) && d[i] == '+' {
+			i++
+		}
+		from := i
+		if i = skipDigits(d, from); i == from {
+			return false
+		}
+		for _, c := range d[from:i] {
+			n.exp10 = min(n.exp10*10+int(c-'0'), maxExp10)
+		}
+		if neg {
+			n.exp10 = -n.exp10
+		}
+	}
+	n.tok, s.i = d[s.i:i], i
+	return true
+}
+
+// fits reports whether json.Unmarshal stores n in a field of number type
+// t without error.  strconv decides only the numbers near t's limits.
+func (n *num) fits(t *jsonType) bool {
+	if t.kind == kindFloat {
+		if n.intDigits+n.exp10 <= t.limit {
+			return true
+		}
+		_, err := strconv.ParseFloat(string(n.tok), t.bits)
+		return err == nil
+	}
+	if n.frac || n.exp || n.neg && t.kind == kindUint {
+		return false
+	}
+	if n.intDigits <= t.limit {
+		return true
+	}
+	var err error
+	if t.kind == kindInt {
+		_, err = strconv.ParseInt(string(n.tok), 10, t.bits)
+	} else {
+		_, err = strconv.ParseUint(string(n.tok), 10, t.bits)
+	}
+	return err == nil
+}
+
+// skipDigits returns the index of the first byte at or after d[i] that
+// is not a decimal digit.
+func skipDigits(d []byte, i int) int {
 	for i < len(d) && d[i]-'0' < 10 {
 		i++
 	}
-	n := i - s.i
-	s.i = i
-	return n
+	return i
 }
+
+// uint64Type is the jsonType of the view's integer fields.
+var uint64Type = typeOf(reflect.TypeFor[uint64](), map[reflect.Type]*jsonType{})
 
 // float and uint read a number value as encoding/json does.
 func (s *scanner) float(v *float64) bool {
-	tok, ok := s.number()
-	if !ok {
+	var n num
+	s.space()
+	if !s.number(&n) {
 		return false
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
+	f, err := strconv.ParseFloat(string(n.tok), 64)
 	*v = f
 	return err == nil
 }
 
 func (s *scanner) uint(v *uint64) bool {
-	tok, ok := s.number()
-	if !ok {
+	var n num
+	s.space()
+	if !s.number(&n) || !n.fits(uint64Type) {
 		return false
 	}
-	u, err := strconv.ParseUint(string(tok), 10, 64)
+	var u uint64
+	for _, c := range n.tok {
+		u = u*10 + uint64(c-'0')
+	}
 	*v = u
-	return err == nil
+	return true
 }

@@ -23,9 +23,9 @@ func exported(r *Result) Result {
 }
 
 // FuzzDecodeView holds the view decoder to encoding/json: it never
-// panics, accepts only valid JSON, and whenever json.Unmarshal into a
-// Result succeeds, the view succeeds with the same six aggregation
-// fields and its full decode equals json.Unmarshal's.  Run `go test
+// panics, it accepts exactly the bodies json.Unmarshal into a Result
+// accepts, with the same six aggregation fields, and its full decode
+// equals json.Unmarshal's.  Run `go test
 // -fuzz FuzzDecodeView ./pkg/frontendsim` to hunt for longer.
 func FuzzDecodeView(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "golden_*.jsonl"))
@@ -53,16 +53,22 @@ func FuzzDecodeView(f *testing.F) {
 		`{"blocks":["a\"b","\\","\u00e9\ud800"],"config":{"TC":{"Hopping":true}},"ipc":0.25}`,
 		`{"blocks":5,"ipc":1}`, `{"x":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
 		`{"x":"tab	in string"}`, `{"x":"\x"}`, `{"x":"\u12"}`, `{"x":tru}`, `{"x":nul}`, "{\"x\":1}\n",
+		`{"config":{"Clusters":4.5}}`, `{"config":{"TC":{"Hopping":0}}}`, `{"benchmark":7}`, `{"warm_cycles":-1}`,
+		`{"avg_power_w":[1e400]}`, `{"avg_power_w":[1.7976931348623157e308,-1e-400,null]}`, `{"avg_power_w":[18e307]}`,
+		`{"warm_cycles":-0}`, `{"intervals":-0,"dtm_min_duty":9223372036854775807}`, `{"intervals":9223372036854775808}`,
+		`{"intervals":1e2}`, `{"config":{"BPredBits":18446744073709551616}}`, `{"config":{"clusters":4}}`,
+		`{"config":{"TC":{"BiasDegreesPerHalving":1E309}}}`, `{"config":{"Cluster":null,"TC":{"Biased":null}}}`,
+		`{"blocks":["a",1]}`, `{"blocks":{}}`, `{"config":[]}`, `{"units":{"A":{"AbsMax":"1"}}}`, `{"benchmark":"x","Benchmark":"y"}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		view, viewErr := DecodeResultView(data)
-		if viewErr == nil && !json.Valid(data) {
-			t.Fatalf("view accepted invalid JSON %q", data)
-		}
 		var full Result
-		if json.Unmarshal(data, &full) != nil {
+		if err := json.Unmarshal(data, &full); err != nil {
+			if viewErr == nil {
+				t.Fatalf("view accepted %q, which json.Unmarshal rejects: %v", data, err)
+			}
 			return
 		}
 		if viewErr != nil {

@@ -8,8 +8,11 @@
 // through the admin API (simd's -announce flag does this on startup, so
 // a restarted backend rejoins by itself).
 //
-// Every change to the routable set bumps an epoch and invokes OnChange
-// with the new active list; the scheduler subscribes and swaps its
+// The routable set is the active members; when none is active (a total
+// outage), it is every quarantined member not yet evicted, so routing
+// keeps trying whichever backend recovers first, not only the last one
+// to fail.  Every change to the routable set bumps an epoch and invokes
+// OnChange with the new set; the scheduler subscribes and swaps its
 // consistent-hash ring atomically, so a dead backend stops receiving
 // shards within about one probe interval instead of one connect timeout
 // per request.  In-flight requests to a member that gets quarantined are
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,12 +67,14 @@ type Config struct {
 	// each probe is additionally bounded by a ProbeTimeout context).
 	HTTPClient *http.Client
 	// OnChange, when set, is called after every routable-set change with
-	// the new epoch and active member URLs (sorted).  Calls are
+	// the new epoch and routable member URLs (sorted): the active
+	// members, or every quarantined one while none is active.  It is
+	// empty only once every member has left or been evicted.  Calls are
 	// serialized and strictly ordered by epoch.  The callback must not
 	// block for long (it runs on the probe/admin path) and must not call
 	// the registry's mutating methods (Join/Leave/ProbeNow) — reads like
 	// Active and Snapshot are fine.
-	OnChange func(epoch uint64, active []string)
+	OnChange func(epoch uint64, routable []string)
 	// Metrics, when set, registers the membership counters and state
 	// gauges on the registry.
 	Metrics *obs.Registry
@@ -142,6 +148,8 @@ type Registry struct {
 	mu      sync.Mutex
 	members map[string]*member
 	epoch   uint64
+	// routable is the routable set of the current epoch.
+	routable []string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -207,6 +215,7 @@ func New(cfg Config, seeds []string) (*Registry, error) {
 		return nil, fmt.Errorf("membership: at least one seed member is required")
 	}
 	r.joins.Add(uint64(len(r.members)))
+	r.routable = r.routableLocked()
 	if cfg.Metrics != nil {
 		r.registerMetrics(cfg.Metrics)
 	}
@@ -280,7 +289,7 @@ func (r *Registry) Close() {
 }
 
 // Epoch returns the current ring epoch.  The epoch bumps exactly when
-// the routable (active) set changes.
+// the routable set changes.
 func (r *Registry) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -295,9 +304,22 @@ func (r *Registry) Active() []string {
 }
 
 func (r *Registry) activeLocked() []string {
+	return r.inStateLocked(StateActive)
+}
+
+// routableLocked returns the routable member URLs, sorted: the active
+// members, or every quarantined one when none is active.
+func (r *Registry) routableLocked() []string {
+	if active := r.activeLocked(); len(active) > 0 {
+		return active
+	}
+	return r.inStateLocked(StateQuarantined)
+}
+
+func (r *Registry) inStateLocked(state State) []string {
 	out := make([]string, 0, len(r.members))
 	for _, m := range r.members {
-		if m.state == StateActive {
+		if m.state == state {
 			out = append(out, m.url)
 		}
 	}
@@ -385,7 +407,7 @@ func (r *Registry) ReportDispatch(url string, dispatchErr error) {
 		r.quarantines.Add(1)
 		r.logf("membership: %s quarantined after %d consecutive failures (dispatch: %v)",
 			url, m.fails, dispatchErr)
-		r.bumpLocked() // unlocks
+		r.publishLocked() // unlocks
 		return
 	}
 	r.mu.Unlock()
@@ -417,7 +439,7 @@ func (r *Registry) Join(url string) error {
 		r.mu.Unlock()
 		return nil
 	}
-	r.bumpLocked() // unlocks
+	r.publishLocked() // unlocks
 	return nil
 }
 
@@ -427,33 +449,34 @@ func (r *Registry) Leave(url string) error {
 	r.changeMu.Lock()
 	defer r.changeMu.Unlock()
 	r.mu.Lock()
-	m, ok := r.members[url]
+	_, ok := r.members[url]
 	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("membership: unknown member %s", url)
 	}
-	wasActive := m.state == StateActive
 	delete(r.members, url)
 	r.leaves.Add(1)
 	r.logf("membership: %s left", url)
-	if wasActive {
-		r.bumpLocked() // unlocks
-	} else {
-		r.mu.Unlock()
-	}
+	r.publishLocked() // unlocks
 	return nil
 }
 
-// bumpLocked bumps the epoch, snapshots the active set, unlocks, and
-// notifies.  The caller must hold r.changeMu and r.mu; bumpLocked
-// releases r.mu (keeping changeMu so epochs are delivered in order).
-func (r *Registry) bumpLocked() {
+// publishLocked recomputes the routable set and, if it changed, bumps
+// the epoch, unlocks and notifies; otherwise it only unlocks.  The
+// caller must hold r.changeMu and r.mu; publishLocked releases r.mu
+// (keeping changeMu so epochs are delivered in order).
+func (r *Registry) publishLocked() {
+	routable := r.routableLocked()
+	if slices.Equal(routable, r.routable) {
+		r.mu.Unlock()
+		return
+	}
 	r.epoch++
 	epoch := r.epoch
-	active := r.activeLocked()
+	r.routable = routable
 	r.mu.Unlock()
 	if r.cfg.OnChange != nil {
-		r.cfg.OnChange(epoch, active)
+		r.cfg.OnChange(epoch, routable)
 	}
 }
 
@@ -542,7 +565,7 @@ func (r *Registry) applyProbe(m *member, latency time.Duration, probeErr error) 
 			m.state = StateActive
 			r.reinstates.Add(1)
 			r.logf("membership: %s recovered, reinstated", url)
-			r.bumpLocked() // unlocks
+			r.publishLocked() // unlocks
 			return
 		}
 		r.mu.Unlock()
@@ -557,19 +580,21 @@ func (r *Registry) applyProbe(m *member, latency time.Duration, probeErr error) 
 		r.quarantines.Add(1)
 		r.logf("membership: %s quarantined after %d consecutive probe failures (%v)",
 			url, m.fails, probeErr)
-		r.bumpLocked() // unlocks
+		r.publishLocked() // unlocks
 		return
 	}
 	r.mu.Unlock()
 }
 
 // evictOverdue permanently removes members quarantined past EvictAfter.
-// Eviction does not bump the epoch: the member already left the
-// routable set when it was quarantined.
+// Eviction bumps the epoch only during a total outage: otherwise the
+// member left the routable set when it was quarantined.
 func (r *Registry) evictOverdue() {
 	if r.cfg.EvictAfter < 0 {
 		return
 	}
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	r.mu.Lock()
 	now := r.now()
 	var evicted []string
@@ -580,7 +605,7 @@ func (r *Registry) evictOverdue() {
 		}
 	}
 	r.evictions.Add(uint64(len(evicted)))
-	r.mu.Unlock()
+	r.publishLocked() // unlocks
 	for _, url := range evicted {
 		r.logf("membership: %s evicted after %v in quarantine", url, r.cfg.EvictAfter)
 	}

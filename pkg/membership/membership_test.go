@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,6 +67,9 @@ func testConfig() Config {
 
 func TestQuarantineAndReinstate(t *testing.T) {
 	stub := newHealthStub(t)
+	// A healthy peer keeps the stub's quarantine a routable-set change
+	// (quarantining the only member leaves the set as it is).
+	peer := newHealthStub(t).srv.URL
 	var epochs []uint64
 	var actives [][]string
 	var mu sync.Mutex
@@ -76,39 +80,40 @@ func TestQuarantineAndReinstate(t *testing.T) {
 		actives = append(actives, active)
 		mu.Unlock()
 	}
-	reg, err := New(cfg, []string{stub.srv.URL})
+	reg, err := New(cfg, []string{stub.srv.URL, peer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
 	reg.ProbeNow(ctx)
-	if got := reg.Active(); len(got) != 1 {
-		t.Fatalf("healthy member not active: %v", got)
+	if got := reg.Active(); len(got) != 2 {
+		t.Fatalf("healthy members not active: %v", got)
 	}
 
 	// Two consecutive failures quarantine; one is not enough.
 	stub.fail.Store(true)
 	reg.ProbeNow(ctx)
-	if got := reg.Active(); len(got) != 1 {
+	if got := reg.Active(); len(got) != 2 {
 		t.Fatalf("member quarantined after 1 failure (threshold 2): %v", got)
 	}
 	reg.ProbeNow(ctx)
-	if got := reg.Active(); len(got) != 0 {
-		t.Fatalf("member still active after %d failures: %v", 2, got)
+	if got := reg.Active(); len(got) != 1 || got[0] != peer {
+		t.Fatalf("active after %d failures = %v, want only the peer", 2, got)
 	}
 	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].State != StateQuarantined || snap[0].ConsecutiveFailures != 2 {
-		t.Fatalf("snapshot = %+v, want quarantined with 2 fails", snap)
+	i := slices.IndexFunc(snap, func(info Info) bool { return info.URL == stub.srv.URL })
+	if len(snap) != 2 || snap[i].State != StateQuarantined || snap[i].ConsecutiveFailures != 2 {
+		t.Fatalf("snapshot = %+v, want the stub quarantined with 2 fails", snap)
 	}
-	if snap[0].LastError == "" || snap[0].LastProbe.IsZero() {
-		t.Errorf("snapshot missing probe detail: %+v", snap[0])
+	if snap[i].LastError == "" || snap[i].LastProbe.IsZero() {
+		t.Errorf("snapshot missing probe detail: %+v", snap[i])
 	}
 
 	// One successful recovery probe reinstates.
 	stub.fail.Store(false)
 	reg.ProbeNow(ctx)
-	if got := reg.Active(); len(got) != 1 {
+	if got := reg.Active(); len(got) != 2 {
 		t.Fatalf("recovered member not reinstated: %v", got)
 	}
 
@@ -122,8 +127,8 @@ func TestQuarantineAndReinstate(t *testing.T) {
 			t.Errorf("epochs not monotonic: %v", epochs)
 		}
 	}
-	if len(actives[0]) != 0 || len(actives[1]) != 1 {
-		t.Errorf("active sets = %v, want [] then [url]", actives)
+	if len(actives[0]) != 1 || len(actives[1]) != 2 {
+		t.Errorf("active sets = %v, want [peer] then [peer url]", actives)
 	}
 	st := reg.Stats()
 	if st.Quarantines != 1 || st.Reinstatements != 1 {
@@ -570,10 +575,13 @@ func TestTransitionLifecycle(t *testing.T) {
 func TestTransitionReinstateViaProbe(t *testing.T) {
 	stub := newHealthStub(t)
 	url := stub.srv.URL
+	peer := newHealthStub(t).srv.URL
+	pair := []string{peer, url}
+	sort.Strings(pair)
 	var log changeLog
 	cfg := testConfig()
 	cfg.OnChange = log.record
-	reg, err := New(cfg, []string{url})
+	reg, err := New(cfg, pair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +594,7 @@ func TestTransitionReinstateViaProbe(t *testing.T) {
 	stub.fail.Store(false)
 	reg.ProbeNow(ctx)
 	checkLifecycle(t, "probe recovery", reg, &log,
-		lifecycle{joins: 1, quarantines: 1, reinstates: 1}, "1:", "2:"+url)
+		lifecycle{joins: 2, quarantines: 1, reinstates: 1}, "1:"+peer, "2:"+strings.Join(pair, ","))
 }
 
 // TestLifecycleQuarantineViaDispatch pins that live dispatch verdicts
@@ -595,10 +603,11 @@ func TestTransitionReinstateViaProbe(t *testing.T) {
 func TestLifecycleQuarantineViaDispatch(t *testing.T) {
 	stub := newHealthStub(t)
 	url := stub.srv.URL
+	const peer = "http://peer.invalid" // never probed
 	var log changeLog
 	cfg := testConfig()
 	cfg.OnChange = log.record
-	reg, err := New(cfg, []string{url})
+	reg, err := New(cfg, []string{url, peer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,11 +615,11 @@ func TestLifecycleQuarantineViaDispatch(t *testing.T) {
 
 	reg.ReportDispatch(url, fmt.Errorf("boom"))
 	reg.ReportDispatch(url, fmt.Errorf("boom"))
-	checkLifecycle(t, "dispatch failures", reg, &log, lifecycle{joins: 1, quarantines: 1}, "1:")
+	checkLifecycle(t, "dispatch failures", reg, &log, lifecycle{joins: 2, quarantines: 1}, "1:"+peer)
 	// Success does not reinstate through the dispatch path (that is the
 	// probe's job), so nothing further changes.
 	reg.ReportDispatch(url, nil)
-	checkLifecycle(t, "dispatch success", reg, &log, lifecycle{joins: 1, quarantines: 1}, "1:")
+	checkLifecycle(t, "dispatch success", reg, &log, lifecycle{joins: 2, quarantines: 1}, "1:"+peer)
 	if st := reg.Stats(); st.Probes != 0 {
 		t.Errorf("probes = %d, want none", st.Probes)
 	}

@@ -180,10 +180,10 @@ func TestSchedulerServerXCacheHeaders(t *testing.T) {
 }
 
 // TestSchedulerCoalescedCacheHitCountsAsCached pins the accounting for
-// a caller that joins an in-flight lookup the store answered: it was
-// served by the cache (no backend contacted on its behalf), so it
-// reports SourceCached — a fully cache-served suite says HIT even when
-// two identical suites race.
+// concurrent callers of a stored key: each is served by the cache (no
+// backend contacted on its behalf), so each reports SourceCached and
+// none counts as coalesced — a fully cache-served suite says HIT even
+// when two identical suites race.
 func TestSchedulerCoalescedCacheHitCountsAsCached(t *testing.T) {
 	stub, requests := cannedBackend(t, nil)
 	sched := newCachedScheduler(t, []string{stub.URL})

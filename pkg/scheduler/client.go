@@ -51,10 +51,11 @@ func NewClient(hc *http.Client) *Client {
 
 // Simulate posts req to node's POST /v1/simulations and returns the
 // response body verbatim — simd's stored representation of the result —
-// together with its full decoding (frontendsim.DecodeResult, so suite
-// responses write the body itself back out).  The decode validates
-// bytes from another process before the scheduler caches or serves
-// them: a body that does not decode is a retryable failure.
+// together with its aggregation view (frontendsim.DecodeResultView, so
+// suite responses write the body itself back out, and Full decodes the
+// rest).  The view validates bytes from another process before the
+// scheduler caches or serves them, as strictly as a full decode: a body
+// json.Unmarshal would refuse is a retryable failure.
 // Cancellation of ctx aborts the in-flight HTTP request.
 func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) ([]byte, *frontendsim.Result, error) {
 	reqBody, err := json.Marshal(req)
@@ -85,7 +86,7 @@ func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Requ
 	if err != nil {
 		return nil, nil, fmt.Errorf("scheduler: backend %s: read result: %w", node, err)
 	}
-	res, err := frontendsim.DecodeResult(body)
+	res, err := frontendsim.DecodeResultView(body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scheduler: backend %s: decode result: %w", node, err)
 	}

@@ -8,14 +8,15 @@
 //
 // The tier stack, front to back:
 //
-//   - Response cache (Config.Cache, a resultstore.Store): a fully
-//     cached suite is answered without contacting a single backend;
+//   - Response cache (Config.Cache, a resultstore.Store), consulted
+//     before the single-flight group: a fully cached suite is answered
+//     without contacting a single backend or starting a flight;
 //     Served/Source report the X-Cache accounting.  Entries are the
 //     backends' response bodies verbatim, so a key's bytes are the
 //     same in both tiers and the two may share one store.
 //   - Single-flight (internal/singleflight): identical concurrent
-//     dispatches — across suites and plain simulations — resolve to
-//     one store lookup and at most one backend call, with
+//     misses — across suites and plain simulations — resolve to one
+//     uncounted store re-check and at most one backend call, with
 //     reference-counted cancellation.
 //   - Ring dispatch (Ring, Client): each key's home node first, then
 //     up to Config.Retries failover nodes; request errors (4xx) never

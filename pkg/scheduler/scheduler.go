@@ -28,11 +28,12 @@ type Config struct {
 	// http.DefaultClient).
 	HTTPClient *http.Client
 	// Cache is the scheduler-tier response store (Thanos
-	// query-frontend results cache): it is consulted — inside the
-	// single-flight group, so identical concurrent requests do one
-	// lookup — before any ring dispatch, and filled after every
-	// successful dispatch.  A fully cached suite is answered without
-	// contacting a single backend.  nil disables the tier.
+	// query-frontend results cache): it is consulted before the
+	// single-flight group, so a hit starts no flight, and re-checked
+	// (uncounted) inside it before any ring dispatch; it is filled
+	// after every successful dispatch.  A fully cached suite is
+	// answered without contacting a single backend.  nil disables the
+	// tier.
 	Cache resultstore.Store
 	// Metrics, when set, re-exports the dispatch counters and the
 	// scheduler-tier store counters on the registry (GET /metrics).
@@ -87,8 +88,8 @@ type Stats struct {
 	// in-flight dispatch instead of contacting a backend.
 	Coalesced uint64 `json:"coalesced"`
 	// CacheHits counts dispatches answered by the scheduler-tier
-	// response store without contacting a backend — directly, or by
-	// joining an in-flight store lookup another caller started.
+	// response store without contacting a backend — by the lookup
+	// before the single-flight group, or by the re-check inside it.
 	CacheHits uint64 `json:"cache_hits"`
 	// RingSwaps counts atomic ring replacements (SetBackends).
 	RingSwaps uint64 `json:"ring_swaps"`
@@ -138,12 +139,12 @@ type Scheduler struct {
 	backoffs   atomic.Uint64
 }
 
-// outcome is one single-flighted dispatch's result plus whether the
+// outcome is one served request's result plus whether the
 // scheduler-tier store served it.  body is simd's response body
 // verbatim — the one representation the scheduler caches and serves,
 // so a result's bytes stay those the backend computed — and res is its
-// decoding for suite aggregation: in full for a backend body, the
-// aggregation view (frontendsim.DecodeResultView) for a stored one.
+// aggregation view (frontendsim.DecodeResultView), whether the body
+// came from a backend or the store; Full decodes the rest.
 type outcome struct {
 	body   []byte
 	res    *frontendsim.Result
@@ -212,17 +213,14 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 }
 
 // OnMembershipChange returns a callback for membership.Config.OnChange
-// that atomically swaps the scheduler's ring to each new active set.  A
-// total outage (empty active set) keeps the last ring in place, so
-// dispatches are never left with nothing to try: each still tries the
-// last ring's backends, and the first one that answers serves, with no
-// probe round needed.
-func (s *Scheduler) OnMembershipChange() func(epoch uint64, active []string) {
-	return func(_ uint64, active []string) {
-		if len(active) == 0 {
-			return
-		}
-		s.SetBackends(active)
+// that atomically swaps the scheduler's ring to each new routable set.
+// During a total outage that set is every quarantined member, so
+// dispatches still try them all and the first one that answers serves,
+// with no probe round needed.  An empty set (every member gone) is
+// rejected by SetBackends and keeps the last ring.
+func (s *Scheduler) OnMembershipChange() func(epoch uint64, routable []string) {
+	return func(_ uint64, routable []string) {
+		s.SetBackends(routable)
 	}
 }
 
@@ -374,9 +372,9 @@ func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteR
 }
 
 // runSuite is RunSuiteStream over serveKey, with the key each shard's
-// dispatch is handed by the suite.  Shards the scheduler store
-// answered carry views of the stored bytes (frontendsim.DecodeResultView);
-// with full set each is decoded in full once, in its shard's dispatch,
+// dispatch is handed by the suite.  Shards carry views of their bytes
+// (frontendsim.DecodeResultView), stored or dispatched alike; with
+// full set each is decoded in full once, in its shard's dispatch,
 // so the positions of one shard share one *Result.  The HTTP handlers
 // keep the views and splice their bytes into the response.
 func (s *Scheduler) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink, full bool) (*frontendsim.SuiteResult, Served, error) {
@@ -454,38 +452,47 @@ func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) (outcome
 	return s.serveKey(ctx, key, req)
 }
 
-// serveKey serves req, whose canonical key is key.  The single-flight
-// group stays in front of the store: concurrent identical requests
-// resolve to one store lookup and (on a miss) one backend dispatch,
-// whose body is written back to the store.
+// serveKey serves req, whose canonical key is key, in simd's shape: a
+// counted store lookup answers a hit without starting a flight, and
+// concurrent identical misses resolve to one single-flighted backend
+// dispatch, whose body is written back to the store.  Inside the
+// flight an uncounted re-check of the store catches a miss that raced
+// a just-finished dispatch of the same key.
 func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Request) (outcome, Source, error) {
-	out, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
-		if out, ok := s.cacheGet(runCtx, key); ok {
+	out, ok := s.cacheGet(ctx, key, true)
+	shared := false
+	if !ok {
+		var err error
+		out, err, shared = s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
+			if out, ok := s.cacheGet(runCtx, key, false); ok {
+				return out, nil
+			}
+			out, err := s.dispatchKey(runCtx, key, req)
+			if err != nil {
+				return outcome{}, err
+			}
+			s.cacheSet(runCtx, key, out.body)
 			return out, nil
-		}
-		out, err := s.dispatchKey(runCtx, key, req)
+		})
 		if err != nil {
-			return outcome{}, err
+			// A joined execution that failed served nobody: the caller
+			// was not spared a backend dispatch, it inherited a failure.
+			// The source still reports the join, but failed shares stay
+			// out of the Coalesced counter — it counts work actually
+			// saved.
+			src := SourceDispatched
+			if shared {
+				src = SourceCoalesced
+			}
+			return outcome{}, src, err
 		}
-		s.cacheSet(runCtx, key, out.body)
-		return out, nil
-	})
-	if err != nil {
-		// A joined execution that failed served nobody: the caller was
-		// not spared a backend dispatch, it inherited a failure.  The
-		// source still reports the join, but failed shares stay out of
-		// the Coalesced counter — it counts work actually saved.
-		src := SourceDispatched
-		if shared {
-			src = SourceCoalesced
-		}
-		return outcome{}, src, err
 	}
-	// A caller that joined an execution the store answered was still
-	// served by the store — no backend was contacted on its behalf — so
-	// it counts as a cache hit, not a coalesce; only joins of real
-	// dispatches count as coalesced.  This keeps a fully cache-served
-	// suite reporting X-Cache: HIT even when two identical suites race.
+	// A caller the store answered — before the flight, or by the
+	// re-check inside one it started or joined — was served by the
+	// store: no backend was contacted on its behalf, so it counts as a
+	// cache hit, not a coalesce; only joins of real dispatches count as
+	// coalesced.  This keeps a fully cache-served suite reporting
+	// X-Cache: HIT even when two identical suites race.
 	switch {
 	case out.cached:
 		s.cacheHits.Add(1)
@@ -497,16 +504,23 @@ func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Re
 	return out, SourceDispatched, nil
 }
 
-// cacheGet reads one result from the scheduler-tier store and decodes
-// only its aggregation view: the entry was decoded in full before it
-// was written.  Any failure (store error, an entry that is not JSON or
-// whose view does not decode) is a miss — the ring can always
-// recompute.
-func (s *Scheduler) cacheGet(ctx context.Context, key string) (outcome, bool) {
+// cacheGet reads one result from the scheduler-tier store — a counted
+// Get, or an uncounted resultstore.Peek — and decodes its aggregation
+// view, which type-checks the entry as strictly as a full decode.  Any
+// failure (store error, an entry json.Unmarshal would refuse) is a
+// miss: the ring recomputes the result.
+func (s *Scheduler) cacheGet(ctx context.Context, key string, counted bool) (outcome, bool) {
 	if s.cache == nil {
 		return outcome{}, false
 	}
-	body, ok, err := s.cache.Get(ctx, key)
+	var body []byte
+	var ok bool
+	var err error
+	if counted {
+		body, ok, err = s.cache.Get(ctx, key)
+	} else {
+		body, ok, err = resultstore.Peek(ctx, s.cache, key)
+	}
 	if err != nil || !ok {
 		return outcome{}, false
 	}

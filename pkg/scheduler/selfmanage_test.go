@@ -3,11 +3,11 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,12 +234,12 @@ func TestQuarantinedMemberServesInFlight(t *testing.T) {
 	}
 }
 
-// TestTotalOutageKeepsLastRing pins that the fleet cannot latch open:
-// when dispatch verdicts quarantine the last active member, the
-// registry's active set is empty but the scheduler keeps the ring it
-// had, so dispatches still reach that ring's backend, and it serves as
-// soon as it answers again — with no probe round.
-func TestTotalOutageKeepsLastRing(t *testing.T) {
+// TestTotalOutageRoutesEveryQuarantinedMember pins that the fleet
+// cannot latch open on one member: when dispatch verdicts quarantine
+// every member, the ring holds all of them, not just the one
+// quarantined last, so the first backend to answer again serves the
+// next dispatch — with no probe round.
+func TestTotalOutageRoutesEveryQuarantinedMember(t *testing.T) {
 	nodes := []*fleetNode{newFleetNode(t), newFleetNode(t)}
 	for _, n := range nodes {
 		n.down.Store(true)
@@ -247,37 +247,35 @@ func TestTotalOutageKeepsLastRing(t *testing.T) {
 	urls := fleetURLs(nodes)
 	sched, members := newPassiveFleet(t, Config{Backends: urls}, 1)
 
-	members.ReportDispatch(urls[0], errors.New("injected"))
-	last := sched.Ring().Nodes()
-	if len(last) != 1 || last[0] != urls[1] {
-		t.Fatalf("ring after the first quarantine = %v, want [%s]", last, urls[1])
-	}
-	members.ReportDispatch(urls[1], errors.New("injected"))
-	if got := members.Active(); len(got) != 0 {
-		t.Fatalf("active members = %v, want none", got)
-	}
-	if got := sched.Ring().Nodes(); len(got) != 1 || got[0] != last[0] {
-		t.Fatalf("ring after total outage = %v, want the last ring %v", got, last)
-	}
-
-	// Still down: a dispatch still tries the last ring's backend.
+	// One dispatch fails on its home node, then on the other: each
+	// failure quarantines its node.
 	req := frontendsim.Request{Benchmark: "gzip"}
-	reported := members.Stats().PassiveFailures
 	if _, err := sched.Dispatch(t.Context(), req); err == nil {
 		t.Fatal("dispatch over a dead fleet succeeded")
 	}
-	if got := members.Stats().PassiveFailures - reported; got != 1 {
-		t.Errorf("dispatch during the outage made %d failed attempts, want 1", got)
+	if got := members.Active(); len(got) != 0 {
+		t.Fatalf("active members = %v, want none", got)
+	}
+	ring := sched.Ring().Nodes()
+	slices.Sort(ring)
+	if want := slices.Sorted(slices.Values(urls)); !slices.Equal(ring, want) {
+		t.Fatalf("ring after total outage = %v, want every quarantined member %v", ring, want)
 	}
 
-	// The backend answers again: the next dispatch reaches it and
-	// succeeds, though the registry still has it quarantined.
-	nodes[1].down.Store(false)
-	if _, err := sched.Dispatch(t.Context(), req); err != nil {
-		t.Fatalf("dispatch after the backend came back: %v", err)
+	// The home node, quarantined first, answers again: the next
+	// dispatch reaches it, though the registry still has it
+	// quarantined.
+	key, err := sched.eng.RequestKey(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := nodes[1].simHits.Load(); got != 1 {
-		t.Errorf("recovered backend served %d requests, want 1", got)
+	home := slices.Index(urls, sched.Ring().Sequence(key)[0])
+	nodes[home].down.Store(false)
+	if _, err := sched.Dispatch(t.Context(), req); err != nil {
+		t.Fatalf("dispatch after the home node came back: %v", err)
+	}
+	if got := nodes[home].simHits.Load(); got != 1 {
+		t.Errorf("recovered node served %d requests, want 1", got)
 	}
 	if st := members.Stats(); st.Probes != 0 {
 		t.Errorf("membership ran %d probes, want none", st.Probes)
