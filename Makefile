@@ -79,12 +79,13 @@ docs-check:
 
 # Tier-1 benchmarks with allocation accounting; raw output passes
 # through and the parsed results land in BENCH_results.json.
-BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult)$$
+BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult|BenchmarkEngineRunShort)$$
 # Each rung gets a benchtime that fits its scale: the ~180 ms simulator
-# loop runs a fixed 3 iterations, while the microsecond rungs run for
-# 2 s so connection setup and timer noise amortise away.
+# loop runs a fixed 3 iterations, while the microsecond rungs and the
+# ~80 ms short-run sweep run for 2 s so connection setup, timer noise
+# and GC amortise away.
 BENCH_SIM  = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config)$$
-BENCH_FAST = ^(BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult)$$
+BENCH_FAST = ^(BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult|BenchmarkEngineRunShort)$$
 
 # Separate steps, not a pipe: a benchmark build/run failure must fail
 # the target instead of being masked by benchjson's exit status.

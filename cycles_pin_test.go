@@ -15,6 +15,13 @@ import (
 // documents the semantic change.
 const expectedThroughputCycles = 265471
 
+// expectedThroughputReadyEvals is the number of wakeup-scan readiness
+// evaluations the same workload counts (Stats.ReadyEvals, which feeds
+// the issue queues' Reads activity counter).  A scan that answers an
+// entry without calling ready still counts it, so a faster scan must
+// leave this unchanged.
+const expectedThroughputReadyEvals = 3703996
+
 // newThroughputProcessor builds the exact workload of
 // BenchmarkSimulatorThroughput; the benchmark and the pin test share it
 // so the pinned cycle count always gates what the benchmark measures.
@@ -37,5 +44,9 @@ func TestSimulatorThroughputCyclesPinned(t *testing.T) {
 	if p.Stats.Cycles != expectedThroughputCycles {
 		t.Fatalf("throughput workload ran %d cycles, committed expectation is %d (timing semantics changed? update the constant, BENCH_results.json and the goldens together)",
 			p.Stats.Cycles, expectedThroughputCycles)
+	}
+	if p.Stats.ReadyEvals != expectedThroughputReadyEvals {
+		t.Fatalf("throughput workload counted %d ready evaluations, committed expectation is %d (a scan shortcut changed the activity counters?)",
+			p.Stats.ReadyEvals, expectedThroughputReadyEvals)
 	}
 }

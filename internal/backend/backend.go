@@ -181,8 +181,15 @@ func (rf *RegFile) CountRead() { rf.Reads++ }
 
 // QueueEntry is one instruction waiting in an issue queue.
 type QueueEntry struct {
-	ID  int32  // core's in-flight op index
-	Seq uint64 // program order, for oldest-first selection
+	ID int32 // core's in-flight op index
+	// StoreBlocked marks a load whose sources were ready when the core
+	// refused it because an older store's address was unknown.  Sources
+	// stay ready, so while MOB.BlockedByUnknown(Seq) holds the refusal
+	// stands, and the core's scan repeats it without re-evaluating the
+	// entry.  Once it fails it never holds again for this load (younger
+	// stores cannot block it), so the mark need not be cleared.
+	StoreBlocked bool
+	Seq          uint64 // program order, for oldest-first selection
 	// NotBefore is the core's cached earliest-possible issue cycle, so
 	// the select does not re-evaluate entries known not to be ready.
 	// NeverReady marks an entry parked on a source register's waiter
@@ -417,6 +424,14 @@ func (m *MOB) SetAddr(seq uint64, line uint64, c uint64) {
 	// before a straggling broadcast); that is harmless.
 }
 
+// BlockedByUnknown reports whether a store older than a load with
+// sequence seq has no address yet: Disambiguate's refusal that needs no
+// scan, in O(1).  It holds until every such store's address arrives or
+// the store leaves.
+func (m *MOB) BlockedByUnknown(seq uint64) bool {
+	return m.unknownStores > 0 && m.minUnknownSeq < seq
+}
+
 // Disambiguate checks whether a load with sequence seq and line address
 // line may issue at cycle now: every older store must have a known
 // address by now.  It returns ok and, when ok, whether an older store to
@@ -425,7 +440,7 @@ func (m *MOB) SetAddr(seq uint64, line uint64, c uint64) {
 // activity counters; core counts one search per executed memory op via
 // CountSearch.
 func (m *MOB) Disambiguate(seq uint64, line uint64, now uint64) (ok, forward bool) {
-	if m.unknownStores > 0 && m.minUnknownSeq < seq {
+	if m.BlockedByUnknown(seq) {
 		// An older store's address is not even computed yet: the common
 		// blocked-load poll answers without scanning.
 		return false, false

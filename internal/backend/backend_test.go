@@ -3,6 +3,7 @@ package backend
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegFileReadiness(t *testing.T) {
@@ -162,6 +163,48 @@ func TestMOBDisambiguation(t *testing.T) {
 	// Not yet visible at cycle 3.
 	if ok, _ := m.Disambiguate(2, 0x40, 3); ok {
 		t.Fatal("address visible before broadcast arrival")
+	}
+}
+
+func TestMOBBlockedByUnknown(t *testing.T) {
+	m := NewMOB(8)
+	m.Alloc(1, false)
+	m.Alloc(2, true) // store, address unknown
+	m.Alloc(3, false)
+	m.Alloc(4, true) // a second unknown store
+	if m.BlockedByUnknown(1) || m.BlockedByUnknown(2) {
+		t.Fatal("an op no younger than the oldest unknown store is blocked")
+	}
+	if !m.BlockedByUnknown(3) {
+		t.Fatal("load 3 not blocked by store 2's unknown address")
+	}
+	m.SetAddr(2, 0x40, 10) // store 2's address arrives; store 4 still unknown
+	if m.BlockedByUnknown(3) {
+		t.Fatal("load 3 still blocked once the only older store has an address")
+	}
+	if !m.BlockedByUnknown(5) {
+		t.Fatal("load 5 not blocked by store 4's unknown address")
+	}
+	m.Release(4) // a store leaving unknown stops blocking too
+	if m.BlockedByUnknown(5) {
+		t.Fatal("load 5 still blocked after the unknown store left")
+	}
+	// Disambiguate's refusal is exactly BlockedByUnknown when no address
+	// arrives late.
+	for seq := uint64(1); seq <= 5; seq++ {
+		ok, _ := m.Disambiguate(seq, 0x80, 20)
+		if ok == m.BlockedByUnknown(seq) {
+			t.Fatalf("seq %d: Disambiguate ok=%v with BlockedByUnknown=%v", seq, ok, m.BlockedByUnknown(seq))
+		}
+	}
+}
+
+// TestQueueEntrySize pins the window entry at three words, so the core's
+// per-cycle scan reads as many entries per cache line as before the
+// StoreBlocked mark.
+func TestQueueEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(QueueEntry{}); got != 24 {
+		t.Fatalf("QueueEntry is %d bytes, want 24", got)
 	}
 }
 

@@ -575,7 +575,16 @@ func (p *Processor) issueAll(now uint64) {
 					continue
 				}
 				evals++
-				ok, retry := p.ready(cl, e.ID, now)
+				if e.StoreBlocked && cluster.Mob.BlockedByUnknown(e.Seq) {
+					// ready would refuse it again for an older store with
+					// no address: its sources were ready when it was marked.
+					e.NotBefore = now + 1
+					if e.NotBefore < wake {
+						wake = e.NotBefore
+					}
+					continue
+				}
+				ok, retry := p.ready(cl, e, now)
 				if !ok {
 					if retry == backend.NeverReady {
 						p.park(e, qi)
@@ -650,12 +659,14 @@ func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
 	panic("core: wakeup delivered to an entry that is not parked")
 }
 
-// ready decides whether instruction id may issue in cluster cl at cycle
+// ready decides whether window entry e may issue in cluster cl at cycle
 // now.  When not, it returns the earliest cycle (> now) worth
 // re-checking, or NeverReady when a source's producer has not issued
-// yet (the caller parks the entry).  Source readiness reads go through
-// the pointers cached at dispatch.
-func (p *Processor) ready(cl int, id int32, now uint64) (bool, uint64) {
+// yet (the caller parks the entry).  A load refused because an older
+// store has no address yet is marked StoreBlocked.  Source readiness
+// reads go through the pointers cached at dispatch.
+func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint64) {
+	id := e.ID
 	if id >= copyBase {
 		at := *p.copies[id-copyBase].srcReady
 		if at <= now {
@@ -691,7 +702,12 @@ func (p *Processor) ready(cl int, id int32, now uint64) (bool, uint64) {
 			return false, now + 1
 		}
 	case readyLoad:
-		if ok, _ := p.clusters[cl].Mob.Disambiguate(h.seq, h.line, now); !ok {
+		mob := p.clusters[cl].Mob
+		if mob.BlockedByUnknown(h.seq) {
+			e.StoreBlocked = true
+			return false, now + 1
+		}
+		if ok, _ := mob.Disambiguate(h.seq, h.line, now); !ok {
 			return false, now + 1
 		}
 	}

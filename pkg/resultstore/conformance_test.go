@@ -128,6 +128,52 @@ func TestConformanceFirstWriteWins(t *testing.T) {
 	})
 }
 
+// TestConformanceDeleteReplaces pins the Deleter capability: a deleted
+// key misses, the next Set stores the new bytes (write-once applies to
+// held keys only), neither Delete moves the op counters, and durable
+// backends serve the replacement after a reopen.  Deleting a key the
+// store does not hold, or after Close, behaves like the other ops.
+func TestConformanceDeleteReplaces(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, tc conformanceCase) {
+		s := tc.open(t)
+		mustSet(t, s, "key", "unreadable")
+		mustSet(t, s, "other", "kept")
+		if err := Delete(ctx, s, "key"); err != nil {
+			t.Fatal(err)
+		}
+		if err := Delete(ctx, s, "missing"); err != nil {
+			t.Fatalf("Delete of an absent key: %v", err)
+		}
+		if hits, misses, _ := opCounters(s); hits != 0 || misses != 0 {
+			t.Errorf("Delete moved the counters: hits=%d misses=%d", hits, misses)
+		}
+		if v, ok := mustGet(t, s, "key"); ok {
+			t.Fatalf("deleted key still served %q", v)
+		}
+		if entries, _, _ := Totals(s.Stats()); entries != 1 {
+			t.Errorf("entries after Delete = %d, want 1", entries)
+		}
+		mustSet(t, s, "key", "recomputed")
+		if v, ok := mustGet(t, s, "key"); !ok || string(v) != "recomputed" {
+			t.Errorf("key after Delete and Set = %q %v, want the new bytes", v, ok)
+		}
+		if tc.reopen != nil {
+			s = tc.reopen(t, s)
+			for key, want := range map[string]string{"key": "recomputed", "other": "kept"} {
+				if v, ok := mustGet(t, s, key); !ok || string(v) != want {
+					t.Errorf("%s after reopen = %q %v, want %q", key, v, ok, want)
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := Delete(ctx, s, "key"); err == nil {
+			t.Error("Delete after Close succeeded")
+		}
+	})
+}
+
 func TestConformancePeekInvisible(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, tc conformanceCase) {
 		s := tc.open(t)

@@ -437,6 +437,21 @@ func (d *Disk) get(_ context.Context, key string, count bool) ([]byte, bool, err
 	return val, true, nil
 }
 
+// Delete drops key from the index, as get does for a record it cannot
+// read: the store stops serving it, and the next Set of key appends a
+// fresh record.  The old record stays in its segment until the segment
+// is evicted; a restart replays it again unless a newer record for key
+// follows it.
+func (d *Disk) Delete(_ context.Context, key string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
+	delete(d.index, key)
+	return nil
+}
+
 // Stats returns the disk tier's counters.
 func (d *Disk) Stats() []TierStats {
 	d.mu.RLock()

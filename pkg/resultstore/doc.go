@@ -23,6 +23,12 @@
 // serves its HTTP responses through a Store, and pkg/scheduler consults
 // one before dispatching to the backend ring.
 //
+// Results are write-once: a Set of a held key keeps the held bytes.
+// The one way to replace them is the optional Deleter capability
+// (Delete), which all three implementations have; the scheduler uses it
+// for an entry its typed decode refuses, so the recompute's write-back
+// stores readable bytes.
+//
 // All implementations are safe for concurrent use, and every counter
 // reported by Stats is maintained atomically, so Stats may be called
 // concurrently with Get/Set from any goroutine (verified under the

@@ -97,6 +97,20 @@ func (m *Memory) Set(_ context.Context, key string, val []byte) error {
 	return nil
 }
 
+// Delete drops key's response, if held, without touching the counters.
+func (m *Memory) Delete(_ context.Context, key string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return errClosed
+	}
+	if el, ok := m.entries[key]; ok {
+		m.order.Remove(el)
+		delete(m.entries, key)
+	}
+	return nil
+}
+
 // Len returns the number of stored responses.
 func (m *Memory) Len() int {
 	m.mu.Lock()

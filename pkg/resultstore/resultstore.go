@@ -47,6 +47,23 @@ func Peek(ctx context.Context, s Store, key string) ([]byte, bool, error) {
 	return s.Get(ctx, key)
 }
 
+// Deleter is the optional capability of dropping a key.  Results are
+// write-once, so a Set never replaces held bytes; a caller that proved
+// the held bytes unreadable (a typed decode refused them) deletes them
+// first, and its recompute's Set then stores readable ones.
+type Deleter interface {
+	Delete(ctx context.Context, key string) error
+}
+
+// Delete drops key from s when s supports it.  On a store without the
+// capability it is a no-op: the held bytes stay.
+func Delete(ctx context.Context, s Store, key string) error {
+	if d, ok := s.(Deleter); ok {
+		return d.Delete(ctx, key)
+	}
+	return nil
+}
+
 // TierStats are one tier's cumulative counters.
 type TierStats struct {
 	// Tier names the tier: "memory" or "disk".

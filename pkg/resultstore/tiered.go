@@ -61,6 +61,12 @@ func (t *Tiered) Set(ctx context.Context, key string, val []byte) error {
 	return errors.Join(t.front.Set(ctx, key, val), t.back.Set(ctx, key, val))
 }
 
+// Delete drops key from both tiers, so neither serves (or promotes) the
+// dropped bytes again.
+func (t *Tiered) Delete(ctx context.Context, key string) error {
+	return errors.Join(Delete(ctx, t.front, key), Delete(ctx, t.back, key))
+}
+
 // Stats returns the per-tier counters, front tier first.
 func (t *Tiered) Stats() []TierStats {
 	return append(t.front.Stats(), t.back.Stats()...)

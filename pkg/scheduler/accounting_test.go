@@ -133,7 +133,8 @@ func TestSchedulerStoreAccounting(t *testing.T) {
 // json.Unmarshal would refuse into a Result — here a config field of
 // the wrong type, which a syntax check alone passes — is a miss: the
 // request is answered MISS with the bytes the backend recomputes, never
-// with the stored ones.
+// with the stored ones.  The refused entry is deleted, so the
+// recompute's write-back replaces it and later requests HIT.
 func TestSchedulerMistypedStoredEntryIsMiss(t *testing.T) {
 	stub, requests := cannedBackend(t, nil)
 	store := resultstore.NewMemory(64)
@@ -156,17 +157,23 @@ func TestSchedulerMistypedStoredEntryIsMiss(t *testing.T) {
 	}
 	store.Set(t.Context(), key, bad)
 
-	w := postSimulationTo(NewServer(sched), `{"benchmark":"gzip"}`)
-	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "MISS" {
-		t.Fatalf("status %d, X-Cache %q, want 200 MISS", w.Code, w.Header().Get("X-Cache"))
-	}
-	if !bytes.Equal(w.Body.Bytes(), good) {
-		t.Errorf("served %s, want the recomputed %s", w.Body.Bytes(), good)
+	srv := NewServer(sched)
+	for i, want := range []string{"MISS", "HIT", "HIT"} {
+		w := postSimulationTo(srv, `{"benchmark":"gzip"}`)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
+			t.Fatalf("request %d: status %d, X-Cache %q, want 200 %s", i, w.Code, w.Header().Get("X-Cache"), want)
+		}
+		if !bytes.Equal(w.Body.Bytes(), good) {
+			t.Errorf("request %d served %s, want the recomputed %s", i, w.Body.Bytes(), good)
+		}
 	}
 	if n := requests.Load(); n != 1 {
 		t.Errorf("backend saw %d requests, want 1 (the recompute)", n)
 	}
-	if st := sched.Stats(); st.CacheHits != 0 || st.Dispatched != 1 {
-		t.Errorf("stats = %+v, want 0 cache hits / 1 dispatched", st)
+	if st := sched.Stats(); st.CacheHits != 2 || st.Dispatched != 1 {
+		t.Errorf("stats = %+v, want 2 cache hits / 1 dispatched", st)
+	}
+	if held, ok, _ := store.Peek(t.Context(), key); !ok || !bytes.Equal(held, good) {
+		t.Errorf("store holds %s, want the recomputed %s", held, good)
 	}
 }

@@ -78,11 +78,14 @@ func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Requ
 		// Transport failure: wrap with the node so retries are traceable.
 		return nil, nil, fmt.Errorf("scheduler: backend %s: %w", node, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		return nil, nil, &BackendError{Node: node, Status: resp.StatusCode, Msg: backendMessage(resp.Body)}
 	}
+	// Close as soon as the body is read: the round trip ends here, and
+	// validating the body below is the scheduler's own work.
 	body, err := readBody(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		return nil, nil, fmt.Errorf("scheduler: backend %s: read result: %w", node, err)
 	}

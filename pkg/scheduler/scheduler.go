@@ -508,7 +508,9 @@ func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Re
 // Get, or an uncounted resultstore.Peek — and decodes its aggregation
 // view, which type-checks the entry as strictly as a full decode.  Any
 // failure (store error, an entry json.Unmarshal would refuse) is a
-// miss: the ring recomputes the result.
+// miss: the ring recomputes the result.  A refused entry is deleted, so
+// the recompute's write-back replaces it instead of the write-once
+// store keeping it.
 func (s *Scheduler) cacheGet(ctx context.Context, key string, counted bool) (outcome, bool) {
 	if s.cache == nil {
 		return outcome{}, false
@@ -526,6 +528,9 @@ func (s *Scheduler) cacheGet(ctx context.Context, key string, counted bool) (out
 	}
 	res, err := frontendsim.DecodeResultView(body)
 	if err != nil {
+		// Best-effort, like cacheSet: a failed delete only costs the
+		// next request this same recompute.
+		resultstore.Delete(ctx, s.cache, key)
 		return outcome{}, false
 	}
 	return outcome{body: body, res: res, cached: true}, true
