@@ -27,8 +27,11 @@ const (
 // TestGoldenActivityDigest pins every activity counter the power model
 // reads, not only their end-of-run totals: for each benchmark of the
 // suite under the baseline, the distributed frontend and distributed
-// frontend plus bank hopping, it hashes the cumulative Activity snapshot
-// every digestEvery cycles and the final Stats.  A cycle-loop rewrite
+// frontend plus bank hopping, and four frontends over eight clusters
+// (remote MOB address broadcasts then land on clusters the issue select
+// visits both before and after the storing cluster), it hashes the
+// cumulative Activity snapshot every digestEvery cycles and the final
+// Stats.  A cycle-loop rewrite
 // that shifts any counter by one event in any 1k-cycle window, even if
 // the totals and the cycle count survive, changes the digest.
 func TestGoldenActivityDigest(t *testing.T) {
@@ -39,6 +42,7 @@ func TestGoldenActivityDigest(t *testing.T) {
 		{"base", DefaultConfig()},
 		{"dist2", DefaultConfig().WithDistributedFrontend(2)},
 		{"dist2_hop", DefaultConfig().WithDistributedFrontend(2).WithBankHopping()},
+		{"dist4_8cl", eightClusters().WithDistributedFrontend(4)},
 	}
 	// One goroutine per configuration: the runs are independent and the
 	// suite takes seconds per configuration.
@@ -63,6 +67,13 @@ func TestGoldenActivityDigest(t *testing.T) {
 		maps.Copy(got, d)
 	}
 	goldentest.Check(t, filepath.Join("testdata", "golden_activity_digest.json"), got, *updateGolden)
+}
+
+// eightClusters is the default machine widened to eight backend clusters.
+func eightClusters() Config {
+	c := DefaultConfig()
+	c.Clusters = 8
+	return c
 }
 
 // activityDigest runs p to completion and returns its cycle count and
