@@ -79,18 +79,18 @@ docs-check:
 
 # Tier-1 benchmarks with allocation accounting; raw output passes
 # through and the parsed results land in BENCH_results.json.
-BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult|BenchmarkEngineRunShort)$$
-# Each rung gets a benchtime that fits its scale: the ~180 ms simulator
-# loop runs a fixed 3 iterations, while the microsecond rungs and the
-# ~80 ms short-run sweep run for 2 s so connection setup, timer noise
-# and GC amortise away.
-BENCH_SIM  = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config)$$
+BENCH_TIER1 = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult|BenchmarkEngineRunShort|BenchmarkEngineRunCold)$$
+# Each rung gets a benchtime that fits its scale: the ~100 ms simulator
+# loop and the ~1 s cold-length suite run a fixed 3 iterations, while
+# the microsecond rungs and the ~60 ms short-run sweep run for 2 s so
+# connection setup, timer noise and GC amortise away.
+BENCH_SIM  = ^(BenchmarkSimulatorThroughput|BenchmarkTable1Config|BenchmarkEngineRunCold)$$
 BENCH_FAST = ^(BenchmarkTraceCacheAccess|BenchmarkSchedulerDispatch|BenchmarkDecodeResultView|BenchmarkDecodeResult|BenchmarkEngineRunShort)$$
 
 # Separate steps, not a pipe: a benchmark build/run failure must fail
 # the target instead of being masked by benchjson's exit status.
 bench:
-	$(GO) test -run NONE -bench '$(BENCH_SIM)' -benchmem -benchtime 3x . > BENCH_raw.out
+	$(GO) test -run NONE -bench '$(BENCH_SIM)' -benchmem -benchtime 3x . ./pkg/frontendsim > BENCH_raw.out
 	$(GO) test -run NONE -bench '$(BENCH_FAST)' -benchmem -benchtime 2s . ./pkg/scheduler ./pkg/frontendsim >> BENCH_raw.out
 	$(GO) run ./cmd/benchjson -o BENCH_results.json < BENCH_raw.out && rm -f BENCH_raw.out
 

@@ -17,9 +17,10 @@ const expectedThroughputCycles = 265471
 
 // expectedThroughputReadyEvals is the number of wakeup-scan readiness
 // evaluations the same workload counts (Stats.ReadyEvals, which feeds
-// the issue queues' Reads activity counter).  A scan that answers an
-// entry without calling ready still counts it, so a faster scan must
-// leave this unchanged.
+// the issue queues' Reads activity counter).  A load parked on its MOB
+// is not evaluated but is charged one evaluation per cycle, as the poll
+// that parking replaced evaluated it, so a faster select must leave this
+// unchanged.
 const expectedThroughputReadyEvals = 3703996
 
 // newThroughputProcessor builds the exact workload of

@@ -46,7 +46,8 @@ func (k QueueKind) String() string { return queueNames[k] }
 type RegFile struct {
 	readyAt []uint64
 	// waiterHead/waiterTail hold, per register, the FIFO waiter list of
-	// subscribed tokens (-1 = empty); waiterNext links tokens.
+	// subscribed tokens and waiterNext links tokens, each stored as the
+	// token plus one: 0 means none, so freshly allocated lists are empty.
 	waiterHead []int32
 	waiterTail []int32
 	waiterNext []int32
@@ -59,16 +60,11 @@ type RegFile struct {
 // NewRegFile builds a register file with n physical registers, all ready
 // at cycle 0 (the architectural initial state).
 func NewRegFile(n int) *RegFile {
-	rf := &RegFile{
+	return &RegFile{
 		readyAt:    make([]uint64, n),
 		waiterHead: make([]int32, n),
 		waiterTail: make([]int32, n),
 	}
-	for i := range rf.waiterHead {
-		rf.waiterHead[i] = -1
-		rf.waiterTail[i] = -1
-	}
-	return rf
 }
 
 // Size returns the number of physical registers.
@@ -80,9 +76,7 @@ func (rf *RegFile) Size() int { return len(rf.readyAt) }
 func (rf *RegFile) EnsureWaiterTokens(n int) {
 	if k := len(rf.waiterNext); k < n {
 		rf.waiterNext = slices.Grow(rf.waiterNext, n-k)[:n]
-		for i := k; i < n; i++ {
-			rf.waiterNext[i] = -1
-		}
+		clear(rf.waiterNext[k:])
 	}
 	if cap(rf.notifyBuf) < n {
 		rf.notifyBuf = make([]int32, 0, n)
@@ -94,13 +88,13 @@ func (rf *RegFile) EnsureWaiterTokens(n int) {
 // not be subscribed twice without an intervening SetReady/Unsubscribe.
 func (rf *RegFile) Subscribe(p int16, token int32) {
 	rf.EnsureWaiterTokens(int(token) + 1)
-	rf.waiterNext[token] = -1
-	if rf.waiterTail[p] < 0 {
-		rf.waiterHead[p] = token
+	rf.waiterNext[token] = 0
+	if tail := rf.waiterTail[p]; tail == 0 {
+		rf.waiterHead[p] = token + 1
 	} else {
-		rf.waiterNext[rf.waiterTail[p]] = token
+		rf.waiterNext[tail-1] = token + 1
 	}
-	rf.waiterTail[p] = token
+	rf.waiterTail[p] = token + 1
 }
 
 // Unsubscribe removes token from register p's waiter list.  It is the
@@ -111,35 +105,35 @@ func (rf *RegFile) Subscribe(p int16, token int32) {
 // register's reallocation.  Removing a token that is not subscribed is a
 // no-op.
 func (rf *RegFile) Unsubscribe(p int16, token int32) {
-	prev := int32(-1)
-	for t := rf.waiterHead[p]; t >= 0; t = rf.waiterNext[t] {
-		if t != token {
+	prev := int32(0) // links hold token+1, 0 = none
+	for t := rf.waiterHead[p]; t != 0; t = rf.waiterNext[t-1] {
+		if t != token+1 {
 			prev = t
 			continue
 		}
-		next := rf.waiterNext[t]
-		if prev < 0 {
+		next := rf.waiterNext[t-1]
+		if prev == 0 {
 			rf.waiterHead[p] = next
 		} else {
-			rf.waiterNext[prev] = next
+			rf.waiterNext[prev-1] = next
 		}
 		if rf.waiterTail[p] == t {
 			rf.waiterTail[p] = prev
 		}
-		rf.waiterNext[t] = -1
+		rf.waiterNext[t-1] = 0
 		return
 	}
 }
 
 // HasWaiters reports whether any token is subscribed to register p.
-func (rf *RegFile) HasWaiters(p int16) bool { return rf.waiterHead[p] >= 0 }
+func (rf *RegFile) HasWaiters(p int16) bool { return rf.waiterHead[p] != 0 }
 
 // SetPending marks register p as not yet produced.  A register is only
 // re-marked pending when it is reallocated to a new producer, by which
 // point every waiter of the old value must have been woken or drained —
 // a surviving subscription would never fire, so fail loudly.
 func (rf *RegFile) SetPending(p int16) {
-	if rf.waiterHead[p] >= 0 {
+	if rf.waiterHead[p] != 0 {
 		panic("backend: register reallocated with live waiter subscriptions")
 	}
 	rf.readyAt[p] = NeverReady
@@ -152,18 +146,18 @@ func (rf *RegFile) SetPending(p int16) {
 func (rf *RegFile) SetReady(p int16, c uint64) []int32 {
 	rf.readyAt[p] = c
 	rf.Writes++
-	if rf.waiterHead[p] < 0 {
+	if rf.waiterHead[p] == 0 {
 		return nil
 	}
 	buf := rf.notifyBuf[:0]
-	for t := rf.waiterHead[p]; t >= 0; {
-		next := rf.waiterNext[t]
-		rf.waiterNext[t] = -1
-		buf = append(buf, t)
+	for t := rf.waiterHead[p]; t != 0; {
+		next := rf.waiterNext[t-1]
+		rf.waiterNext[t-1] = 0
+		buf = append(buf, t-1)
 		t = next
 	}
-	rf.waiterHead[p] = -1
-	rf.waiterTail[p] = -1
+	rf.waiterHead[p] = 0
+	rf.waiterTail[p] = 0
 	rf.notifyBuf = buf
 	return buf
 }
@@ -181,19 +175,12 @@ func (rf *RegFile) CountRead() { rf.Reads++ }
 
 // QueueEntry is one instruction waiting in an issue queue.
 type QueueEntry struct {
-	ID int32 // core's in-flight op index
-	// StoreBlocked marks a load whose sources were ready when the core
-	// refused it because an older store's address was unknown.  Sources
-	// stay ready, so while MOB.BlockedByUnknown(Seq) holds the refusal
-	// stands, and the core's scan repeats it without re-evaluating the
-	// entry.  Once it fails it never holds again for this load (younger
-	// stores cannot block it), so the mark need not be cleared.
-	StoreBlocked bool
-	Seq          uint64 // program order, for oldest-first selection
+	ID  int32  // core's in-flight op index
+	Seq uint64 // program order, for oldest-first selection
 	// NotBefore is the core's cached earliest-possible issue cycle, so
 	// the select does not re-evaluate entries known not to be ready.
-	// NeverReady marks an entry parked on a source register's waiter
-	// list until that register's producer issues.
+	// NeverReady marks a parked entry: one waiting on a source register's
+	// producer, or a load the MOB refused, until the core wakes it.
 	NotBefore uint64
 }
 
@@ -327,8 +314,8 @@ type MOBEntry struct {
 // the front when the tail hits the end), so steady-state allocation and
 // release never touch the allocator and scans stay contiguous.  The MOB
 // additionally tracks the oldest pending store whose address is still
-// unknown, which lets the per-cycle wakeup polling of blocked loads
-// answer "not yet" in O(1) instead of rescanning the buffer.
+// unknown, so whether that store blocks a load is an O(1) question
+// (BlockedByUnknown).
 type MOB struct {
 	buf      []MOBEntry // backing, 2x capacity
 	head     int        // live entries are buf[head : head+count]
@@ -432,19 +419,34 @@ func (m *MOB) BlockedByUnknown(seq uint64) bool {
 	return m.unknownStores > 0 && m.minUnknownSeq < seq
 }
 
+// PendingStore returns the oldest store older than a load with sequence
+// seq whose address has not reached this cluster by cycle now: its
+// sequence number and the cycle its address arrives (NeverReady while
+// unknown).  blocked is false when every older store's address is here,
+// so disambiguation lets the load issue.
+func (m *MOB) PendingStore(seq, now uint64) (store, arrives uint64, blocked bool) {
+	es := m.entries()
+	for i := range es {
+		e := &es[i]
+		if e.Seq >= seq {
+			break
+		}
+		if e.IsStore && !e.Done && e.AddrKnownAt > now {
+			return e.Seq, e.AddrKnownAt, true
+		}
+	}
+	return 0, 0, false
+}
+
 // Disambiguate checks whether a load with sequence seq and line address
 // line may issue at cycle now: every older store must have a known
 // address by now.  It returns ok and, when ok, whether an older store to
-// the same line provides forwarding.
-// Wakeup polling calls this every cycle, so it does not count toward the
-// activity counters; core counts one search per executed memory op via
-// CountSearch.
+// the same line provides forwarding.  The core's issue select asks
+// BlockedByUnknown and PendingStore instead and parks a refused load
+// until the answer can change; Disambiguate is the executing load's
+// forwarding check.  It counts no activity: core counts one search per
+// executed memory op via CountSearch.
 func (m *MOB) Disambiguate(seq uint64, line uint64, now uint64) (ok, forward bool) {
-	if m.BlockedByUnknown(seq) {
-		// An older store's address is not even computed yet: the common
-		// blocked-load poll answers without scanning.
-		return false, false
-	}
 	es := m.entries()
 	for i := range es {
 		e := &es[i]
@@ -454,7 +456,7 @@ func (m *MOB) Disambiguate(seq uint64, line uint64, now uint64) (ok, forward boo
 		if !e.IsStore || e.Done {
 			continue
 		}
-		if e.AddrKnownAt == NeverReady || e.AddrKnownAt > now {
+		if e.AddrKnownAt > now { // NeverReady while unknown
 			return false, false
 		}
 		if e.Line == line {

@@ -199,12 +199,52 @@ func TestMOBBlockedByUnknown(t *testing.T) {
 	}
 }
 
-// TestQueueEntrySize pins the window entry at three words, so the core's
-// per-cycle scan reads as many entries per cache line as before the
-// StoreBlocked mark.
+// TestQueueEntrySize pins the window entry at three words, the most
+// entries per cache line the core's per-cycle scan can read.
 func TestQueueEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(QueueEntry{}); got != 24 {
 		t.Fatalf("QueueEntry is %d bytes, want 24", got)
+	}
+}
+
+// TestMOBPendingStore pins the issue select's disambiguation question:
+// the oldest older store whose address has not arrived by now, which
+// stops blocking when its address lands or it leaves.
+func TestMOBPendingStore(t *testing.T) {
+	m := NewMOB(8)
+	m.Alloc(1, true)
+	m.Alloc(2, false)
+	m.Alloc(3, true)
+	m.Alloc(4, false)
+	if s, at, blocked := m.PendingStore(4, 0); !blocked || s != 1 || at != NeverReady {
+		t.Fatalf("PendingStore(4) = %d,%d,%v; want store 1 unknown", s, at, blocked)
+	}
+	if _, _, blocked := m.PendingStore(1, 0); blocked {
+		t.Fatal("a store blocks itself")
+	}
+	m.SetAddr(1, 0x40, 10)
+	m.SetAddr(3, 0x80, 12)
+	if s, at, blocked := m.PendingStore(4, 9); !blocked || s != 1 || at != 10 {
+		t.Fatalf("PendingStore(4, 9) = %d,%d,%v; want store 1 arriving at 10", s, at, blocked)
+	}
+	if s, at, blocked := m.PendingStore(4, 10); !blocked || s != 3 || at != 12 {
+		t.Fatalf("PendingStore(4, 10) = %d,%d,%v; want store 3 arriving at 12", s, at, blocked)
+	}
+	if _, _, blocked := m.PendingStore(2, 10); blocked {
+		t.Fatal("load 2 blocked by a younger store")
+	}
+	m.Release(3) // committed before its address landed: no longer blocks
+	if _, _, blocked := m.PendingStore(4, 10); blocked {
+		t.Fatal("a released store still blocks")
+	}
+	// PendingStore refuses exactly where Disambiguate does.
+	for seq := uint64(1); seq <= 4; seq++ {
+		for now := uint64(8); now <= 13; now++ {
+			ok, _ := m.Disambiguate(seq, 0x40, now)
+			if _, _, blocked := m.PendingStore(seq, now); ok == blocked {
+				t.Fatalf("seq %d at %d: Disambiguate ok=%v, PendingStore blocked=%v", seq, now, ok, blocked)
+			}
+		}
 	}
 }
 

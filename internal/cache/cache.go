@@ -36,8 +36,8 @@ func (s *Stats) HitRate() float64 {
 	return 1 - float64(s.Misses())/float64(a)
 }
 
-// invalid is the rank of a way that holds no line.
-const invalid = 0xFF
+// maxWays bounds the associativity so that a way's age fits a byte.
+const maxWays = 0xFF
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
@@ -47,10 +47,10 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	tags      []uint64 // sets*ways, tag per way
-	// rank is each way's LRU position within its set: the valid ways of
-	// a set hold 0 (most recently used) up to their count minus one;
-	// invalid marks an empty way.
-	rank  []uint8
+	// age is each way's LRU position within its set plus one: the valid
+	// ways of a set hold 1 (most recently used) up to their count, and 0
+	// marks an empty way, so a freshly allocated cache is all empty.
+	age   []uint8
 	Stats Stats
 }
 
@@ -68,7 +68,7 @@ func New(cfg Config) *Cache {
 	if cfg.LineB <= 0 || cfg.LineB&(cfg.LineB-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB))
 	}
-	if cfg.Ways <= 0 || cfg.Ways >= invalid {
+	if cfg.Ways <= 0 || cfg.Ways >= maxWays {
 		panic(fmt.Sprintf("cache %s: %d ways", cfg.Name, cfg.Ways))
 	}
 	lines := cfg.SizeB / cfg.LineB
@@ -80,19 +80,15 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineB {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		name:      cfg.Name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*cfg.Ways),
-		rank:      make([]uint8, sets*cfg.Ways),
+		age:       make([]uint8, sets*cfg.Ways),
 	}
-	for i := range c.rank {
-		c.rank[i] = invalid
-	}
-	return c
 }
 
 // Name returns the cache's configured name.
@@ -117,7 +113,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.rank[base+w] != invalid && c.tags[base+w] == tag {
+		if c.age[base+w] != 0 && c.tags[base+w] == tag {
 			return true
 		}
 	}
@@ -162,7 +158,7 @@ func (c *Cache) touch(addr uint64) bool {
 	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.rank[base+w] != invalid && c.tags[base+w] == tag {
+		if c.age[base+w] != 0 && c.tags[base+w] == tag {
 			c.promote(base, base+w)
 			return true
 		}
@@ -171,15 +167,17 @@ func (c *Cache) touch(addr uint64) bool {
 }
 
 // promote makes way i of the set at base its most recently used: every
-// way more recent than i ages by one.  An invalid i ages every valid way.
+// way more recent than i ages by one.  An empty i ages every valid way.
+// Subtracting one maps an empty way's 0 to 0xFF, older than any valid
+// way, so one byte comparison covers both cases.
 func (c *Cache) promote(base, i int) {
-	r := c.rank[i]
+	r := c.age[i] - 1
 	for w := base; w < base+c.ways; w++ {
-		if c.rank[w] < r {
-			c.rank[w]++
+		if c.age[w]-1 < r {
+			c.age[w]++
 		}
 	}
-	c.rank[i] = 0
+	c.age[i] = 1
 }
 
 // Fill inserts the line containing addr into the first invalid way of
@@ -192,12 +190,12 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasValid bool) {
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.rank[i] == invalid {
+		if c.age[i] == 0 {
 			c.tags[i] = tag
 			c.promote(base, i)
 			return 0, false
 		}
-		if c.rank[i] > c.rank[victim] {
+		if c.age[i] > c.age[victim] {
 			victim = i
 		}
 	}
@@ -210,9 +208,9 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasValid bool) {
 // InvalidateAll clears the whole cache (used when a trace-cache bank is
 // Vdd-gated: its contents are lost, §3.2.1).
 func (c *Cache) InvalidateAll() {
-	for i := range c.rank {
-		if c.rank[i] != invalid {
-			c.rank[i] = invalid
+	for i := range c.age {
+		if c.age[i] != 0 {
+			c.age[i] = 0
 			c.Stats.Invalidate++
 		}
 	}
@@ -221,8 +219,8 @@ func (c *Cache) InvalidateAll() {
 // ValidLines returns the number of valid lines currently held.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, r := range c.rank {
-		if r != invalid {
+	for _, a := range c.age {
+		if a != 0 {
 			n++
 		}
 	}

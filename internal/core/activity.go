@@ -81,7 +81,7 @@ func (p *Processor) ActivityInto(a *Activity) {
 		a.RATWrites[part] = 0
 	}
 	for cl := 0; cl < p.cfg.Clusters; cl++ {
-		part := p.cfg.FrontendOf(cl)
+		part := p.frontOf[cl]
 		a.RATReads[part] += p.maps[cl].Reads
 		a.RATWrites[part] += p.maps[cl].Writes
 	}

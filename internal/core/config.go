@@ -194,10 +194,9 @@ func (c Config) Distributed() bool { return c.Frontends > 1 }
 
 // FrontendOf returns the frontend partition that feeds cluster cl:
 // clusters are divided contiguously (Figure 3: frontend 0 feeds backends
-// 0 and 1, frontend 1 feeds backends 2 and 3).  The pointer receiver
-// keeps the cycle loop's per-steer and per-dispatch calls from copying
-// the whole Config.
-func (c *Config) FrontendOf(cl int) int {
+// 0 and 1, frontend 1 feeds backends 2 and 3).  The processor tables it
+// per cluster at construction, so the cycle loop never calls it.
+func (c Config) FrontendOf(cl int) int {
 	per := c.Clusters / c.Frontends
 	f := cl / per
 	if f >= c.Frontends {

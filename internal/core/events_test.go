@@ -143,8 +143,9 @@ func TestStoreWakeupEliminatesPolling(t *testing.T) {
 
 // TestParkedEntriesSkipReadyEvals is the issue-select counterpart: on the
 // same gzip run, the queues' Reads — every entry the poll scheme
-// evaluated, parked ones included — must be at least 4x the ready calls
-// the parked select makes.  A drained run leaves nothing parked.
+// evaluated, parked ones included — must be at least 4x the evaluations
+// the parked select counts.  A drained run leaves nothing parked, on a
+// register or on a MOB.
 func TestParkedEntriesSkipReadyEvals(t *testing.T) {
 	p := runBench(t, DefaultConfig(), "gzip", 50000)
 	var reads uint64
@@ -164,6 +165,11 @@ func TestParkedEntriesSkipReadyEvals(t *testing.T) {
 	for qi, n := range p.parked {
 		if n != 0 {
 			t.Fatalf("queue %d still counts %d parked entries after drain", qi, n)
+		}
+	}
+	for cl, mp := range p.mobParked {
+		if len(mp.loads) != 0 {
+			t.Fatalf("cluster %d still holds %d loads parked on its MOB after drain", cl, len(mp.loads))
 		}
 	}
 	t.Logf("queue reads %d, ready evals %d (%.1fx)", reads, evals, float64(reads)/float64(evals))

@@ -182,6 +182,7 @@ func (p *Processor) steer(u *uop.MicroOp) int {
 		holders[s] = p.avail.Holders(srcs[s])
 	}
 	best, bestScore := 0, -1<<30
+	rr := p.steerRR()
 	for cl := 0; cl < p.cfg.Clusters; cl++ {
 		score := 0
 		for s := 0; s < nSrc; s++ {
@@ -197,10 +198,10 @@ func (p *Processor) steer(u *uop.MicroOp) int {
 		score -= occ
 		score -= (cluster.Queues[backend.IntQueue].Occupancy() +
 			cluster.Queues[backend.FPQueue].Occupancy()) / 4
-		if !p.reorder.CanAlloc(p.cfg.FrontendOf(cl)) {
+		if !p.reorder.CanAlloc(p.frontOf[cl]) {
 			score -= 64 // a full ROB partition would stall dispatch
 		}
-		if cl == p.steerRR() {
+		if cl == rr {
 			score++ // rotate ties
 		}
 		if score > bestScore {
@@ -221,7 +222,7 @@ func (p *Processor) planDispatch(u *uop.MicroOp) (dispatchPlan, bool) {
 	cl := plan.cluster
 	cluster := p.clusters[cl]
 
-	if !p.reorder.CanAlloc(p.cfg.FrontendOf(cl)) {
+	if !p.reorder.CanAlloc(p.frontOf[cl]) {
 		return plan, false
 	}
 	if !cluster.Queues[plan.kind].CanDispatch() {
@@ -338,7 +339,7 @@ func (p *Processor) applyDispatch(u *uop.MicroOp, plan dispatchPlan, now uint64)
 		p.avail.SetOnly(u.Dst, cl)
 	}
 
-	part := p.cfg.FrontendOf(cl)
+	part := p.frontOf[cl]
 	ref, ok := p.reorder.Alloc(part, id)
 	if !ok {
 		panic("core: ROB alloc failed after successful plan")
@@ -379,7 +380,6 @@ func (p *Processor) applyDispatch(u *uop.MicroOp, plan dispatchPlan, now uint64)
 	case uop.Load:
 		h.kind = readyLoad
 		h.seq = u.Seq
-		h.line = op.line
 	}
 
 	cluster.Queues[plan.kind].Dispatch(
@@ -423,7 +423,7 @@ func (p *Processor) makeCopy(r int8, donor, cl int, seq uint64, now uint64) int1
 		dstRF:    p.regfile(cl, fp),
 	}
 	delay := uint64(p.cfg.DispatchLatency)
-	if p.cfg.Distributed() && p.cfg.FrontendOf(donor) != p.cfg.FrontendOf(cl) {
+	if p.cfg.Distributed() && p.frontOf[donor] != p.frontOf[cl] {
 		delay += uint64(p.cfg.CrossFrontendCopyPenalty)
 		p.Stats.CrossFrontend++
 	}

@@ -48,8 +48,11 @@ type Stats struct {
 	StoreWakeups      uint64
 	StorePollsAvoided uint64
 	// ReadyEvals counts readiness evaluations by the issue select (calls
-	// to ready).  Entries parked on an unproduced source are not
-	// evaluated, so the queues' Reads exceed it by the parked polls.
+	// to ready), plus one per cycle for each load parked on its MOB: the
+	// poll that parking replaced evaluated such a load every cycle, so it
+	// is charged, not evaluated.  Entries parked on an unproduced source
+	// are not counted, so the queues' Reads exceed it by those parked
+	// polls.
 	ReadyEvals uint64
 }
 
@@ -127,8 +130,34 @@ const (
 type readyHot struct {
 	src0, src1 *uint64
 	seq        uint64 // loads: program order for disambiguation
-	line       uint64 // loads: cache-line address
 	kind       readyKind
+}
+
+// onMOB is ready's answer for a load it parked on its cluster's MOB.
+const onMOB = backend.NeverReady - 1
+
+// noStore is wakeMOB's released argument for a SetAddr: no slab index.
+const noStore int32 = -1
+
+// mobPark is a load (slab index id) parked on its cluster's MOB, off
+// the issue scan.  until is NeverReady while an older store has no
+// address at all (MOB.BlockedByUnknown): a SetAddr or Release on that
+// MOB that ends the block wakes it.  Otherwise store is the slab index
+// of the oldest older store whose address is still on the
+// disambiguation bus, and until the cycle it arrives: the cluster's MemQ
+// visit at that cycle wakes the load, or the store's Release if it
+// commits first.  A woken load is evaluated again and may park on the
+// next blocking store.
+type mobPark struct {
+	id, store int32
+	until     uint64
+}
+
+// mobParking is one cluster's MOB-parked loads; due is a lower bound on
+// the earliest finite until among them (NeverReady: none).
+type mobParking struct {
+	loads []mobPark
+	due   uint64
 }
 
 // Processor is the whole simulated machine.
@@ -155,6 +184,8 @@ type Processor struct {
 	// preference order for copy donors, per consumer cluster: same
 	// frontend first, then by link distance.
 	prefer [][]int
+	// frontOf is cfg.FrontendOf per cluster.
+	frontOf []int
 
 	cycle    uint64
 	slab     []opState
@@ -167,6 +198,8 @@ type Processor struct {
 	// parked counts, per issue queue (cluster*NumQueues+kind), the
 	// window entries parked on a source register's waiter list.
 	parked []uint64
+	// mobParked holds, per cluster, the loads parked on its MOB.
+	mobParked []mobParking
 
 	pipe      []pipeEntry // ring buffer
 	pipeHead  int
@@ -245,6 +278,13 @@ func New(cfg Config, feeder Feeder) *Processor {
 	p.copies = make([]copyState, 0, copyCap)
 	p.copyFree = make([]int32, 0, copyCap)
 	p.parked = make([]uint64, cfg.Clusters*int(backend.NumQueues))
+	// At most a MemQ window of loads parks on each cluster's MOB.
+	loads := make([]mobPark, cfg.Clusters*cfg.Cluster.MemQ)
+	p.mobParked = make([]mobParking, cfg.Clusters)
+	for cl := range p.mobParked {
+		lo := cl * cfg.Cluster.MemQ
+		p.mobParked[cl] = mobParking{loads: loads[lo : lo : lo+cfg.Cluster.MemQ], due: backend.NeverReady}
+	}
 	// Wakeup subscription tokens are slab indices, then copy indices;
 	// pre-sizing the waiter links keeps the steady-state subscribe/notify
 	// path allocation-free.
@@ -281,6 +321,10 @@ func New(cfg Config, feeder Feeder) *Processor {
 		p.maps[0].Set(r, phys)
 	}
 
+	p.frontOf = make([]int, cfg.Clusters)
+	for cl := range p.frontOf {
+		p.frontOf[cl] = cfg.FrontendOf(cl)
+	}
 	// Donor preference per cluster: same frontend first (the paper's copy
 	// request is cheaper inside a frontend), then by ring distance.
 	p.prefer = make([][]int, cfg.Clusters)
@@ -290,7 +334,7 @@ func New(cfg Config, feeder Feeder) *Processor {
 			if c2 == cl {
 				continue
 			}
-			if cfg.FrontendOf(c2) == cfg.FrontendOf(cl) {
+			if p.frontOf[c2] == p.frontOf[cl] {
 				same = append(same, c2)
 			} else {
 				other = append(other, c2)
@@ -480,7 +524,7 @@ func (p *Processor) commit(now uint64) {
 	}
 	for _, id := range p.commitBuf {
 		if extra == 0 {
-			p.commitEffects(id)
+			p.commitEffects(id, now)
 		} else {
 			p.pendingCommits = append(p.pendingCommits, pendingCommit{applyAt: now + extra, id: id})
 		}
@@ -491,7 +535,7 @@ func (p *Processor) applyPendingCommits(now uint64) {
 	n := 0
 	for _, pc := range p.pendingCommits {
 		if pc.applyAt <= now {
-			p.commitEffects(pc.id)
+			p.commitEffects(pc.id, now)
 		} else {
 			p.pendingCommits[n] = pc
 			n++
@@ -503,7 +547,7 @@ func (p *Processor) applyPendingCommits(now uint64) {
 // commitEffects releases the resources of a committed instruction: stale
 // physical registers, MOB slots, and — for stores — the data-cache write
 // with the write-update protocol of §2.
-func (p *Processor) commitEffects(id int32) {
+func (p *Processor) commitEffects(id int32, now uint64) {
 	op := &p.slab[id]
 	for i := int8(0); i < op.nFrees; i++ {
 		f := op.frees[i]
@@ -532,6 +576,7 @@ func (p *Processor) commitEffects(id int32) {
 		p.ul2.Update(op.line)
 		for cl := range p.clusters {
 			p.clusters[cl].Mob.Release(op.u.Seq)
+			p.wakeMOB(cl, id, now)
 		}
 	}
 	op.inUse = false
@@ -546,7 +591,9 @@ func (p *Processor) commitEffects(id int32) {
 // not issued is parked on that register's waiter list instead of being
 // re-polled: it costs no ready call until the producer's SetReady
 // unparks it, while the queue still counts one Read per parked entry per
-// cycle, as the poll it replaces did.
+// cycle, as the poll it replaces did.  A load the MOB refuses parks on
+// the cluster's MOB the same way (see mobPark), and the MemQ visit
+// charges it one evaluation per cycle.
 func (p *Processor) issueAll(now uint64) {
 	for cl := 0; cl < p.cfg.Clusters; cl++ {
 		cluster := p.clusters[cl]
@@ -555,6 +602,11 @@ func (p *Processor) issueAll(now uint64) {
 			q.Advance(now)
 			qi := cl*int(backend.NumQueues) + int(k)
 			q.CountWakeups(p.parked[qi])
+			if k == backend.MemQueue {
+				n := p.visitMOB(cl, now)
+				q.CountWakeups(n)
+				p.Stats.ReadyEvals += n
+			}
 			if q.WakeAt > now {
 				// No unparked entry can pass its NotBefore gate: the scan
 				// would evaluate nothing, so skipping it is counter-neutral.
@@ -575,24 +627,17 @@ func (p *Processor) issueAll(now uint64) {
 					continue
 				}
 				evals++
-				if e.StoreBlocked && cluster.Mob.BlockedByUnknown(e.Seq) {
-					// ready would refuse it again for an older store with
-					// no address: its sources were ready when it was marked.
-					e.NotBefore = now + 1
-					if e.NotBefore < wake {
-						wake = e.NotBefore
-					}
-					continue
-				}
 				ok, retry := p.ready(cl, e, now)
 				if !ok {
-					if retry == backend.NeverReady {
+					switch retry {
+					case backend.NeverReady:
 						p.park(e, qi)
-						continue
-					}
-					e.NotBefore = retry
-					if retry < wake {
-						wake = retry
+					case onMOB: // ready parked it on the cluster's MOB
+					default:
+						e.NotBefore = retry
+						if retry < wake {
+							wake = retry
+						}
 					}
 					continue
 				}
@@ -635,12 +680,18 @@ func (p *Processor) park(e *backend.QueueEntry, qi int) {
 }
 
 // unpark returns the parked entry id of cluster cl's kind-k queue to the
-// scan: the producer of its source issued at cycle now.  The poll it
-// replaces saw the producer this cycle if the queue's scan had not run
-// yet, else next cycle; NotBefore = now with WakeAt lowered reproduces
-// both, because issueAll visits queues in a fixed order.
+// scan: the producer of its source issued at cycle now.
 func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
-	q := p.clusters[cl].Queues[k]
+	wakeEntry(p.clusters[cl].Queues[k], id, now)
+	p.parked[cl*int(backend.NumQueues)+int(k)]--
+}
+
+// wakeEntry returns q's parked window entry id to the scan from cycle now.
+// The poll that parking replaces saw the change this cycle if the
+// queue's scan had not run yet, else next cycle; NotBefore = now with
+// WakeAt lowered reproduces both, because issueAll visits queues in a
+// fixed order.
+func wakeEntry(q *backend.IssueQueue, id int32, now uint64) {
 	win := q.Window()
 	for i := range win {
 		if win[i].ID != id {
@@ -650,7 +701,6 @@ func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
 			break
 		}
 		win[i].NotBefore = now
-		p.parked[cl*int(backend.NumQueues)+int(k)]--
 		if q.WakeAt > now {
 			q.WakeAt = now
 		}
@@ -659,12 +709,77 @@ func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
 	panic("core: wakeup delivered to an entry that is not parked")
 }
 
+// parkOnMOB takes load entry e of cluster cl off the scan until the MOB
+// refusal recorded in m can change.
+func (p *Processor) parkOnMOB(cl int, e *backend.QueueEntry, m mobPark) {
+	e.NotBefore = backend.NeverReady
+	mp := &p.mobParked[cl]
+	mp.loads = append(mp.loads, m)
+	mp.due = min(mp.due, m.until)
+}
+
+// visitMOB runs at cluster cl's MemQ visit: it wakes the parked loads
+// whose blocking store's address has arrived by now, and returns how
+// many stay parked.
+func (p *Processor) visitMOB(cl int, now uint64) uint64 {
+	mp := &p.mobParked[cl]
+	if mp.due <= now {
+		q := p.clusters[cl].Queues[backend.MemQueue]
+		mp.due = backend.NeverReady
+		for i := 0; i < len(mp.loads); {
+			if m := mp.loads[i]; m.until > now {
+				mp.due = min(mp.due, m.until)
+				i++
+				continue
+			}
+			wakeEntry(q, mp.loads[i].id, now)
+			mp.remove(i)
+		}
+	}
+	return uint64(len(mp.loads))
+}
+
+// wakeMOB wakes the loads parked on cluster cl's MOB that a SetAddr, or
+// the Release of the store with slab index released (noStore for a
+// SetAddr), unblocked at cycle now: those behind an unknown store once
+// none older is left, and those waiting on released's address broadcast.
+func (p *Processor) wakeMOB(cl int, released int32, now uint64) {
+	mp := &p.mobParked[cl]
+	if len(mp.loads) == 0 {
+		return
+	}
+	mob := p.clusters[cl].Mob
+	q := p.clusters[cl].Queues[backend.MemQueue]
+	for i := 0; i < len(mp.loads); {
+		m := mp.loads[i]
+		var unblocked bool
+		if m.until == backend.NeverReady {
+			unblocked = !mob.BlockedByUnknown(p.readyHot[m.id].seq)
+		} else {
+			unblocked = m.store == released
+		}
+		if !unblocked {
+			i++
+			continue
+		}
+		wakeEntry(q, m.id, now)
+		mp.remove(i)
+	}
+}
+
+// remove drops parked load i; the order of the list does not matter.
+func (mp *mobParking) remove(i int) {
+	last := len(mp.loads) - 1
+	mp.loads[i] = mp.loads[last]
+	mp.loads = mp.loads[:last]
+}
+
 // ready decides whether window entry e may issue in cluster cl at cycle
 // now.  When not, it returns the earliest cycle (> now) worth
-// re-checking, or NeverReady when a source's producer has not issued
-// yet (the caller parks the entry).  A load refused because an older
-// store has no address yet is marked StoreBlocked.  Source readiness
-// reads go through the pointers cached at dispatch.
+// re-checking, NeverReady when a source's producer has not issued yet
+// (the caller parks the entry), or onMOB for a load the MOB refuses,
+// which ready parks on the MOB itself.  Source readiness reads go
+// through the pointers cached at dispatch.
 func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint64) {
 	id := e.ID
 	if id >= copyBase {
@@ -703,13 +818,16 @@ func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint
 		}
 	case readyLoad:
 		mob := p.clusters[cl].Mob
-		if mob.BlockedByUnknown(h.seq) {
-			e.StoreBlocked = true
-			return false, now + 1
+		m := mobPark{id: id, store: noStore, until: backend.NeverReady}
+		if !mob.BlockedByUnknown(h.seq) {
+			store, until, blocked := mob.PendingStore(h.seq, now)
+			if !blocked {
+				return true, 0
+			}
+			m.store, m.until = int32(store%p.slabN), until
 		}
-		if ok, _ := mob.Disambiguate(h.seq, h.line, now); !ok {
-			return false, now + 1
-		}
+		p.parkOnMOB(cl, e, m)
+		return false, onMOB
 	}
 	return true, 0
 }
@@ -839,13 +957,17 @@ func (p *Processor) executeStore(op *opState, id int32, cl int, now uint64) (don
 		t += uint64(p.cfg.DTLBMissLat)
 	}
 	// The address becomes visible locally right away and at the other
-	// clusters when the disambiguation-bus broadcast arrives (§2).
+	// clusters when the disambiguation-bus broadcast arrives (§2).  A
+	// SetAddr ends an unknown-store block at the call, not when the
+	// address arrives, so the loads parked behind it wake now.
 	cluster.Mob.CountSearch()
 	cluster.Mob.SetAddr(op.u.Seq, op.line, t)
+	p.wakeMOB(cl, noStore, now)
 	busDone := p.disbus.Request(t)
 	for c2 := range p.clusters {
 		if c2 != cl {
 			p.clusters[c2].Mob.SetAddr(op.u.Seq, op.line, busDone)
+			p.wakeMOB(c2, noStore, now)
 		}
 	}
 	if op.nSrc == 2 {
