@@ -125,10 +125,8 @@ demo:
 # suite keys derived from one template encoding (against RequestKey and
 # SuiteRequest.Validate), the result view decoder (differential against encoding/json; its seeds
 # are kilobyte-sized result bodies, so minimization is capped to leave
-# the budget to fuzzing), fault rules posted to the control API (an
-# accepted rule must not panic the Proxy), and the
-# anti-entropy peer listing decoder (every key it keeps must be
-# storable and in the listed bucket).
+# the budget to fuzzing), and fault rules posted to the control API (an
+# accepted rule must not panic the Proxy).
 # Catches framing and canonicalization regressions in CI without the
 # open-ended runtime of a real fuzz campaign; run `go test -fuzz
 # <target> <package>` with no -fuzztime to hunt for longer.
@@ -139,7 +137,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteKeys$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultRule$$' -fuzztime $(FUZZTIME) ./pkg/faultinject
-	$(GO) test -run '^$$' -fuzz '^FuzzPeerListing$$' -fuzztime $(FUZZTIME) ./internal/simd
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to
@@ -156,7 +153,8 @@ cover-resultstore:
 # proxies (latency spikes, injected 500s, a flapping backend) driven
 # through the real scheduler — zero client-visible errors in strict
 # mode, correct PARTIAL-ERROR accounting in degraded mode, passive
-# quarantine before any probe round, and 503 + Retry-After
-# shedding from a saturated backend, all asserted via /metrics.
+# quarantine before any probe round, 503 + Retry-After shedding from a
+# saturated backend, a degraded store tier, and a replica that rejoins
+# with an empty store and recomputes its slice.
 chaos:
 	$(GO) test -run TestChaos -v ./internal/chaos

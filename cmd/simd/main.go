@@ -9,7 +9,6 @@
 //	     [-store-dir DIR] [-store-max-bytes N]
 //	     [-max-queue 64] [-queue-wait 5s]
 //	     [-announce SCHED_URL] [-self SELF_URL]
-//	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-antientropy-interval D]
 //	     [-pprof ADDR]
 //
 // Every run uses the paper's simulation lengths unless its request sets
@@ -27,27 +26,10 @@
 // With -announce, simd registers -self with the scheduler's ring admin
 // API on startup (retrying until the scheduler answers) and departs on
 // graceful shutdown — a restarted backend rejoins the ring by itself,
-// even after the scheduler evicted it.
-//
-// Peers' stored results reach this replica through one repair engine,
-// anti-entropy: per-bucket key-set digest exchanges over the peers'
-// store planes that pull the entries this replica is missing.
-//
-// With -warmup-peer, a joining replica first runs anti-entropy to
-// convergence over its own ring slice — every reachable -warmup-peer,
-// pass after pass, until a pass fails no pull under a stable ring epoch
-// — before reporting ready: /healthz answers 503 and the ring
-// announcement waits, so the scheduler never routes to a cold replica.
-// The slice is computed from the scheduler's current ring (-announce)
-// plus this replica; without -announce every peer key is pulled.
-// Convergence that exhausts -warmup-timeout logs the shortfall and
-// serves cold rather than never joining.
-//
-// With -antientropy-interval > 0, the same engine then runs as a
-// background loop against a ring neighbor, so divergence from missed
-// writes heals in the background instead of surfacing as recomputation.
-// Its peers come from the scheduler ring (-announce) or, without one,
-// the static -warmup-peer list.
+// even after the scheduler evicted it.  Replicas never copy results
+// between each other: a result's bytes are a pure function of its key,
+// so a rejoined replica computes each key of its slice on first touch
+// (MISS, one engine run) and serves it from its own store after that.
 //
 // The response store follows from the tier flags
 // (resultstore.OpenStack):
@@ -68,8 +50,6 @@
 //	POST /v1/simulations/stream JSON request -> NDJSON per-interval stream
 //	GET  /v1/benchmarks         available benchmark profiles
 //	GET  /v1/cache/stats        per-tier response-store counters
-//	GET  /v1/store/...          read-only store plane: keys, digest, entries
-//	                            (anti-entropy repair pulls from it)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               readiness (503 while draining or when the
 //	                            response store is down)
@@ -103,17 +83,6 @@ import (
 	"repro/pkg/resultstore"
 )
 
-// splitServers parses a comma-separated host:port list.
-func splitServers(s string) []string {
-	var out []string
-	for _, addr := range strings.Split(s, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", ":8723", "listen address")
@@ -125,19 +94,12 @@ func main() {
 		queueWait = flag.Duration("queue-wait", 5*time.Second, "max time a request waits for a simulation slot before being shed with 503 (0 = unbounded)")
 		announce  = flag.String("announce", "", "scheduler base URL to join on startup and depart on shutdown (empty disables)")
 		self      = flag.String("self", "", "advertised base URL of this backend (required with -announce)")
-		warmPeers = flag.String("warmup-peer", "", "comma-separated peer simd base URLs to converge this replica's ring slice from before reporting ready (empty disables)")
-		warmTO    = flag.Duration("warmup-timeout", 2*time.Minute, "join-time convergence deadline; on expiry the replica logs the shortfall and serves cold")
-		aeIvl     = flag.Duration("antientropy-interval", 0, "background digest-exchange repair period (0 disables; needs -self plus -announce or -warmup-peer)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	)
 	flag.Parse()
 
 	if *announce != "" && *self == "" {
 		fmt.Fprintln(os.Stderr, "simd: -announce requires -self (the URL the scheduler should route to)")
-		os.Exit(2)
-	}
-	if *aeIvl > 0 && (*self == "" || (*announce == "" && *warmPeers == "")) {
-		fmt.Fprintln(os.Stderr, "simd: -antientropy-interval requires -self plus -announce or -warmup-peer")
 		os.Exit(2)
 	}
 
@@ -186,86 +148,28 @@ func main() {
 		srv.Shutdown(shutdownCtx)
 	}()
 
-	// Startup sequencing: converge the store from peers first (the replica
-	// answers /healthz 503 the whole time, so probes keep it out of
-	// rotation), then flip ready, then announce — the scheduler never
-	// sees a joined-but-cold replica.
-	announceLoop := func() {
-		// Register with the scheduler once it answers; a restarted
-		// backend rejoins the ring this way even after eviction.
-		for {
-			annCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			err := membership.Announce(annCtx, nil, *announce, *self)
-			cancel()
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "simd: joined ring at %s as %s\n", *announce, *self)
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Second):
-			}
-		}
-	}
-	peerList := splitServers(*warmPeers)
-	for i, p := range peerList {
-		peerList[i] = strings.TrimRight(p, "/")
-	}
-	newAntiEntropy := func(peers []string) *simd.AntiEntropy {
-		ae, err := api.NewAntiEntropy(simd.AntiEntropyConfig{
-			SelfURL:  *self,
-			RingURL:  *announce,
-			Peers:    peers,
-			Interval: *aeIvl,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return ae
-	}
-	var repair *simd.AntiEntropy
-	if *aeIvl > 0 {
-		// Prefer live ring discovery; fall back to the static peer list
-		// when no scheduler is announced.
-		aePeers := []string(nil)
-		if *announce == "" {
-			aePeers = peerList
-		}
-		repair = newAntiEntropy(aePeers)
-		defer repair.Close()
-	}
-	join := func() {
-		if repair != nil {
-			repair.Start()
-		}
-		if *announce != "" {
-			announceLoop()
-		}
-	}
-	if len(peerList) > 0 {
-		// Join-time convergence pulls from exactly the -warmup-peer
-		// list; the ring (with -announce) only picks the slice.
-		joiner := newAntiEntropy(peerList)
-		api.SetReady(false)
+	// Startup sequencing: the replica is ready as soon as it listens
+	// (it serves any key, recomputing what its store lacks), then it
+	// announces itself.
+	if *announce != "" {
 		go func() {
-			convergeCtx, cancel := context.WithTimeout(ctx, *warmTO)
-			pulled, err := joiner.Converge(convergeCtx)
-			cancel()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: join-time convergence incomplete, serving cold: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "simd: join-time convergence done: pulled %d\n", pulled)
+			// Register with the scheduler once it answers; a restarted
+			// backend rejoins the ring this way even after eviction.
+			for {
+				annCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+				err := membership.Announce(annCtx, nil, *announce, *self)
+				cancel()
+				if err == nil {
+					fmt.Fprintf(os.Stderr, "simd: joined ring at %s as %s\n", *announce, *self)
+					return
+				}
+				select {
+				case <-ctx.Done():
+					return
+				case <-time.After(time.Second):
+				}
 			}
-			api.SetReady(true)
-			join()
 		}()
-	} else {
-		go join()
 	}
 
 	var tiers []string

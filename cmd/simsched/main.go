@@ -37,8 +37,7 @@
 // a backend between probe rounds, and the ring routes around it.  When
 // every backend is quarantined the last ring stays, so dispatches keep
 // trying backends and the first to answer serves.  A reinstated backend
-// recomputes the keys it missed or pulls them from a peer through
-// simd's anti-entropy.  With -partial-results, a suite whose shards
+// recomputes the keys it missed on first touch.  With -partial-results, a suite whose shards
 // exhaust the ring answers 200 with per-shard `errors` entries and
 // X-Cache: PARTIAL-ERROR instead of failing the whole sweep.
 //

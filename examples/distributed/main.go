@@ -33,14 +33,7 @@
 //     scheduler rides through it with failovers and jittered backoff,
 //     the injected faults show up in the proxy's own stats endpoint,
 //     and deleting the rule returns the fleet to quiet — all without
-//     restarting anything, and
-//  7. the fleet shards its storage — per-replica stores, no shared
-//     tier — so a killed replica takes its slice's results with it;
-//     the replacement rejoins through join-time convergence (`simd
-//     -warmup-peer`): /healthz held at 503 while anti-entropy pulls the
-//     slice it is about to own from the survivors' store planes, then it flips
-//     ready and serves that slice entirely from store — X-Cache: HIT
-//     on every request, zero engine runs.
+//     restarting anything.
 package main
 
 import (
@@ -49,7 +42,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -105,15 +97,6 @@ func urls(backends []*httptest.Server) []string {
 		out[i] = b.URL
 	}
 	return out
-}
-
-func healthzCode(url string) int {
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
 }
 
 // waitReady polls each backend's /healthz until it answers 200 — never
@@ -593,158 +576,5 @@ func main() {
 		bytes.Equal(quietJSON, serialJSON), chaosSched.Stats().Retried-retriedBefore)
 	if !bytes.Equal(quietJSON, serialJSON) || chaosSched.Stats().Retried != retriedBefore {
 		fatal(fmt.Errorf("post-chaos suite not clean"))
-	}
-	fmt.Println()
-
-	// --- Act 7: churn and repair — rejoin through join-time convergence. ---
-	// Every act so far healed through a shared store.  Real fleets also
-	// shard: each replica owns its store, so a dead replica takes its
-	// slice's results with it and a cold replacement would recompute
-	// them all.  The self-healing path is `simd -warmup-peer`, run here
-	// in process: the replacement holds /healthz at 503, runs
-	// anti-entropy to convergence over the slice it is about to own
-	// (digest exchange with the survivors' store planes, then GET
-	// /v1/store/entries/{key} for each missing key), and only then flips
-	// ready and joins.
-	fmt.Println("Join-time convergence (simd -warmup-peer): per-replica stores, kill -> rejoin warm:")
-	opts7 := []frontendsim.Option{
-		frontendsim.WithWarmupOps(12_000),
-		frontendsim.WithMeasureOps(25_000),
-		frontendsim.WithObserver(frontendsim.ObserverFunc(func(s frontendsim.Snapshot) {
-			if s.Interval == 0 {
-				engineRuns.Add(1)
-			}
-		})),
-	}
-	eng7 := frontendsim.New(opts7...)
-	newReplica7 := func(simdOpts ...simd.Option) (*httptest.Server, *simd.Server) {
-		api := simd.NewServerWithStore(frontendsim.New(opts7...), resultstore.NewMemory(128), simdOpts...)
-		srv := httptest.NewServer(api)
-		return srv, api
-	}
-	srvA, _ := newReplica7()
-	defer srvA.Close()
-	srvB, _ := newReplica7()
-	defer srvB.Close()
-	srvC, _ := newReplica7()
-	defer srvC.Close()
-	waitReady([]string{srvA.URL, srvB.URL, srvC.URL})
-
-	var members7 *membership.Registry
-	sched7, err := scheduler.New(eng7, scheduler.Config{
-		Backends:     []string{srvA.URL, srvB.URL, srvC.URL},
-		RetryBackoff: 2 * time.Millisecond,
-		ReportDispatch: func(node string, err error) {
-			if members7 != nil {
-				members7.ReportDispatch(node, err)
-			}
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	members7, err = membership.New(membership.Config{
-		QuarantineAfter: 1,
-		EvictAfter:      -1,
-		OnChange:        sched7.OnMembershipChange(),
-	}, []string{srvA.URL, srvB.URL, srvC.URL})
-	if err != nil {
-		fatal(err)
-	}
-	defer members7.Close()
-	schedSrv7 := httptest.NewServer(scheduler.NewServer(sched7, scheduler.WithMembership(members7)))
-	defer schedSrv7.Close()
-
-	suite7 := frontendsim.SuiteRequest{Benchmarks: frontendsim.Benchmarks()}
-	before = engineRuns.Load()
-	if _, err := sched7.RunSuite(ctx, suite7); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  %d-benchmark suite over 3 replicas with per-replica stores: %d engine runs\n",
-		len(suite7.Benchmarks), engineRuns.Load()-before)
-
-	srvC.Close()
-	before = engineRuns.Load()
-	if _, err := sched7.RunSuite(ctx, suite7); err != nil {
-		fatal(err)
-	}
-	if got := len(sched7.Ring().Nodes()); got != 2 {
-		fatal(fmt.Errorf("dead replica not quarantined: ring has %d members", got))
-	}
-	fmt.Printf("  killed one replica; the next suite quarantines it and recomputes its slice on the survivors: %d new engine runs, ring down to 2 members\n",
-		engineRuns.Load()-before)
-
-	warmReg := obs.NewRegistry()
-	freshSrv, freshAPI := newReplica7(simd.WithMetrics(warmReg))
-	defer freshSrv.Close()
-	freshAPI.SetReady(false)
-	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
-		fatal(fmt.Errorf("cold replacement /healthz = %d, want 503 before convergence", code))
-	}
-	ae7, err := freshAPI.NewAntiEntropy(simd.AntiEntropyConfig{
-		SelfURL: freshSrv.URL,
-		Peers:   []string{srvA.URL, srvB.URL},
-		RingURL: schedSrv7.URL,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	convergeCtx, cancel7 := context.WithTimeout(ctx, 30*time.Second)
-	pulled7, err := ae7.Converge(convergeCtx)
-	cancel7()
-	if err != nil {
-		fatal(fmt.Errorf("join-time convergence: %w", err))
-	}
-	if pulled7 == 0 {
-		fatal(fmt.Errorf("join-time convergence pulled nothing"))
-	}
-	if code := healthzCode(freshSrv.URL); code != http.StatusServiceUnavailable {
-		fatal(fmt.Errorf("/healthz = %d after convergence, want 503 until the ready flip", code))
-	}
-	freshAPI.SetReady(true)
-	fmt.Printf("  replacement converged behind its 503 readiness gate: pulled %d keys from the survivors at ring epoch %d; /healthz now %d\n",
-		pulled7, members7.Epoch(), healthzCode(freshSrv.URL))
-
-	// The warmed replica must serve the slice it now owns — the ring the
-	// scheduler will route once it announces — without a single engine
-	// run; a recompute here is the bug this act exists to catch.
-	ring7, err := scheduler.NewRing([]string{srvA.URL, srvB.URL, freshSrv.URL})
-	if err != nil {
-		fatal(err)
-	}
-	before = engineRuns.Load()
-	served7 := 0
-	for _, bench := range suite7.Benchmarks {
-		key, err := eng7.RequestKey(frontendsim.Request{Benchmark: bench})
-		if err != nil {
-			fatal(err)
-		}
-		if ring7.Node(key) != freshSrv.URL {
-			continue
-		}
-		served7++
-		resp, err := http.Post(freshSrv.URL+"/v1/simulations", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
-		if err != nil {
-			fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
-			fatal(fmt.Errorf("benchmark %s on the warmed replica: status %d X-Cache %q — the warmed slice must serve from store",
-				bench, resp.StatusCode, resp.Header.Get("X-Cache")))
-		}
-	}
-	if served7 == 0 {
-		fatal(fmt.Errorf("no benchmark homed on the rejoined replica"))
-	}
-	if runs := engineRuns.Load() - before; runs != 0 {
-		fatal(fmt.Errorf("the warmed replica recomputed %d results; its slice must serve from store", runs))
-	}
-	fmt.Printf("  rejoined replica serves its %d-key slice: every request X-Cache=HIT, 0 new engine runs\n", served7)
-	for _, line := range strings.Split(warmReg.Render(), "\n") {
-		if strings.HasPrefix(line, "simd_antientropy_pulled_total") {
-			fmt.Printf("  /metrics: %s\n", line)
-		}
 	}
 }

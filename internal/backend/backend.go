@@ -242,8 +242,8 @@ func NewIssueQueue(kind QueueKind, capacity, prescap int) *IssueQueue {
 // Kind returns the queue kind.
 func (q *IssueQueue) Kind() QueueKind { return q.kind }
 
-// CanDispatch reports whether the prescheduler can accept an entry.
-func (q *IssueQueue) CanDispatch() bool { return q.presCount < q.prescap }
+// Free reports how many more entries the prescheduler accepts.
+func (q *IssueQueue) Free() int { return q.prescap - q.presCount }
 
 // Dispatch inserts an instruction into the prescheduler; it will reach
 // the issue window at cycle `arrives` (dispatch latency is charged by the

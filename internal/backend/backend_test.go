@@ -30,8 +30,8 @@ func TestRegFileReadiness(t *testing.T) {
 
 func TestQueueDispatchAdvanceIssue(t *testing.T) {
 	q := NewIssueQueue(IntQueue, 4, 2)
-	if !q.CanDispatch() {
-		t.Fatal("fresh queue cannot dispatch")
+	if n := q.Free(); n != 2 {
+		t.Fatalf("fresh queue has %d free prescheduler slots, want 2", n)
 	}
 	ok := q.Dispatch(QueueEntry{ID: 1, Seq: 1}, 10)
 	if !ok {
@@ -124,8 +124,8 @@ func TestQueueBackpressure(t *testing.T) {
 	q := NewIssueQueue(IntQueue, 1, 2)
 	q.Dispatch(QueueEntry{ID: 1, Seq: 1}, 0)
 	q.Dispatch(QueueEntry{ID: 2, Seq: 2}, 0)
-	if q.CanDispatch() {
-		t.Fatal("prescheduler over capacity")
+	if n := q.Free(); n != 0 {
+		t.Fatalf("full prescheduler has %d free slots", n)
 	}
 	if q.Dispatch(QueueEntry{ID: 3, Seq: 3}, 0) {
 		t.Fatal("dispatch into full prescheduler")
@@ -135,8 +135,8 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("window occupancy = %d, want 1 (capacity)", q.WindowOccupancy())
 	}
 	// One entry remains stuck in the prescheduler until the window drains.
-	if !q.CanDispatch() {
-		t.Fatal("prescheduler did not free a slot")
+	if n := q.Free(); n != 1 {
+		t.Fatalf("prescheduler has %d free slots after one advanced, want 1", n)
 	}
 	if q.Occupancy() != 2 {
 		t.Fatalf("occupancy = %d", q.Occupancy())

@@ -3,8 +3,10 @@
 // the real scheduler, asserting the resilience layer end to end — zero
 // client-visible errors in strict mode under latency spikes, injected
 // 500s and a flapping backend; correct PARTIAL-ERROR accounting in
-// degraded mode; passive quarantine before any probe round;
-// and 503 + Retry-After shedding from a saturated backend.  All fault
+// degraded mode; passive quarantine before any probe round; 503 +
+// Retry-After shedding from a saturated backend; a replica that
+// rejoins with an empty store and recomputes its slice; and one that
+// restarts over its own disk store and serves its slice warm.  All fault
 // draws come from seeded PRNGs, and every suite is built from the ring's
 // actual key assignment, so the scenarios do not depend on port numbers
 // or timing luck.

@@ -1,38 +1,61 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/hashring"
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
-	"repro/pkg/obs"
 	"repro/pkg/resultstore"
 	"repro/pkg/scheduler"
 )
 
-// warmReplica is one self-healing fleet member: a simd server with its
-// own store, metrics registry, and engine-run counter.
-type warmReplica struct {
-	api   *simd.Server
-	store resultstore.Store
-	reg   *obs.Registry
+// restartable is a replica behind a stable URL whose process can die and
+// come back over the same durable store directory.  While it is down,
+// every connection is dropped without a response, as a dead process's
+// would be.
+type restartable struct {
+	dir   string
+	store *resultstore.Disk
 	runs  *atomic.Int64
+	live  atomic.Pointer[http.Handler]
 	srv   *httptest.Server
 }
 
-func newWarmReplica(t *testing.T) *warmReplica {
+func newRestartable(t *testing.T) *restartable {
 	t.Helper()
-	store := resultstore.NewMemory(128)
+	r := &restartable{dir: t.TempDir()}
+	r.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if h := r.live.Load(); h != nil {
+			(*h).ServeHTTP(w, req)
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}))
+	t.Cleanup(r.srv.Close)
+	r.start(t)
+	return r
+}
+
+// start opens the store directory, replaying whatever an earlier
+// process wrote, and serves over it with a fresh engine-run counter.
+func (r *restartable) start(t *testing.T) {
+	t.Helper()
+	store, err := resultstore.OpenDisk(resultstore.DiskConfig{Dir: r.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { store.Close() })
 	var runs atomic.Int64
 	eng := frontendsim.New(append(engineOpts(),
@@ -41,43 +64,38 @@ func newWarmReplica(t *testing.T) *warmReplica {
 				runs.Add(1)
 			}
 		})))...)
-	reg := obs.NewRegistry()
-	api := simd.NewServerWithStore(eng, store, simd.WithMetrics(reg))
-	srv := httptest.NewServer(api)
-	t.Cleanup(srv.Close)
-	return &warmReplica{api: api, store: store, reg: reg, runs: &runs, srv: srv}
+	var h http.Handler = simd.NewServerWithStore(eng, store)
+	r.store, r.runs = store, &runs
+	r.live.Store(&h)
 }
 
-func getBody(t *testing.T, url string) (int, string) {
+// kill drops the replica off the network; its store stays open until
+// stop, so dispatches already inside the old process can finish.
+func (r *restartable) kill() { r.live.Store(nil) }
+
+func (r *restartable) stop(t *testing.T) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
+	if err := r.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(body)
 }
 
-// TestChaosWarmupRejoinServesWarmSlice is the churn-and-repair
-// scenario: a 3-replica fleet under continuous suite load loses replica
-// C; the scheduler quarantines it and the survivors absorb its slice.
-// A fresh C then rejoins through join-time convergence — /healthz held
-// at 503 while anti-entropy pulls its slice from the survivors — and
-// must serve every request of its ring slice with X-Cache: HIT, zero
-// engine runs, and simd_antientropy_pulled_total > 0.
+// TestChaosWarmupRejoinServesWarmSlice is the restart scenario: replica
+// C keeps its results in a durable disk store.  It computes its ring
+// slice, dies under continuous suite load, is quarantined while the
+// survivors absorb its slice, and comes back at the same URL over the
+// same store directory.  Replicas never copy results, so what makes C
+// warm is only its own store: it is ready at once, and every key of its
+// slice is served as a HIT with zero engine runs — both on a direct
+// request and when the scheduler routes the slice back to it — with
+// bytes identical to a serial Engine.Run of the same request.
 func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
-	a, b, c := newWarmReplica(t), newWarmReplica(t), newWarmReplica(t)
+	a, b, c := newReplica(t), newReplica(t), newRestartable(t)
 	eng := frontendsim.New(engineOpts()...)
-	reg := obs.NewRegistry()
 	var members *membership.Registry
 	sched, err := scheduler.New(eng, scheduler.Config{
 		Backends:     []string{a.srv.URL, b.srv.URL, c.srv.URL},
 		RetryBackoff: time.Millisecond,
-		Metrics:      reg,
 		ReportDispatch: func(node string, err error) {
 			if members != nil {
 				members.ReportDispatch(node, err)
@@ -96,14 +114,32 @@ func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer members.Close()
-	schedSrv := httptest.NewServer(scheduler.NewServer(sched, scheduler.WithMembership(members)))
-	t.Cleanup(schedSrv.Close)
 
 	suite := frontendsim.SuiteRequest{Benchmarks: frontendsim.Benchmarks()}
+	var slice []string
+	for _, bench := range suite.Benchmarks {
+		key, err := eng.RequestKey(frontendsim.Request{Benchmark: bench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched.Ring().Node(key) == c.srv.URL {
+			slice = append(slice, bench)
+		}
+	}
+	if len(slice) == 0 {
+		t.Fatal("no benchmark homed on C")
+	}
 
-	// Continuous load: suites keep flowing before, during and after the
-	// kill; strict mode must keep succeeding throughout (the failover
-	// walk absorbs the dead replica).
+	// One full suite: C computes its slice into its durable store.
+	if _, err := sched.RunSuite(context.Background(), suite); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.runs.Load(); got != int64(len(slice)) {
+		t.Fatalf("C ran its engine %d times for a %d-key slice", got, len(slice))
+	}
+
+	// Continuous load across the kill; strict mode must keep succeeding
+	// (the failover walk absorbs the dead replica).
 	loadStop := make(chan struct{})
 	loadDone := make(chan error, 1)
 	go func() {
@@ -120,115 +156,62 @@ func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 			}
 		}
 	}()
-
-	// Let at least one full suite land, then kill C mid-load.
-	time.Sleep(50 * time.Millisecond)
-	c.srv.Close()
-
-	// The load loop quarantines C through dispatch verdicts; wait for
-	// the ring to shrink to the survivors.  The quarantining dispatch
-	// only happens once the in-flight suite finishes and the next one
-	// routes to the dead replica, and a cold 26-benchmark suite under
-	// -race with the whole repo's tests competing for CPU can take
-	// minutes — poll generously, exit fast in the common case.
+	c.kill()
+	// A cold suite under -race with the whole repo's tests competing for
+	// CPU can take minutes before it routes to the dead replica — poll
+	// generously, exit fast in the common case.
 	deadline := time.Now().Add(2 * time.Minute)
-	for len(sched.Ring().Nodes()) != 2 {
+	for !ringIs(sched, a.srv.URL, b.srv.URL) {
 		if time.Now().After(deadline) {
-			t.Fatal("dead replica never quarantined under load")
+			t.Fatalf("ring %v never settled on the survivors under load", sched.Ring().Nodes())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// More full suites until every benchmark (including C's absorbed
-	// slice) is present in a survivor's store.  One suite is not always
-	// enough: it can coalesce onto a load-loop dispatch that C answered
-	// just before it died, whose result then lives only in C's store.
-	for _, bench := range frontendsim.Benchmarks() {
-		key, err := eng.RequestKey(frontendsim.Request{Benchmark: bench})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			_, inA, _ := resultstore.Peek(context.Background(), a.store, key)
-			_, inB, _ := resultstore.Peek(context.Background(), b.store, key)
-			if inA || inB {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("benchmark %s never reached a survivor's store", bench)
-			}
-			if _, err := sched.RunSuite(context.Background(), suite); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// A fresh C rejoins: cold store, /healthz 503 until convergence
-	// pulls its slice from the survivors.
-	fresh := newWarmReplica(t)
-	fresh.api.SetReady(false)
-	if code, _ := getBody(t, fresh.srv.URL+"/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz during convergence = %d, want 503", code)
-	}
-	ae, err := fresh.api.NewAntiEntropy(simd.AntiEntropyConfig{
-		SelfURL: fresh.srv.URL,
-		Peers:   []string{a.srv.URL, b.srv.URL},
-		RingURL: schedSrv.URL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	convergeCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if _, err := ae.Converge(convergeCtx); err != nil {
-		t.Fatalf("join-time convergence: %v", err)
-	}
-	if code, _ := getBody(t, fresh.srv.URL+"/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after convergence, before ready flip = %d, want 503", code)
-	}
-	fresh.api.SetReady(true)
-
 	close(loadStop)
 	if err := <-loadDone; err != nil {
 		t.Fatal(err)
 	}
+	c.stop(t)
 
-	// The rejoined replica serves its ring slice — the slice of the
-	// ring it will route under once joined — entirely from the warmed
-	// store: X-Cache: HIT on every request, zero engine runs.
-	ring, err := hashring.New([]string{a.srv.URL, b.srv.URL, fresh.srv.URL})
+	// C restarts over the same directory and rejoins the ring.
+	c.start(t)
+	resp, err := http.Get(c.srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := 0
-	for _, bench := range frontendsim.Benchmarks() {
-		key, err := eng.RequestKey(frontendsim.Request{Benchmark: bench})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz of the restarted replica = %d, want 200", resp.StatusCode)
+	}
+	if err := members.Join(c.srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	if !ringIs(sched, a.srv.URL, b.srv.URL, c.srv.URL) {
+		t.Fatalf("ring after the rejoin = %v, want all three replicas", sched.Ring().Nodes())
+	}
+
+	for _, bench := range slice {
+		res, err := eng.Run(context.Background(), frontendsim.Request{Benchmark: bench})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ring.Node(key) != fresh.srv.URL {
-			continue
-		}
-		served++
-		resp, err := http.Post(fresh.srv.URL+"/v1/simulations", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
+		ref, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
-			t.Errorf("benchmark %s on rejoined replica: status %d X-Cache %q",
-				bench, resp.StatusCode, resp.Header.Get("X-Cache"))
+		ref = append(ref, '\n')
+		body, src := postDirect(t, c.srv.URL, bench)
+		if src != "HIT" {
+			t.Errorf("benchmark %s on restarted C: X-Cache %q, want HIT", bench, src)
+		}
+		if !bytes.Equal(body, ref) {
+			t.Errorf("benchmark %s: restarted C's bytes differ from a serial Engine.Run", bench)
 		}
 	}
-	if served == 0 {
-		t.Fatal("no benchmark homed on the rejoined replica")
+	if _, err := sched.RunSuite(context.Background(), frontendsim.SuiteRequest{Benchmarks: slice}); err != nil {
+		t.Fatal(err)
 	}
-	if runs := fresh.runs.Load(); runs != 0 {
-		t.Errorf("rejoined replica recomputed %d times; the warmed slice must serve from store", runs)
-	}
-	_, exposition := getBody(t, fresh.srv.URL+"/metrics")
-	if n := metricSum(t, exposition, "simd_antientropy_pulled_total", ""); n <= 0 {
-		t.Errorf("simd_antientropy_pulled_total = %v, want > 0 after a pulling convergence", n)
+	if got := c.runs.Load(); got != 0 {
+		t.Errorf("restarted C recomputed %d times; its durable store must serve its slice", got)
 	}
 }

@@ -165,6 +165,20 @@ func TestCrossFrontendCopiesOnlyWhenDistributed(t *testing.T) {
 	}
 }
 
+// TestSameDonorCopiesFitCopyQueue: an op whose two sources are both
+// copied from one donor needs two free slots in that donor's CopyQueue.
+// With a 2-entry prescheduler the planner once passed such an op on one
+// free slot, the second copy was dropped, and the consumer never issued
+// (the watchdog fired 500k cycles later).
+func TestSameDonorCopiesFitCopyQueue(t *testing.T) {
+	cfg := DefaultConfig().WithDistributedFrontend(2)
+	cfg.Cluster.Prescheduler = 2
+	p := runBench(t, cfg, "swim", 20000)
+	if p.Stats.Copies == 0 {
+		t.Fatal("no copies: the case no longer exercises the CopyQueue")
+	}
+}
+
 func TestMemoryBoundBenchmarkMisses(t *testing.T) {
 	p := runBench(t, DefaultConfig(), "mcf", 30000)
 	if p.Stats.LoadMisses == 0 {

@@ -225,7 +225,7 @@ func (p *Processor) planDispatch(u *uop.MicroOp) (dispatchPlan, bool) {
 	if !p.reorder.CanAlloc(p.frontOf[cl]) {
 		return plan, false
 	}
-	if !cluster.Queues[plan.kind].CanDispatch() {
+	if cluster.Queues[plan.kind].Free() == 0 {
 		return plan, false
 	}
 	switch u.Class {
@@ -255,7 +255,13 @@ func (p *Processor) planDispatch(u *uop.MicroOp) (dispatchPlan, bool) {
 		if !ok {
 			panic("core: source register held nowhere")
 		}
-		if !p.clusters[donor].Queues[backend.CopyQueue].CanDispatch() {
+		// One CopyQueue slot per copy the donor receives: both sources
+		// may come from the same donor.
+		need := 1
+		if s == 1 && plan.donor[0] == int8(donor) {
+			need = 2
+		}
+		if p.clusters[donor].Queues[backend.CopyQueue].Free() < need {
 			return plan, false
 		}
 		plan.donor[s] = int8(donor)
@@ -428,9 +434,11 @@ func (p *Processor) makeCopy(r int8, donor, cl int, seq uint64, now uint64) int1
 		p.Stats.CrossFrontend++
 	}
 	p.Stats.Copies++
-	p.clusters[donor].Queues[backend.CopyQueue].Dispatch(
+	if !p.clusters[donor].Queues[backend.CopyQueue].Dispatch(
 		backend.QueueEntry{ID: copyBase + idx, Seq: seq}, now+delay,
-	)
+	) {
+		panic("core: copy queue full after successful plan")
+	}
 	return phys
 }
 

@@ -1,8 +1,5 @@
-// Package hashring implements the consistent-hash ring shared by the
-// scheduler's dispatch path and the backends' anti-entropy repair.  It
-// lives under internal/ so simd can compute "which keys hash to my
-// slice" with exactly the arithmetic the scheduler routes by, without
-// importing pkg/scheduler (whose tests import simd).
+// Package hashring implements the consistent-hash ring the scheduler
+// routes by (pkg/scheduler re-exports it as scheduler.Ring).
 package hashring
 
 import (
@@ -26,9 +23,8 @@ type ringPoint struct {
 }
 
 // DefaultReplicas is the virtual-point count per node.  It is a
-// constant, not a setting: the scheduler routes by this ring and every
-// backend slices its repair work by it, so the count must be the same
-// in every process.  128 keeps the assignment spread within a few
+// constant, not a setting, so every scheduler over one backend set
+// routes alike.  128 keeps the assignment spread within a few
 // percent of uniform for small rings.
 const DefaultReplicas = 128
 
@@ -134,35 +130,4 @@ func (r *Ring) Sequence(key string) []string {
 		}
 	}
 	return out
-}
-
-// Successor returns node's clockwise ring neighbor: the first distinct
-// node owning a virtual point after node's lowest-hash point.  It is the
-// natural anti-entropy partner — the node that absorbs this one's slice
-// when it fails.  Returns "" when node is absent or the ring has no
-// other node.
-func (r *Ring) Successor(node string) string {
-	self := -1
-	for i, n := range r.nodes {
-		if n == node {
-			self = i
-			break
-		}
-	}
-	if self < 0 || len(r.nodes) < 2 {
-		return ""
-	}
-	first := -1
-	for i, p := range r.points {
-		if p.node == self {
-			first = i
-			break
-		}
-	}
-	for i, n := (first+1)%len(r.points), 0; n < len(r.points); i, n = (i+1)%len(r.points), n+1 {
-		if p := r.points[i]; p.node != self {
-			return r.nodes[p.node]
-		}
-	}
-	return ""
 }

@@ -214,3 +214,19 @@ func TestZeroOptionsUseDefaults(t *testing.T) {
 		t.Fatal("defaulted options produced no intervals")
 	}
 }
+
+// TestFigure14CombinedMesa runs Figure 14's combined configuration on
+// mesa at the default lengths.  It once deadlocked at cycle ~1.05M,
+// when the planner let two copies from one donor into a CopyQueue
+// with one free slot and the second was dropped.
+func TestFigure14CombinedMesa(t *testing.T) {
+	prof, ok := workload.ByName("mesa")
+	if !ok {
+		t.Fatal("unknown benchmark mesa")
+	}
+	cfg := core.DefaultConfig().WithDistributedFrontend(2).WithBankHopping().WithBiasedMapping()
+	r := run(t, cfg, prof, DefaultOptions())
+	if r.MeasOps == 0 || r.IPC() <= 0 {
+		t.Fatalf("measured phase empty: %d ops, IPC %v", r.MeasOps, r.IPC())
+	}
+}

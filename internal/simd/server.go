@@ -21,8 +21,7 @@ import (
 // a simulation request is a few KB even with a full config override,
 // so 1 MiB is generous headroom while keeping a hostile multi-GB POST
 // from being read to the end by the JSON decoder.  An oversized body
-// gets 413.  Anti-entropy holds a pulled entry to the same cap: one
-// stored result is far below it.
+// gets 413.
 const DefaultMaxBodyBytes = 1 << 20
 
 // Server is the HTTP API of the simulation service; routes lists its
@@ -49,12 +48,6 @@ type Server struct {
 	// coalesced counts requests served by joining another caller's
 	// in-flight simulation (reported by /v1/cache/stats).
 	coalesced atomic.Uint64
-
-	// Self-healing counters: anti-entropy digest exchanges (periodic and
-	// join-time), the entries they pulled and their failures.
-	aeRounds atomic.Uint64
-	aePulled atomic.Uint64
-	aeErrs   atomic.Uint64
 }
 
 // Option configures NewServer / NewServerWithStore.
@@ -124,9 +117,6 @@ var routes = []struct {
 	{"POST /v1/simulations/stream", (*Server).handleStream},
 	{"GET /v1/benchmarks", (*Server).handleBenchmarks},
 	{"GET /v1/cache/stats", (*Server).handleCacheStats},
-	{"GET /v1/store/keys", (*Server).handleStoreKeys},
-	{"GET /v1/store/digest", (*Server).handleStoreDigest},
-	{"GET /v1/store/entries/{key}", (*Server).handleStoreGetEntry},
 	{"GET /healthz", (*Server).handleHealthz},
 }
 
@@ -185,18 +175,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 				emit(nil, 0)
 			}
 		})
-	reg.Sampled("simd_antientropy_rounds_total", "Completed anti-entropy digest exchanges.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aeRounds.Load()))
-		})
-	reg.Sampled("simd_antientropy_pulled_total", "Entries pulled from peers by anti-entropy repair, join-time convergence included.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aePulled.Load()))
-		})
-	reg.Sampled("simd_antientropy_errors_total", "Anti-entropy rounds or pulls that failed.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aeErrs.Load()))
-		})
 }
 
 // SetReady flips the /healthz verdict.  cmd/simd calls SetReady(false)
@@ -243,17 +221,24 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // statusFor maps run errors to HTTP statuses: client cancellations map
-// to 499 (nginx convention); everything else is an internal failure and
-// must be a 5xx.  Every handler validates the request *before* the run
-// starts (decode and validation failures are 400 at the handler), so an
-// error reaching this point is the server's fault — an engine or
-// marshalling failure, a future store fault.  Reporting those
-// as 400 would make the scheduler's retry classifier treat a backend
-// fault as permanent and abort its ring walk instead of failing over.
+// to 499 (nginx convention); a simulator fault (*frontendsim.FaultError)
+// is 422, because the run is deterministic and every replica would fault
+// on the same request — a 4xx keeps the scheduler from walking the ring
+// or quarantining the replica.  Everything else is an internal failure
+// and must be a 5xx.  Every handler validates the request *before* the
+// run starts (decode and validation failures are 400 at the handler), so
+// such an error is the server's fault — a marshalling failure, a future
+// store fault.  Reporting those as 4xx would make the scheduler's retry
+// classifier treat a backend fault as permanent and abort its ring walk
+// instead of failing over.
 func statusFor(err error) int {
 	var se *ShedError
 	if errors.As(err, &se) {
 		return http.StatusServiceUnavailable
+	}
+	var fe *frontendsim.FaultError
+	if errors.As(err, &fe) {
+		return http.StatusUnprocessableEntity
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return 499

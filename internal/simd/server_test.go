@@ -323,7 +323,8 @@ func TestBodyTooLarge(t *testing.T) {
 }
 
 // TestInternalFaultIs500 pins statusFor: an admission shed is 503, a
-// cancelled or expired context is 499, and any other failure on a
+// cancelled or expired context is 499, a simulator fault is 422 (every
+// replica would fault the same way), and any other failure on a
 // validated request is the server's own — 500, not 400, because the
 // scheduler's retry classifier treats 4xx as permanent and would refuse
 // to fail over.
@@ -336,6 +337,7 @@ func TestInternalFaultIs500(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", &ShedError{Reason: ShedWaitDeadline}), http.StatusServiceUnavailable},
 		{context.Canceled, 499},
 		{fmt.Errorf("run: %w", context.DeadlineExceeded), 499},
+		{&frontendsim.FaultError{Benchmark: "mesa", Value: "core: no commit"}, http.StatusUnprocessableEntity},
 		{errors.New("simd: store fault"), http.StatusInternalServerError},
 		{fmt.Errorf("json: %w", errors.New("unsupported value")), http.StatusInternalServerError},
 	}
@@ -343,6 +345,38 @@ func TestInternalFaultIs500(t *testing.T) {
 		if got := statusFor(tc.err); got != tc.want {
 			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestSimulatorPanicIs422AndServerSurvives: a run that panics inside
+// the simulator answers 422, is not stored (a repeat faults again
+// instead of hitting), and leaves simd serving other requests.
+func TestSimulatorPanicIs422AndServerSurvives(t *testing.T) {
+	eng := frontendsim.New(
+		frontendsim.WithWarmupOps(30_000),
+		frontendsim.WithMeasureOps(60_000),
+		frontendsim.WithObserver(frontendsim.ObserverFunc(func(s frontendsim.Snapshot) {
+			if s.Benchmark == "mcf" {
+				panic("observer fault on mcf")
+			}
+		})),
+	)
+	srv := NewServer(eng, 16)
+	for i := 0; i < 2; i++ {
+		w := post(t, srv, "/v1/simulations", `{"benchmark":"mcf"}`)
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("faulting run %d: status = %d, want 422; body %s", i, w.Code, w.Body.String())
+		}
+		if !strings.Contains(w.Body.String(), "observer fault on mcf") {
+			t.Errorf("faulting run %d: body %s does not carry the panic value", i, w.Body.String())
+		}
+	}
+	if n := srv.store.Stats()[0].Entries; n != 0 {
+		t.Fatalf("store holds %d entries after two faulting runs, want 0", n)
+	}
+	ok := post(t, srv, "/v1/simulations", `{"benchmark":"gzip"}`)
+	if ok.Code != http.StatusOK || ok.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("request after the fault: status %d X-Cache %q, want 200 MISS", ok.Code, ok.Header().Get("X-Cache"))
 	}
 }
 

@@ -148,7 +148,9 @@ var solvers solverTable
 // get returns the solver recorded for the flat size x (size+1)
 // augmented matrix a, recording it on a miss.  Concurrent misses on one
 // matrix may each record it; the duplicates are equal and the extra
-// entry ages out.
+// entry ages out.  A solver is published only once fully recorded, so a
+// run that panics (and is recovered by its caller) leaves the table
+// intact.
 func (t *solverTable) get(a []float64, size int) *solver {
 	h := hashMatrix(a)
 	if s := t.lookup(a, h); s != nil {

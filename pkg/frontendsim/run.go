@@ -15,9 +15,22 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	return e.RunObserved(ctx, req)
 }
 
+// FaultError reports a panic inside a run: a simulator invariant or
+// watchdog that fired, or an observer that panicked.  The simulator is
+// deterministic, so the same request faults again; callers should not
+// retry it or store it.
+type FaultError struct {
+	Benchmark string
+	Value     any // the recovered panic value
+}
+
+func (e *FaultError) Error() string {
+	return fmt.Sprintf("frontendsim: run %s faulted: %v", e.Benchmark, e.Value)
+}
+
 // RunObserved is Run with additional per-call observers appended to the
-// Engine's own.
-func (e *Engine) RunObserved(ctx context.Context, req Request, extra ...Observer) (*Result, error) {
+// Engine's own.  A panic inside the run is returned as a *FaultError.
+func (e *Engine) RunObserved(ctx context.Context, req Request, extra ...Observer) (res *Result, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,6 +61,11 @@ func (e *Engine) RunObserved(ctx context.Context, req Request, extra ...Observer
 			return nil
 		}
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &FaultError{Benchmark: req.Benchmark, Value: v}
+		}
+	}()
 	sr, err := sim.RunHooked(req.EffectiveConfig(), req.profile(), e.options(req), hook)
 	if err != nil {
 		return nil, fmt.Errorf("frontendsim: run %s aborted: %w", req.Benchmark, err)

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -295,8 +296,8 @@ func TestConformanceScanKeys(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("ScanKeys = ok %v err %v", ok, err)
 		}
-		if got := SortKeys(keys); !reflect.DeepEqual(got, want) {
-			t.Fatalf("keys = %v, want %v", got, want)
+		if sort.Strings(keys); !reflect.DeepEqual(keys, want) {
+			t.Fatalf("keys = %v, want %v", keys, want)
 		}
 
 		filtered, _, err := ScanKeys(ctx, s, func(k string) bool { return k == "beta" })
@@ -310,8 +311,8 @@ func TestConformanceScanKeys(t *testing.T) {
 			if !ok || err != nil {
 				t.Fatalf("ScanKeys after reopen = ok %v err %v", ok, err)
 			}
-			if got := SortKeys(keys); !reflect.DeepEqual(got, want) {
-				t.Fatalf("keys after reopen = %v, want %v", got, want)
+			if sort.Strings(keys); !reflect.DeepEqual(keys, want) {
+				t.Fatalf("keys after reopen = %v, want %v", keys, want)
 			}
 		}
 

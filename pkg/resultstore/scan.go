@@ -3,17 +3,15 @@ package resultstore
 import (
 	"context"
 	"errors"
-	"hash/fnv"
-	"sort"
 )
 
 // Scanner is the optional capability of enumerating a store's live key
 // set — the keys a Get would currently hit, after eviction.  Memory,
 // Disk and Tiered implement it; a Store that does not (say, a wrapper
-// that hides its inner store's Keys) is discovered with ScanKeys, and
-// callers fall back to a peer that can enumerate.  The filter restricts
-// the result to keys the caller cares about (typically "hashes to my
-// ring slice"); nil means every key.
+// that hides its inner store's Keys) is discovered with ScanKeys.  The
+// filter restricts the result to the keys it accepts; nil means every
+// key.  No service code enumerates keys: it stays because the benchmark
+// module (bench/trace.go, bench/bench_test.go) builds against it.
 type Scanner interface {
 	Keys(ctx context.Context, filter func(key string) bool) ([]string, error)
 }
@@ -118,69 +116,4 @@ func (t *Tiered) Keys(ctx context.Context, filter func(key string) bool) ([]stri
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// Digest summarizes a key set for anti-entropy comparison: the key
-// count plus an order-independent XOR fold of each key's FNV-1a hash.
-// Two stores whose digests match hold the same key set with
-// overwhelming probability; a mismatch pins down which bucket to pull.
-type Digest struct {
-	Count int    `json:"count"`
-	Sum   uint64 `json:"sum"`
-}
-
-// KeyDigest folds keys into one order-independent digest.
-func KeyDigest(keys []string) Digest {
-	d := Digest{Count: len(keys)}
-	for _, k := range keys {
-		d.Sum ^= hashKey64(k)
-	}
-	return d
-}
-
-// DefaultDigestBuckets is the bucket count anti-entropy digests use
-// when the caller passes buckets < 1.  64 keeps a differing slice's
-// repair pull to ~1/64 of the key space.
-const DefaultDigestBuckets = 64
-
-// BucketOf places key into one of buckets fixed hash-space slices.  The
-// placement is a pure function of the key, independent of ring
-// membership, so two replicas always agree on which bucket a key is in.
-func BucketOf(key string, buckets int) int {
-	if buckets < 1 {
-		buckets = DefaultDigestBuckets
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(buckets))
-}
-
-// BucketDigests splits keys into buckets fixed hash-space slices and
-// digests each independently, so anti-entropy can find *where* two
-// stores diverge and pull only that slice.
-func BucketDigests(keys []string, buckets int) []Digest {
-	if buckets < 1 {
-		buckets = DefaultDigestBuckets
-	}
-	out := make([]Digest, buckets)
-	for _, k := range keys {
-		b := BucketOf(k, buckets)
-		out[b].Count++
-		out[b].Sum ^= hashKey64(k)
-	}
-	return out
-}
-
-// SortKeys sorts keys in place and returns them — scan order is
-// unspecified, so anything comparing or serving enumerations sorts
-// first for determinism.
-func SortKeys(keys []string) []string {
-	sort.Strings(keys)
-	return keys
-}
-
-func hashKey64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,8 @@ func scannedSorted(t *testing.T, s Store, filter func(string) bool) []string {
 	if !ok || err != nil {
 		t.Fatalf("ScanKeys = ok %v err %v, want a scannable store", ok, err)
 	}
-	return SortKeys(keys)
+	sort.Strings(keys)
+	return keys
 }
 
 // TestScanKeysRemoteUnsupported: a store without Keys reports the
@@ -125,53 +127,4 @@ func TestScanKeysDiskDuringWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestKeyDigestOrderIndependent(t *testing.T) {
-	a := KeyDigest([]string{"x", "y", "z"})
-	b := KeyDigest([]string{"z", "x", "y"})
-	if a != b {
-		t.Fatalf("digest depends on order: %+v != %+v", a, b)
-	}
-	if a == KeyDigest([]string{"x", "y"}) {
-		t.Fatal("digest blind to a missing key")
-	}
-	if a.Count != 3 {
-		t.Fatalf("count = %d, want 3", a.Count)
-	}
-}
-
-func TestBucketDigestsLocalizeDivergence(t *testing.T) {
-	const buckets = 16
-	var keys []string
-	for i := 0; i < 200; i++ {
-		keys = append(keys, fmt.Sprintf("key-%d", i))
-	}
-	full := BucketDigests(keys, buckets)
-	missing := keys[17] // drop one key; only its bucket may differ
-	partial := BucketDigests(append(append([]string(nil), keys[:17]...), keys[18:]...), buckets)
-	diverged := 0
-	for b := range full {
-		if full[b] != partial[b] {
-			diverged++
-			if b != BucketOf(missing, buckets) {
-				t.Errorf("bucket %d diverged, but the missing key hashes to %d", b, BucketOf(missing, buckets))
-			}
-		}
-	}
-	if diverged != 1 {
-		t.Fatalf("%d buckets diverged, want exactly 1", diverged)
-	}
-}
-
-func TestBucketOfStable(t *testing.T) {
-	for _, key := range []string{"", "a", "key-123", "longer-key-with-content"} {
-		b := BucketOf(key, 64)
-		if b < 0 || b >= 64 {
-			t.Fatalf("BucketOf(%q) = %d out of range", key, b)
-		}
-		if BucketOf(key, 64) != b {
-			t.Fatalf("BucketOf(%q) unstable", key)
-		}
-	}
 }

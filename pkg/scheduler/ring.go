@@ -13,10 +13,8 @@ package scheduler
 import "repro/internal/hashring"
 
 // Ring is an immutable consistent-hash ring over a set of backend nodes.
-// The implementation lives in internal/hashring so the backends'
-// anti-entropy repair shares the exact assignment arithmetic without
-// importing this package; Ring here is an alias, so values are
-// interchangeable.
+// The implementation lives in internal/hashring; Ring here is an alias,
+// so values are interchangeable.
 type Ring = hashring.Ring
 
 // NewRing builds a ring over nodes (duplicates are collapsed).  The

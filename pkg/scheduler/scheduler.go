@@ -71,8 +71,8 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// HintLimit is ignored.
 	//
-	// Deprecated: anti-entropy is the one repair path; a reinstated
-	// member recomputes a key deterministically or pulls it from a peer.
+	// Deprecated: a reinstated member recomputes a key it lacks
+	// deterministically; nothing replays or copies results.
 	HintLimit int
 }
 
