@@ -78,15 +78,22 @@ func eightClusters() Config {
 
 // activityDigest runs p to completion and returns its cycle count and
 // the hex SHA-256 over the Activity snapshots and the final Stats.
-func activityDigest(p *Processor) []string {
+func activityDigest(p *Processor) []string { return steppedDigest(p, digestEvery, nil) }
+
+// steppedDigest is activityDigest with snapshots every `every` cycles;
+// after the k-th snapshot (k from 1) it calls between(k), if set.
+func steppedDigest(p *Processor, every uint64, between func(k uint64)) []string {
 	h := sha256.New()
 	var a Activity
 	var buf []byte
-	for !p.Done() {
-		p.RunCycles(digestEvery)
+	for k := uint64(1); !p.Done(); k++ {
+		p.RunCycles(every)
 		p.ActivityInto(&a)
 		buf = appendActivity(buf[:0], &a)
 		h.Write(buf)
+		if between != nil {
+			between(k)
+		}
 	}
 	s := &p.Stats
 	// The Stats fields are listed explicitly so that adding a counter
