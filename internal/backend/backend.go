@@ -175,8 +175,11 @@ func (rf *RegFile) CountRead() { rf.Reads++ }
 
 // QueueEntry is one instruction waiting in an issue queue.
 type QueueEntry struct {
-	ID  int32  // core's in-flight op index
-	Seq uint64 // program order, for oldest-first selection
+	ID int32 // core's in-flight op index
+	// Seq orders the select, oldest first: program order.  It must be
+	// unique within a queue, because the window's order is not the
+	// arrival order once entries park and wake.
+	Seq uint64
 	// NotBefore is the core's cached earliest-possible issue cycle, so
 	// the select does not re-evaluate entries known not to be ready.
 	// NeverReady marks a parked entry: one waiting on a source register's
@@ -188,6 +191,10 @@ type QueueEntry struct {
 // window that issues at most one instruction per cycle (Table 1).  Both
 // stages live in fixed ring/flat buffers allocated at construction, so
 // steady-state dispatch and wakeup never touch the allocator.
+//
+// The window is split in two: the first entries are the ones the core's
+// select scans (Active), the rest are parked (Park) until the core wakes
+// them (Wake), so a scan never steps over a parked entry.
 type IssueQueue struct {
 	kind     QueueKind
 	capacity int
@@ -199,13 +206,13 @@ type IssueQueue struct {
 	presCount int
 	prescap   int
 	window    []QueueEntry // len <= capacity; backing array never grows
+	active    int          // window[:active] is scanned, window[active:] parked
 	// WakeAt is a conservative lower bound on the next cycle at which any
-	// window entry could pass its NotBefore gate.  The core's wakeup scan
-	// maintains it and skips the whole window while WakeAt > now — a
-	// skipped scan would have evaluated no entry, so the activity
+	// active window entry could pass its NotBefore gate.  The core's
+	// wakeup scan maintains it and skips the whole window while WakeAt >
+	// now — a skipped scan would have evaluated no entry, so the activity
 	// counters are unaffected.  Advance resets it when new entries
-	// (NotBefore 0) reach the window; the core lowers it when it unparks
-	// an entry.
+	// (NotBefore 0) reach the window; Wake lowers it.
 	WakeAt uint64
 	// Activity counters: writes on insert, reads on wakeup/select.
 	Writes uint64
@@ -258,6 +265,16 @@ func (q *IssueQueue) Dispatch(e QueueEntry, arrives uint64) bool {
 	return true
 }
 
+// NextArrival returns the cycle the prescheduler's head reaches the
+// window, NeverReady while the prescheduler is empty or the window full:
+// the earliest cycle Advance can move an entry.
+func (q *IssueQueue) NextArrival() uint64 {
+	if q.presCount == 0 || len(q.window) == q.capacity {
+		return NeverReady
+	}
+	return q.pres[q.presHead].arrives
+}
+
 // Advance moves prescheduled entries whose time has come into the issue
 // window, in order, while the window has space.
 func (q *IssueQueue) Advance(now uint64) {
@@ -267,25 +284,56 @@ func (q *IssueQueue) Advance(now uint64) {
 		q.presCount--
 		q.Writes++
 		q.WakeAt = 0 // the new entry is immediately evaluable
+		q.swap(q.active, len(q.window)-1)
+		q.active++
 	}
 }
 
-// Window exposes the issue window, oldest arrival first, to the core's
-// wakeup/select scan.  Callers may update entries' NotBefore, must count
-// every entry the wakeup logic examines with CountWakeups, and issue via
-// RemoveIssued.
+func (q *IssueQueue) swap(i, j int) { q.window[i], q.window[j] = q.window[j], q.window[i] }
+
+// Window exposes every window entry, active ones first.
 func (q *IssueQueue) Window() []QueueEntry { return q.window }
+
+// Active exposes the window entries the core's wakeup/select scan
+// examines.  Callers may update entries' NotBefore, must count every
+// entry the wakeup logic examines with CountWakeups, and issue via
+// RemoveIssued or take an entry off the scan via Park.
+func (q *IssueQueue) Active() []QueueEntry { return q.window[:q.active] }
+
+// Park takes active entry i off the scan (NotBefore NeverReady) until
+// Wake.  The last active entry moves into slot i.
+func (q *IssueQueue) Park(i int) {
+	q.window[i].NotBefore = NeverReady
+	q.active--
+	q.swap(i, q.active)
+}
+
+// Wake returns the parked entry id to the scan from cycle now; false if
+// no parked entry has that id.
+func (q *IssueQueue) Wake(id int32, now uint64) bool {
+	for i := q.active; i < len(q.window); i++ {
+		if q.window[i].ID == id {
+			q.window[i].NotBefore = now
+			q.swap(i, q.active)
+			q.active++
+			q.WakeAt = min(q.WakeAt, now)
+			return true
+		}
+	}
+	return false
+}
 
 // CountWakeups records n wakeup-scan entry examinations (power): the
 // entries the select evaluated plus those parked on a register waiter
 // list, which the §2.1 activity counter charges every cycle as well.
 func (q *IssueQueue) CountWakeups(n uint64) { q.Reads += n }
 
-// RemoveIssued removes window entry i, counting the issue, and returns
-// its id.
+// RemoveIssued removes active entry i, counting the issue, and returns
+// its id.  The other entries keep their order.
 func (q *IssueQueue) RemoveIssued(i int) int32 {
 	id := q.window[i].ID
 	q.window = append(q.window[:i], q.window[i+1:]...)
+	q.active--
 	q.IssueCount++
 	return id
 }
@@ -296,33 +344,70 @@ func (q *IssueQueue) Occupancy() int { return len(q.window) + q.presCount }
 // WindowOccupancy returns the number of entries in the issue window only.
 func (q *IssueQueue) WindowOccupancy() int { return len(q.window) }
 
-// MOBEntry is one slot of the memory order buffer.
-type MOBEntry struct {
-	Seq         uint64
-	IsStore     bool
-	Line        uint64 // cache-line address, valid once AddrKnownAt set
-	AddrKnownAt uint64 // NeverReady until the address reaches this cluster
-	Done        bool
+// mobSlot is one slot of the memory order buffer: a load or a store in
+// program order.
+type mobSlot struct {
+	seq     uint64
+	isStore bool
+	done    bool
+}
+
+// mobStore is what disambiguation needs of one store.
+type mobStore struct {
+	seq         uint64
+	line        uint64 // cache-line address, valid once addrKnownAt set
+	addrKnownAt uint64 // NeverReady until the address reaches this cluster
+	done        bool
+}
+
+// deque is a head-compacted queue over a fixed backing array of twice
+// its capacity: the head slides forward on pop and the live span is
+// memmoved back to the front when the tail hits the end, so steady-state
+// pushes and pops never touch the allocator and walks stay contiguous.
+type deque[T any] struct {
+	buf         []T
+	head, count int
+}
+
+func newDeque[T any](capacity int) deque[T] { return deque[T]{buf: make([]T, 2*capacity)} }
+
+// live returns the live span, oldest first.
+func (d *deque[T]) live() []T { return d.buf[d.head : d.head+d.count] }
+
+func (d *deque[T]) push(v T) {
+	if d.head+d.count == len(d.buf) {
+		// Amortized O(1): at most once per capacity pushes.
+		copy(d.buf, d.live())
+		d.head = 0
+	}
+	d.buf[d.head+d.count] = v
+	d.count++
+}
+
+func (d *deque[T]) popFront() {
+	d.head++
+	d.count--
+	if d.count == 0 {
+		d.head = 0
+	}
 }
 
 // MOB is the memory order buffer of one cluster.  Stores allocate a slot
 // in every cluster's MOB so that loads can disambiguate locally (§2 of
 // the paper); loads allocate a slot only in their own cluster.
 //
-// Entries live in a fixed backing array as a head-compacted deque (the
-// head slides forward on release and the live span is memmoved back to
-// the front when the tail hits the end), so steady-state allocation and
-// release never touch the allocator and scans stay contiguous.  The MOB
-// additionally tracks the oldest pending store whose address is still
-// unknown, so whether that store blocks a load is an O(1) question
+// The slots hold every live load and store in program order and free
+// capacity from the head; the stores are kept a second time, in their
+// own deque, with their addresses, so disambiguation walks only stores.
+// The MOB additionally tracks the oldest pending store whose address is
+// still unknown, so whether that store blocks a load is an O(1) question
 // (BlockedByUnknown).
 type MOB struct {
-	buf      []MOBEntry // backing, 2x capacity
-	head     int        // live entries are buf[head : head+count]
-	count    int
+	slots    deque[mobSlot]
+	stores   deque[mobStore] // the stores among slots, oldest first
 	capacity int
-	// unknownStores counts live, not-done stores whose AddrKnownAt is
-	// still NeverReady; minUnknownSeq is the smallest Seq among them
+	// unknownStores counts live, not-done stores whose addrKnownAt is
+	// still NeverReady; minUnknownSeq is the smallest seq among them
 	// (valid only when unknownStores > 0).
 	unknownStores int
 	minUnknownSeq uint64
@@ -337,33 +422,24 @@ func NewMOB(capacity int) *MOB {
 	if capacity < 1 {
 		panic("backend: MOB capacity must be positive")
 	}
-	return &MOB{buf: make([]MOBEntry, 2*capacity), capacity: capacity}
+	return &MOB{slots: newDeque[mobSlot](capacity), stores: newDeque[mobStore](capacity), capacity: capacity}
 }
 
-// entries returns the live span.
-func (m *MOB) entries() []MOBEntry { return m.buf[m.head : m.head+m.count] }
-
 // CanAlloc reports whether a slot is free.
-func (m *MOB) CanAlloc() bool { return m.count < m.capacity }
+func (m *MOB) CanAlloc() bool { return m.slots.count < m.capacity }
 
 // Alloc appends an entry in program order.  ok is false when full.
 // Callers must allocate in non-decreasing Seq order.
 func (m *MOB) Alloc(seq uint64, isStore bool) bool {
-	if m.count >= m.capacity {
+	if m.slots.count >= m.capacity {
 		return false
 	}
-	if m.count > 0 && m.buf[m.head+m.count-1].Seq > seq {
+	if m.slots.count > 0 && m.slots.buf[m.slots.head+m.slots.count-1].seq > seq {
 		panic("backend: MOB allocation out of program order")
 	}
-	if m.head+m.count == len(m.buf) {
-		// Tail hit the end of the backing array: slide the live span back
-		// to the front (amortized O(1): at most once per capacity allocs).
-		copy(m.buf, m.buf[m.head:m.head+m.count])
-		m.head = 0
-	}
-	m.buf[m.head+m.count] = MOBEntry{Seq: seq, IsStore: isStore, AddrKnownAt: NeverReady}
-	m.count++
+	m.slots.push(mobSlot{seq: seq, isStore: isStore})
 	if isStore {
+		m.stores.push(mobStore{seq: seq, addrKnownAt: NeverReady})
 		if m.unknownStores == 0 {
 			m.minUnknownSeq = seq // allocation order is non-decreasing
 		}
@@ -373,16 +449,26 @@ func (m *MOB) Alloc(seq uint64, isStore bool) bool {
 	return true
 }
 
-// noteAddrKnown updates the unknown-store tracking when e's address
-// transitions away from NeverReady (or e leaves the buffer still
-// unknown).
+// store returns the live store with sequence seq, or nil.
+func (m *MOB) store(seq uint64) *mobStore {
+	ss := m.stores.live()
+	for i := range ss {
+		if ss[i].seq == seq {
+			return &ss[i]
+		}
+	}
+	return nil
+}
+
+// noteAddrKnown updates the unknown-store tracking when store seq's
+// address transitions away from NeverReady (or it leaves the buffer
+// still unknown).
 func (m *MOB) noteAddrKnown(seq uint64) {
 	m.unknownStores--
 	if m.unknownStores > 0 && seq == m.minUnknownSeq {
-		for i := range m.entries() {
-			e := &m.entries()[i]
-			if e.IsStore && !e.Done && e.AddrKnownAt == NeverReady {
-				m.minUnknownSeq = e.Seq
+		for _, e := range m.stores.live() {
+			if !e.done && e.addrKnownAt == NeverReady {
+				m.minUnknownSeq = e.seq
 				return
 			}
 		}
@@ -391,24 +477,22 @@ func (m *MOB) noteAddrKnown(seq uint64) {
 	}
 }
 
-// SetAddr records that the address of the memory op with sequence seq is
+// SetAddr records that the address of the store with sequence seq is
 // known at this cluster from cycle c on.
 func (m *MOB) SetAddr(seq uint64, line uint64, c uint64) {
-	es := m.entries()
-	for i := range es {
-		if es[i].Seq == seq {
-			wasUnknown := es[i].IsStore && !es[i].Done && es[i].AddrKnownAt == NeverReady
-			es[i].Line = line
-			es[i].AddrKnownAt = c
-			if wasUnknown {
-				m.noteAddrKnown(seq) // after the update: the rescan must not re-find seq
-			}
-			m.Writes++
-			return
-		}
+	e := m.store(seq)
+	if e == nil {
+		// The store may already have been released (e.g. committed before
+		// a straggling broadcast); that is harmless.
+		return
 	}
-	// The entry may already have been released (e.g. a store committed
-	// before a straggling broadcast); that is harmless.
+	wasUnknown := !e.done && e.addrKnownAt == NeverReady
+	e.line = line
+	e.addrKnownAt = c
+	if wasUnknown {
+		m.noteAddrKnown(seq) // after the update: the rescan must not re-find seq
+	}
+	m.Writes++
 }
 
 // BlockedByUnknown reports whether a store older than a load with
@@ -425,14 +509,12 @@ func (m *MOB) BlockedByUnknown(seq uint64) bool {
 // unknown).  blocked is false when every older store's address is here,
 // so disambiguation lets the load issue.
 func (m *MOB) PendingStore(seq, now uint64) (store, arrives uint64, blocked bool) {
-	es := m.entries()
-	for i := range es {
-		e := &es[i]
-		if e.Seq >= seq {
+	for _, e := range m.stores.live() {
+		if e.seq >= seq {
 			break
 		}
-		if e.IsStore && !e.Done && e.AddrKnownAt > now {
-			return e.Seq, e.AddrKnownAt, true
+		if !e.done && e.addrKnownAt > now {
+			return e.seq, e.addrKnownAt, true
 		}
 	}
 	return 0, 0, false
@@ -447,19 +529,17 @@ func (m *MOB) PendingStore(seq, now uint64) (store, arrives uint64, blocked bool
 // forwarding check.  It counts no activity: core counts one search per
 // executed memory op via CountSearch.
 func (m *MOB) Disambiguate(seq uint64, line uint64, now uint64) (ok, forward bool) {
-	es := m.entries()
-	for i := range es {
-		e := &es[i]
-		if e.Seq >= seq {
+	for _, e := range m.stores.live() {
+		if e.seq >= seq {
 			break
 		}
-		if !e.IsStore || e.Done {
+		if e.done {
 			continue
 		}
-		if e.AddrKnownAt > now { // NeverReady while unknown
+		if e.addrKnownAt > now { // NeverReady while unknown
 			return false, false
 		}
-		if e.Line == line {
+		if e.line == line {
 			forward = true // youngest older store wins; keep scanning
 		}
 	}
@@ -471,31 +551,36 @@ func (m *MOB) CountSearch() { m.Reads++ }
 
 // Release marks the entry with sequence seq done and compacts the head.
 func (m *MOB) Release(seq uint64) {
-	es := m.entries()
-	for i := range es {
-		if es[i].Seq == seq {
-			wasUnknown := es[i].IsStore && !es[i].Done && es[i].AddrKnownAt == NeverReady
-			es[i].Done = true
-			if wasUnknown {
+	ss := m.slots.live()
+	for i := range ss {
+		if ss[i].seq != seq {
+			continue
+		}
+		ss[i].done = true
+		if ss[i].isStore {
+			e := m.store(seq)
+			if !e.done && e.addrKnownAt == NeverReady {
 				// Defensive: a store leaving with its address never set
 				// must not wedge the unknown-store fast path.
+				e.done = true
 				m.noteAddrKnown(seq)
 			}
-			break
+			e.done = true
 		}
+		break
 	}
-	// Pop done entries from the head to free capacity in order.
-	for m.count > 0 && m.buf[m.head].Done {
-		m.head++
-		m.count--
-	}
-	if m.count == 0 {
-		m.head = 0
+	// Pop done entries from the head to free capacity in order; a popped
+	// store is the oldest in stores.
+	for m.slots.count > 0 && m.slots.buf[m.slots.head].done {
+		if m.slots.buf[m.slots.head].isStore {
+			m.stores.popFront()
+		}
+		m.slots.popFront()
 	}
 }
 
 // Occupancy returns the number of live slots.
-func (m *MOB) Occupancy() int { return m.count }
+func (m *MOB) Occupancy() int { return m.slots.count }
 
 // FU models the unpipelined functional units (dividers); pipelined units
 // accept one operation per cycle through their issue queue and need no
@@ -506,9 +591,8 @@ type FU struct {
 	Ops uint64
 }
 
-// CanStart reports whether an unpipelined operation could start at cycle
-// now without mutating the unit.
-func (f *FU) CanStart(now uint64) bool { return f.nextFree <= now }
+// NextFree returns the first cycle an unpipelined operation can start.
+func (f *FU) NextFree() uint64 { return f.nextFree }
 
 // TryStart attempts to start an unpipelined operation of the given
 // latency at cycle now; ok is false if the unit is busy.

@@ -59,6 +59,7 @@ func (p *Processor) Activity() Activity {
 // slices when they have the right length (they do after the first call
 // with the same processor).
 func (p *Processor) ActivityInto(a *Activity) {
+	p.settleAll()
 	a.Cycles = p.cycle
 	a.Committed = p.Stats.Committed
 	a.ITLB = p.itlbAcc

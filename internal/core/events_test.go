@@ -162,9 +162,10 @@ func TestParkedEntriesSkipReadyEvals(t *testing.T) {
 		t.Fatalf("queue reads %d are only %.1fx the %d ready evaluations, want >= 4x",
 			reads, float64(reads)/float64(evals), evals)
 	}
-	for qi, n := range p.parked {
-		if n != 0 {
-			t.Fatalf("queue %d still counts %d parked entries after drain", qi, n)
+	for qi, s := range p.queues {
+		if s.parked != 0 || s.polled != 0 {
+			t.Fatalf("queue %d still counts %d entries parked on a register and %d on a divider or MOB after drain",
+				qi, s.parked, s.polled)
 		}
 	}
 	for cl, mp := range p.mobParked {

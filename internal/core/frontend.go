@@ -306,7 +306,7 @@ func (p *Processor) applyDispatch(u *uop.MicroOp, plan dispatchPlan, now uint64)
 		case plan.sameAs0[s]:
 			op.srcPhys[s] = op.srcPhys[0]
 		case plan.donor[s] >= 0:
-			op.srcPhys[s] = p.makeCopy(r, int(plan.donor[s]), cl, u.Seq, now)
+			op.srcPhys[s] = p.makeCopy(r, int(plan.donor[s]), cl, 2*u.Seq+uint64(s), now)
 		default:
 			op.srcPhys[s] = p.maps[cl].Get(r)
 		}
@@ -388,16 +388,17 @@ func (p *Processor) applyDispatch(u *uop.MicroOp, plan dispatchPlan, now uint64)
 		h.seq = u.Seq
 	}
 
-	cluster.Queues[plan.kind].Dispatch(
-		backend.QueueEntry{ID: id, Seq: u.Seq},
-		now+uint64(p.cfg.DispatchLatency),
-	)
+	arrives := now + uint64(p.cfg.DispatchLatency)
+	cluster.Queues[plan.kind].Dispatch(backend.QueueEntry{ID: id, Seq: u.Seq}, arrives)
+	p.lower(cl*int(backend.NumQueues)+int(plan.kind), arrives)
 }
 
 // makeCopy creates the copy instruction bringing logical register r from
 // cluster donor into cluster cl, returning the destination physical
 // register the consumer will read.  Cross-frontend copies pay the §3.1.1
-// request penalty.
+// request penalty.  seq orders the copy in the donor's CopyQueue: twice
+// the consumer's program order plus the source index, so the copies of
+// one consumer issue source 0 first, as they arrived.
 func (p *Processor) makeCopy(r int8, donor, cl int, seq uint64, now uint64) int16 {
 	fp := uop.IsFPReg(r)
 	var phys int16
@@ -439,6 +440,7 @@ func (p *Processor) makeCopy(r int8, donor, cl int, seq uint64, now uint64) int1
 	) {
 		panic("core: copy queue full after successful plan")
 	}
+	p.lower(donor*int(backend.NumQueues)+int(backend.CopyQueue), now+delay)
 	return phys
 }
 

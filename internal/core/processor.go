@@ -48,11 +48,11 @@ type Stats struct {
 	StoreWakeups      uint64
 	StorePollsAvoided uint64
 	// ReadyEvals counts readiness evaluations by the issue select (calls
-	// to ready), plus one per cycle for each load parked on its MOB: the
-	// poll that parking replaced evaluated such a load every cycle, so it
-	// is charged, not evaluated.  Entries parked on an unproduced source
-	// are not counted, so the queues' Reads exceed it by those parked
-	// polls.
+	// to ready), plus one per cycle for each load parked on its MOB and
+	// each op parked on a busy divider: the poll that parking replaced
+	// evaluated such an entry every cycle, so it is charged, not
+	// evaluated.  Entries parked on an unproduced source are not counted,
+	// so the queues' Reads exceed it by those parked polls.
 	ReadyEvals uint64
 }
 
@@ -153,6 +153,23 @@ type mobPark struct {
 	until     uint64
 }
 
+// queueState is the core's bookkeeping for one issue queue.
+type queueState struct {
+	q *backend.IssueQueue
+	// due is a lower bound on the first cycle a visit can change
+	// anything: the earliest of the prescheduler head's arrival (while
+	// the window has room), WakeAt and, for MemQ, the cluster's MOB due.
+	due uint64
+	// The poll that parking replaced read every window entry every
+	// cycle.  parked counts the entries parked on a source register,
+	// charged one Read per cycle; polled those waiting on a busy divider
+	// (until divFree) or, for MemQ, on the MOB, charged one Read and one
+	// ReadyEval per cycle.  settled is the last cycle whose charge is in
+	// the counters: settle brings it up to date before a count changes.
+	parked, polled, settled uint64
+	divFree                 uint64
+}
+
 // mobParking is one cluster's MOB-parked loads; due is a lower bound on
 // the earliest finite until among them (NeverReady: none).
 type mobParking struct {
@@ -195,9 +212,14 @@ type Processor struct {
 	copies   []copyState
 	copyFree []int32
 
-	// parked counts, per issue queue (cluster*NumQueues+kind), the
-	// window entries parked on a source register's waiter list.
-	parked []uint64
+	// queues is the issue stage's bookkeeping per issue queue, in
+	// issueAll's visit order (cluster*NumQueues+kind).  nextDue is the
+	// smallest due cycle among them.  cursor is the last queue whose
+	// charge point this cycle has passed (-1: none yet), so a parked
+	// count that changes knows whether this cycle's charge includes it.
+	queues  []queueState
+	nextDue uint64
+	cursor  int
 	// mobParked holds, per cluster, the loads parked on its MOB.
 	mobParked []mobParking
 
@@ -277,7 +299,14 @@ func New(cfg Config, feeder Feeder) *Processor {
 	copyCap := cfg.Clusters*(cfg.Cluster.CopyQ+cfg.Cluster.Prescheduler) + 8
 	p.copies = make([]copyState, 0, copyCap)
 	p.copyFree = make([]int32, 0, copyCap)
-	p.parked = make([]uint64, cfg.Clusters*int(backend.NumQueues))
+	p.queues = make([]queueState, 0, cfg.Clusters*int(backend.NumQueues))
+	for _, c := range p.clusters {
+		for _, q := range c.Queues {
+			p.queues = append(p.queues, queueState{q: q, due: backend.NeverReady})
+		}
+	}
+	p.nextDue = backend.NeverReady
+	p.cursor = len(p.queues)
 	// At most a MemQ window of loads parks on each cluster's MOB.
 	loads := make([]mobPark, cfg.Clusters*cfg.Cluster.MemQ)
 	p.mobParked = make([]mobParking, cfg.Clusters)
@@ -400,7 +429,13 @@ func (p *Processor) Done() bool {
 
 // Step advances the machine by one clock cycle.
 func (p *Processor) Step() {
+	p.step()
+	p.settleAll()
+}
+
+func (p *Processor) step() {
 	p.cycle++
+	p.cursor = -1
 	now := p.cycle
 	p.applyPendingCommits(now)
 	p.drainEvents(now)
@@ -423,16 +458,18 @@ func (p *Processor) Run(maxCycles uint64) uint64 {
 		if maxCycles > 0 && p.cycle-start >= maxCycles {
 			break
 		}
-		p.Step()
+		p.step()
 	}
+	p.settleAll()
 	return p.cycle - start
 }
 
 // RunCycles executes exactly n cycles (or fewer if the workload drains).
 func (p *Processor) RunCycles(n uint64) {
 	for i := uint64(0); i < n && !p.Done(); i++ {
-		p.Step()
+		p.step()
 	}
+	p.settleAll()
 }
 
 // ---------------------------------------------------------------------
@@ -586,85 +623,136 @@ func (p *Processor) commitEffects(id int32, now uint64) {
 // ---------------------------------------------------------------------
 // Issue and execute
 
-// issueAll runs the oldest-ready select of every issue queue, in
-// cluster-major, kind-minor order.  An entry whose source producer has
-// not issued is parked on that register's waiter list instead of being
-// re-polled: it costs no ready call until the producer's SetReady
-// unparks it, while the queue still counts one Read per parked entry per
-// cycle, as the poll it replaces did.  A load the MOB refuses parks on
-// the cluster's MOB the same way (see mobPark), and the MemQ visit
-// charges it one evaluation per cycle.
+// issueAll runs the oldest-ready select of the issue queues, in
+// cluster-major, kind-minor order, visiting only the queues whose due
+// cycle has come: a visit to any other would change nothing.  An entry
+// whose source producer has not issued is parked on that register's
+// waiter list instead of being re-polled; a load the MOB refuses parks
+// on the cluster's MOB (see mobPark), and an op waiting on a busy
+// divider until the cycle it frees.  Parked entries are off the scan and
+// cost no ready call, but are charged per cycle as the poll they
+// replace was evaluated (see queueState).
 func (p *Processor) issueAll(now uint64) {
-	for cl := 0; cl < p.cfg.Clusters; cl++ {
-		cluster := p.clusters[cl]
-		for k := backend.QueueKind(0); k < backend.NumQueues; k++ {
-			q := cluster.Queues[k]
-			q.Advance(now)
-			qi := cl*int(backend.NumQueues) + int(k)
-			q.CountWakeups(p.parked[qi])
-			if k == backend.MemQueue {
-				n := p.visitMOB(cl, now)
-				q.CountWakeups(n)
-				p.Stats.ReadyEvals += n
+	if p.nextDue <= now {
+		p.nextDue = backend.NeverReady
+		for qi := range p.queues {
+			s := &p.queues[qi]
+			if s.due <= now {
+				p.visit(qi, now)
 			}
-			if q.WakeAt > now {
-				// No unparked entry can pass its NotBefore gate: the scan
-				// would evaluate nothing, so skipping it is counter-neutral.
+			p.nextDue = min(p.nextDue, s.due)
+		}
+	}
+	p.cursor = len(p.queues)
+}
+
+// visit runs issue queue qi's part of the cycle: arrivals, the wakeups
+// due now, then the select over its active entries.
+func (p *Processor) visit(qi int, now uint64) {
+	s := &p.queues[qi]
+	q := s.q
+	cl, k := qi/int(backend.NumQueues), backend.QueueKind(qi%int(backend.NumQueues))
+	p.cursor = qi - 1
+	q.Advance(now)
+	if k == backend.MemQueue {
+		p.visitMOB(cl, now)
+	} else if s.polled > 0 && s.divFree <= now {
+		p.settle(qi)
+		s.polled = 0 // the divider is free: evaluated from now on
+	}
+	p.cursor = qi // this cycle's charge point
+	if q.WakeAt <= now {
+		p.selectIssue(cl, qi, now)
+	}
+	s.due = min(q.WakeAt, q.NextArrival())
+	if k == backend.MemQueue {
+		s.due = min(s.due, p.mobParked[cl].due)
+	}
+}
+
+// selectIssue evaluates queue qi's active entries that are due and
+// issues the oldest ready one.
+func (p *Processor) selectIssue(cl, qi int, now uint64) {
+	q := p.queues[qi].q
+	act := q.Active()
+	best := -1
+	var bestSeq uint64
+	wake := backend.NeverReady
+	evals := uint64(0)
+	for i := 0; i < len(act); {
+		e := &act[i]
+		if e.NotBefore > now {
+			wake = min(wake, e.NotBefore)
+			i++
+			continue
+		}
+		evals++
+		ok, retry := p.ready(cl, e, now)
+		if !ok {
+			if retry >= onMOB { // parked: on a register, or by ready on the MOB
+				if retry == backend.NeverReady {
+					p.park(e, qi)
+				}
+				q.Park(i) // the last active entry moves into slot i
+				act = act[:len(act)-1]
 				continue
 			}
-			win := q.Window()
-			best := -1
-			var bestSeq uint64
-			wake := ^uint64(0)
-			evals := uint64(0)
-			for i := range win {
-				e := &win[i]
-				if e.NotBefore > now {
-					// Not due yet, or parked (NotBefore == NeverReady).
-					if e.NotBefore < wake {
-						wake = e.NotBefore
-					}
-					continue
-				}
-				evals++
-				ok, retry := p.ready(cl, e, now)
-				if !ok {
-					switch retry {
-					case backend.NeverReady:
-						p.park(e, qi)
-					case onMOB: // ready parked it on the cluster's MOB
-					default:
-						e.NotBefore = retry
-						if retry < wake {
-							wake = retry
-						}
-					}
-					continue
-				}
-				if best == -1 || e.Seq < bestSeq {
-					best = i
-					bestSeq = e.Seq
-				}
-				if e.NotBefore < wake {
-					wake = e.NotBefore // ready, not issued: re-evaluate next cycle
-				}
-			}
-			q.CountWakeups(evals)
-			p.Stats.ReadyEvals += evals
-			q.WakeAt = wake
-			if best >= 0 {
-				p.execute(cl, q.RemoveIssued(best), now)
-			}
+			e.NotBefore = retry
+			wake = min(wake, retry)
+			i++
+			continue
 		}
+		if best == -1 || e.Seq < bestSeq {
+			best = i
+			bestSeq = e.Seq
+		}
+		wake = min(wake, e.NotBefore) // ready, not issued: re-evaluate next cycle
+		i++
+	}
+	q.CountWakeups(evals)
+	p.Stats.ReadyEvals += evals
+	q.WakeAt = wake
+	if best >= 0 {
+		p.execute(cl, q.RemoveIssued(best), now)
+	}
+}
+
+// lower brings queue qi's due cycle down to c.
+func (p *Processor) lower(qi int, c uint64) {
+	p.queues[qi].due = min(p.queues[qi].due, c)
+	p.nextDue = min(p.nextDue, c)
+}
+
+// settle adds queue qi's parked charges up to the last cycle whose
+// charge point has passed: this cycle once issueAll is past qi, else
+// the one before.
+func (p *Processor) settle(qi int) {
+	s := &p.queues[qi]
+	through := p.cycle
+	if qi > p.cursor {
+		through--
+	}
+	if through > s.settled {
+		n := through - s.settled
+		s.q.CountWakeups((s.parked + s.polled) * n)
+		p.Stats.ReadyEvals += s.polled * n
+		s.settled = through
+	}
+}
+
+// settleAll settles every queue, so the counters are exact between
+// cycles.
+func (p *Processor) settleAll() {
+	for qi := range p.queues {
+		p.settle(qi)
 	}
 }
 
 // park subscribes window entry e of queue qi to the waiter list of its
-// first source register whose producer has not issued.  NotBefore
-// NeverReady keeps the scan off the entry until unpark.
+// first source register whose producer has not issued.
 func (p *Processor) park(e *backend.QueueEntry, qi int) {
-	e.NotBefore = backend.NeverReady
-	p.parked[qi]++
+	p.settle(qi)
+	p.queues[qi].parked++
 	if e.ID >= copyBase {
 		idx := e.ID - copyBase
 		c := &p.copies[idx]
@@ -682,61 +770,78 @@ func (p *Processor) park(e *backend.QueueEntry, qi int) {
 // unpark returns the parked entry id of cluster cl's kind-k queue to the
 // scan: the producer of its source issued at cycle now.
 func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
-	wakeEntry(p.clusters[cl].Queues[k], id, now)
-	p.parked[cl*int(backend.NumQueues)+int(k)]--
+	qi := cl*int(backend.NumQueues) + int(k)
+	p.settle(qi)
+	p.queues[qi].parked--
+	p.wakeEntry(qi, id, now)
 }
 
-// wakeEntry returns q's parked window entry id to the scan from cycle now.
-// The poll that parking replaces saw the change this cycle if the
-// queue's scan had not run yet, else next cycle; NotBefore = now with
-// WakeAt lowered reproduces both, because issueAll visits queues in a
-// fixed order.
-func wakeEntry(q *backend.IssueQueue, id int32, now uint64) {
-	win := q.Window()
-	for i := range win {
-		if win[i].ID != id {
-			continue
-		}
-		if win[i].NotBefore != backend.NeverReady {
-			break
-		}
-		win[i].NotBefore = now
-		if q.WakeAt > now {
-			q.WakeAt = now
-		}
-		return
+// wakeEntry returns queue qi's parked window entry id to the scan from
+// cycle now.  The poll that parking replaces saw the change this cycle
+// if the queue's scan had not run yet, else next cycle; NotBefore = now
+// with WakeAt and the due cycle lowered reproduces both, because
+// issueAll visits queues in a fixed order.
+func (p *Processor) wakeEntry(qi int, id int32, now uint64) {
+	if !p.queues[qi].q.Wake(id, now) {
+		panic("core: wakeup delivered to an entry that is not parked")
 	}
-	panic("core: wakeup delivered to an entry that is not parked")
+	p.lower(qi, now)
 }
+
+// parkOnDivider charges the op of queue qi that ready found waiting on
+// its busy divider one evaluation per cycle until free, when it is
+// evaluated again.  Every op waiting on one divider waits until the same
+// cycle: no other op can start it before then.
+func (p *Processor) parkOnDivider(qi int, free uint64) {
+	s := &p.queues[qi]
+	if s.polled > 0 && s.divFree != free {
+		panic("core: ops parked on one divider until different cycles")
+	}
+	p.settle(qi)
+	s.polled++
+	s.divFree = free
+}
+
+// memQueue returns the index of cluster cl's MemQ in p.queues.
+func memQueue(cl int) int { return cl*int(backend.NumQueues) + int(backend.MemQueue) }
 
 // parkOnMOB takes load entry e of cluster cl off the scan until the MOB
 // refusal recorded in m can change.
-func (p *Processor) parkOnMOB(cl int, e *backend.QueueEntry, m mobPark) {
-	e.NotBefore = backend.NeverReady
+func (p *Processor) parkOnMOB(cl int, m mobPark) {
+	qi := memQueue(cl)
+	p.settle(qi)
+	p.queues[qi].polled++
 	mp := &p.mobParked[cl]
 	mp.loads = append(mp.loads, m)
 	mp.due = min(mp.due, m.until)
 }
 
-// visitMOB runs at cluster cl's MemQ visit: it wakes the parked loads
-// whose blocking store's address has arrived by now, and returns how
-// many stay parked.
-func (p *Processor) visitMOB(cl int, now uint64) uint64 {
+// unparkMOB wakes load i of cluster cl's MOB-parked loads at cycle now.
+func (p *Processor) unparkMOB(cl, i int, now uint64) {
+	qi := memQueue(cl)
+	p.settle(qi)
+	p.queues[qi].polled--
+	p.wakeEntry(qi, p.mobParked[cl].loads[i].id, now)
+	p.mobParked[cl].remove(i)
+}
+
+// visitMOB runs at cluster cl's MemQ visit, before its charge point: it
+// wakes the parked loads whose blocking store's address has arrived by
+// now.
+func (p *Processor) visitMOB(cl int, now uint64) {
 	mp := &p.mobParked[cl]
-	if mp.due <= now {
-		q := p.clusters[cl].Queues[backend.MemQueue]
-		mp.due = backend.NeverReady
-		for i := 0; i < len(mp.loads); {
-			if m := mp.loads[i]; m.until > now {
-				mp.due = min(mp.due, m.until)
-				i++
-				continue
-			}
-			wakeEntry(q, mp.loads[i].id, now)
-			mp.remove(i)
-		}
+	if mp.due > now {
+		return
 	}
-	return uint64(len(mp.loads))
+	mp.due = backend.NeverReady
+	for i := 0; i < len(mp.loads); {
+		if m := mp.loads[i]; m.until > now {
+			mp.due = min(mp.due, m.until)
+			i++
+			continue
+		}
+		p.unparkMOB(cl, i, now)
+	}
 }
 
 // wakeMOB wakes the loads parked on cluster cl's MOB that a SetAddr, or
@@ -749,7 +854,6 @@ func (p *Processor) wakeMOB(cl int, released int32, now uint64) {
 		return
 	}
 	mob := p.clusters[cl].Mob
-	q := p.clusters[cl].Queues[backend.MemQueue]
 	for i := 0; i < len(mp.loads); {
 		m := mp.loads[i]
 		var unblocked bool
@@ -762,8 +866,7 @@ func (p *Processor) wakeMOB(cl int, released int32, now uint64) {
 			i++
 			continue
 		}
-		wakeEntry(q, m.id, now)
-		mp.remove(i)
+		p.unparkMOB(cl, i, now)
 	}
 }
 
@@ -775,11 +878,12 @@ func (mp *mobParking) remove(i int) {
 }
 
 // ready decides whether window entry e may issue in cluster cl at cycle
-// now.  When not, it returns the earliest cycle (> now) worth
-// re-checking, NeverReady when a source's producer has not issued yet
-// (the caller parks the entry), or onMOB for a load the MOB refuses,
-// which ready parks on the MOB itself.  Source readiness reads go
-// through the pointers cached at dispatch.
+// now.  When not, it returns the exact cycle (> now) it may, NeverReady
+// when a source's producer has not issued yet (the caller parks the
+// entry), or onMOB for a load the MOB refuses, which ready parks on the
+// MOB itself.  An op waiting on its busy divider gets the cycle the
+// divider frees, and ready charges it for the wait (parkOnDivider).
+// Source readiness reads go through the pointers cached at dispatch.
 func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint64) {
 	id := e.ID
 	if id >= copyBase {
@@ -809,12 +913,14 @@ func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint
 	}
 	switch h.kind {
 	case readyIntDiv:
-		if !p.clusters[cl].IntFU.CanStart(now) {
-			return false, now + 1
+		if free := p.clusters[cl].IntFU.NextFree(); free > now {
+			p.parkOnDivider(cl*int(backend.NumQueues)+int(backend.IntQueue), free)
+			return false, free
 		}
 	case readyFPDiv:
-		if !p.clusters[cl].FPFU.CanStart(now) {
-			return false, now + 1
+		if free := p.clusters[cl].FPFU.NextFree(); free > now {
+			p.parkOnDivider(cl*int(backend.NumQueues)+int(backend.FPQueue), free)
+			return false, free
 		}
 	case readyLoad:
 		mob := p.clusters[cl].Mob
@@ -826,7 +932,7 @@ func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint
 			}
 			m.store, m.until = int32(store%p.slabN), until
 		}
-		p.parkOnMOB(cl, e, m)
+		p.parkOnMOB(cl, m)
 		return false, onMOB
 	}
 	return true, 0
