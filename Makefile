@@ -5,7 +5,7 @@ GO ?= go
 # `staticcheck` is on PATH and skips with an install hint otherwise.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench docs-check demo chaos fuzz-short cover-resultstore bench-module
+.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench bench-ab docs-check demo chaos fuzz-short cover-resultstore bench-module
 
 # The full tier-1 gate: formatting, vet, staticcheck, build, tests
 # (race-enabled — the scheduler/simd coalescing paths are explicitly
@@ -93,6 +93,33 @@ bench:
 	$(GO) test -run NONE -bench '$(BENCH_SIM)' -benchmem -benchtime 3x . ./pkg/frontendsim > BENCH_raw.out
 	$(GO) test -run NONE -bench '$(BENCH_FAST)' -benchmem -benchtime 2s . ./pkg/scheduler ./pkg/frontendsim >> BENCH_raw.out
 	$(GO) run ./cmd/benchjson -o BENCH_results.json < BENCH_raw.out && rm -f BENCH_raw.out
+
+# Paired A/B of the simulator rungs (BENCH_SIM) against revision REV:
+# REV is exported with git archive under .bench_build/ab, both sides'
+# test binaries are built once, and COUNT pairs run with the side that
+# goes first alternating.  benchjson then prints, per benchmark, each
+# side's median [q1–q3] of ns/op, the ratio of the medians (working tree
+# over REV) and the pairs the working tree won.  A/A check:
+# `make bench-ab REV=HEAD COUNT=6` on a clean tree.
+REV ?= HEAD
+COUNT ?= 10
+AB = .bench_build/ab
+bench-ab:
+	rm -rf $(AB) && mkdir -p $(AB)/base
+	git archive $(REV) | tar -x -C $(AB)/base
+	$(GO) test -c -o $(AB)/new.root.test .
+	$(GO) test -c -o $(AB)/new.fsim.test ./pkg/frontendsim
+	cd $(AB)/base && $(GO) test -c -o ../base.root.test . && $(GO) test -c -o ../base.fsim.test ./pkg/frontendsim
+	@for i in $$(seq 1 $(COUNT)); do \
+		if [ $$((i % 2)) -eq 1 ]; then sides="base new"; else sides="new base"; fi; \
+		for s in $$sides; do \
+			if [ $$s = base ]; then dir=$(AB)/base; else dir=.; fi; \
+			echo "pair $$i: $$s"; \
+			(cd $$dir && $(CURDIR)/$(AB)/$$s.root.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x) >> $(AB)/$$s.out || exit 1; \
+			(cd $$dir/pkg/frontendsim && $(CURDIR)/$(AB)/$$s.fsim.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x) >> $(AB)/$$s.out || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson $(AB)/base.out $(AB)/new.out
 
 # Fast regression gate: the short tier-1 benchmarks, the AllocsPerRun
 # tests that pin the zero-allocation interval pipeline, and the pinned

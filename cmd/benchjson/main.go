@@ -14,6 +14,14 @@
 // contents of the -o file — normally the committed BENCH_results.json),
 // a per-benchmark delta of every shared metric is printed after the run,
 // so a bench refresh shows what moved against the committed numbers.
+//
+// Given two files of benchmark output instead of stdin, it compares them
+// as paired runs (the i-th run of a benchmark in one file against the
+// i-th in the other) and prints, per benchmark, each side's median
+// [q1–q3] of ns/op, the ratio of the medians and the pairs the second
+// file won; `make bench-ab` writes the two files:
+//
+//	benchjson base.out new.out
 package main
 
 import (
@@ -38,6 +46,13 @@ func main() {
 	out := flag.String("o", "BENCH_results.json", "output JSON path")
 	baseline := flag.String("baseline", "", "baseline JSON to diff against (default: previous contents of -o)")
 	flag.Parse()
+	if flag.NArg() == 2 {
+		if err := runAB(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	basePath := *baseline
 	if basePath == "" {
