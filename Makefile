@@ -115,8 +115,8 @@ bench-ab:
 		for s in $$sides; do \
 			if [ $$s = base ]; then dir=$(AB)/base; else dir=.; fi; \
 			echo "pair $$i: $$s"; \
-			(cd $$dir && $(CURDIR)/$(AB)/$$s.root.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x) >> $(AB)/$$s.out || exit 1; \
-			(cd $$dir/pkg/frontendsim && $(CURDIR)/$(AB)/$$s.fsim.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x) >> $(AB)/$$s.out || exit 1; \
+			(cd $$dir && $(CURDIR)/$(AB)/$$s.root.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x -test.timeout 30m) >> $(AB)/$$s.out || exit 1; \
+			(cd $$dir/pkg/frontendsim && $(CURDIR)/$(AB)/$$s.fsim.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x -test.timeout 30m) >> $(AB)/$$s.out || exit 1; \
 		done; \
 	done
 	$(GO) run ./cmd/benchjson $(AB)/base.out $(AB)/new.out

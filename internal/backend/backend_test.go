@@ -110,6 +110,49 @@ func TestQueueSkipsNotReady(t *testing.T) {
 	}
 }
 
+// Park takes an entry off the scanned part of the window and Wake puts
+// it back, lowering WakeAt; NextArrival is the prescheduler head's
+// arrival only while the window has room.
+func TestQueueParkWake(t *testing.T) {
+	q := NewIssueQueue(IntQueue, 3, 4)
+	for i := int32(1); i <= 4; i++ {
+		q.Dispatch(QueueEntry{ID: i, Seq: uint64(i)}, uint64(i))
+	}
+	if got := q.NextArrival(); got != 1 {
+		t.Fatalf("NextArrival = %d, want 1", got)
+	}
+	q.Advance(3)
+	if got := q.NextArrival(); got != NeverReady {
+		t.Fatalf("NextArrival = %d with the window full, want NeverReady", got)
+	}
+	q.Park(0) // entry 1
+	if act := q.Active(); len(act) != 2 || act[0].ID == 1 || act[1].ID == 1 {
+		t.Fatalf("active %+v after parking entry 1", act)
+	}
+	if q.Wake(2, 7) {
+		t.Fatal("Wake found entry 2, which is not parked")
+	}
+	q.WakeAt = 100
+	if !q.Wake(1, 9) {
+		t.Fatal("Wake did not find parked entry 1")
+	}
+	act := q.Active()
+	if len(act) != 3 || q.WakeAt != 9 {
+		t.Fatalf("active %+v, WakeAt %d after the wake; want 3 entries and 9", act, q.WakeAt)
+	}
+	for _, e := range act {
+		if e.ID == 1 && e.NotBefore != 9 {
+			t.Fatalf("woken entry NotBefore %d, want 9", e.NotBefore)
+		}
+	}
+	q.Park(1)
+	q.RemoveIssued(0)
+	if q.WindowOccupancy() != 2 || len(q.Active()) != 1 || q.NextArrival() != 4 {
+		t.Fatalf("after an issue: window %+v, %d active, NextArrival %d; want 2, 1, 4",
+			q.Window(), len(q.Active()), q.NextArrival())
+	}
+}
+
 func TestQueueCountWakeups(t *testing.T) {
 	q := NewIssueQueue(MemQueue, 4, 4)
 	q.CountWakeups(3)

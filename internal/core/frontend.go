@@ -390,7 +390,7 @@ func (p *Processor) applyDispatch(u *uop.MicroOp, plan dispatchPlan, now uint64)
 
 	arrives := now + uint64(p.cfg.DispatchLatency)
 	cluster.Queues[plan.kind].Dispatch(backend.QueueEntry{ID: id, Seq: u.Seq}, arrives)
-	p.lower(cl*int(backend.NumQueues)+int(plan.kind), arrives)
+	p.lower(queueIndex(cl, plan.kind), arrives)
 }
 
 // makeCopy creates the copy instruction bringing logical register r from
@@ -440,7 +440,7 @@ func (p *Processor) makeCopy(r int8, donor, cl int, seq uint64, now uint64) int1
 	) {
 		panic("core: copy queue full after successful plan")
 	}
-	p.lower(donor*int(backend.NumQueues)+int(backend.CopyQueue), now+delay)
+	p.lower(queueIndex(donor, backend.CopyQueue), now+delay)
 	return phys
 }
 

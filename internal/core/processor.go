@@ -770,7 +770,7 @@ func (p *Processor) park(e *backend.QueueEntry, qi int) {
 // unpark returns the parked entry id of cluster cl's kind-k queue to the
 // scan: the producer of its source issued at cycle now.
 func (p *Processor) unpark(id int32, cl int, k backend.QueueKind, now uint64) {
-	qi := cl*int(backend.NumQueues) + int(k)
+	qi := queueIndex(cl, k)
 	p.settle(qi)
 	p.queues[qi].parked--
 	p.wakeEntry(qi, id, now)
@@ -802,13 +802,13 @@ func (p *Processor) parkOnDivider(qi int, free uint64) {
 	s.divFree = free
 }
 
-// memQueue returns the index of cluster cl's MemQ in p.queues.
-func memQueue(cl int) int { return cl*int(backend.NumQueues) + int(backend.MemQueue) }
+// queueIndex returns the index of cluster cl's kind-k queue in p.queues.
+func queueIndex(cl int, k backend.QueueKind) int { return cl*int(backend.NumQueues) + int(k) }
 
-// parkOnMOB takes load entry e of cluster cl off the scan until the MOB
-// refusal recorded in m can change.
+// parkOnMOB records a load of cluster cl that its MOB refused, until the
+// refusal recorded in m can change; the scan takes its entry off.
 func (p *Processor) parkOnMOB(cl int, m mobPark) {
-	qi := memQueue(cl)
+	qi := queueIndex(cl, backend.MemQueue)
 	p.settle(qi)
 	p.queues[qi].polled++
 	mp := &p.mobParked[cl]
@@ -818,7 +818,7 @@ func (p *Processor) parkOnMOB(cl int, m mobPark) {
 
 // unparkMOB wakes load i of cluster cl's MOB-parked loads at cycle now.
 func (p *Processor) unparkMOB(cl, i int, now uint64) {
-	qi := memQueue(cl)
+	qi := queueIndex(cl, backend.MemQueue)
 	p.settle(qi)
 	p.queues[qi].polled--
 	p.wakeEntry(qi, p.mobParked[cl].loads[i].id, now)
@@ -914,12 +914,12 @@ func (p *Processor) ready(cl int, e *backend.QueueEntry, now uint64) (bool, uint
 	switch h.kind {
 	case readyIntDiv:
 		if free := p.clusters[cl].IntFU.NextFree(); free > now {
-			p.parkOnDivider(cl*int(backend.NumQueues)+int(backend.IntQueue), free)
+			p.parkOnDivider(queueIndex(cl, backend.IntQueue), free)
 			return false, free
 		}
 	case readyFPDiv:
 		if free := p.clusters[cl].FPFU.NextFree(); free > now {
-			p.parkOnDivider(cl*int(backend.NumQueues)+int(backend.FPQueue), free)
+			p.parkOnDivider(queueIndex(cl, backend.FPQueue), free)
 			return false, free
 		}
 	case readyLoad:
