@@ -434,7 +434,7 @@ func (m *MOB) Alloc(seq uint64, isStore bool) bool {
 	if m.slots.count >= m.capacity {
 		return false
 	}
-	if m.slots.count > 0 && m.slots.buf[m.slots.head+m.slots.count-1].seq > seq {
+	if live := m.slots.live(); len(live) > 0 && live[len(live)-1].seq > seq {
 		panic("backend: MOB allocation out of program order")
 	}
 	m.slots.push(mobSlot{seq: seq, isStore: isStore})
@@ -559,13 +559,13 @@ func (m *MOB) Release(seq uint64) {
 		ss[i].done = true
 		if ss[i].isStore {
 			e := m.store(seq)
-			if !e.done && e.addrKnownAt == NeverReady {
+			wasUnknown := !e.done && e.addrKnownAt == NeverReady
+			e.done = true
+			if wasUnknown {
 				// Defensive: a store leaving with its address never set
 				// must not wedge the unknown-store fast path.
-				e.done = true
 				m.noteAddrKnown(seq)
 			}
-			e.done = true
 		}
 		break
 	}
