@@ -150,10 +150,9 @@ demo:
 # disk segment replay (differential against an independent reference
 # decoder), the request JSON round trip through the canonical key,
 # suite keys derived from one template encoding (against RequestKey and
-# SuiteRequest.Validate), the result view decoder (differential against encoding/json; its seeds
-# are kilobyte-sized result bodies, so minimization is capped to leave
-# the budget to fuzzing), and fault rules posted to the control API (an
-# accepted rule must not panic the Proxy).
+# SuiteRequest.Validate), and the result view decoder (differential
+# against encoding/json; its seeds are kilobyte-sized result bodies, so
+# minimization is capped to leave the budget to fuzzing).
 # Catches framing and canonicalization regressions in CI without the
 # open-ended runtime of a real fuzz campaign; run `go test -fuzz
 # <target> <package>` with no -fuzztime to hunt for longer.
@@ -163,7 +162,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteKeys$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./pkg/frontendsim
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultRule$$' -fuzztime $(FUZZTIME) ./pkg/faultinject
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to
@@ -176,12 +174,14 @@ cover-resultstore:
 	awk "BEGIN{exit !($$total >= $(RESULTSTORE_COVER_MIN))}" || { \
 		echo "cover-resultstore: coverage $$total% is below the $(RESULTSTORE_COVER_MIN)% floor"; exit 1; }
 
-# Seeded chaos integration suite: a simd fleet behind fault-injecting
-# proxies (latency spikes, injected 500s, a flapping backend) driven
-# through the real scheduler — zero client-visible errors in strict
-# mode, correct PARTIAL-ERROR accounting in degraded mode, passive
-# quarantine before any probe round, 503 + Retry-After shedding from a
-# saturated backend, a degraded store tier, and a replica that rejoins
-# with an empty store and recomputes its slice.
+# Seeded chaos integration suite: an in-process simd fleet
+# (internal/fleet) behind fault-injecting proxies (latency spikes,
+# injected 500s, a flapping backend) driven through the real scheduler
+# — zero client-visible errors in strict mode, correct PARTIAL-ERROR
+# accounting in degraded mode, passive quarantine before any probe
+# round, 503 + Retry-After shedding from a saturated backend, a
+# degraded store tier, a replica that rejoins with an empty store and
+# recomputes its slice, and one that restarts over its own disk store
+# and serves its slice warm.
 chaos:
 	$(GO) test -run TestChaos -v ./internal/chaos

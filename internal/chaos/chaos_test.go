@@ -1,15 +1,16 @@
 // Package chaos is the seeded fault-injection integration suite (`make
-// chaos`): a small simd fleet behind faultinject proxies, driven through
-// the real scheduler, asserting the resilience layer end to end — zero
-// client-visible errors in strict mode under latency spikes, injected
-// 500s and a flapping backend; correct PARTIAL-ERROR accounting in
-// degraded mode; passive quarantine before any probe round; 503 +
-// Retry-After shedding from a saturated backend; a replica that
-// rejoins with an empty store and recomputes its slice; and one that
-// restarts over its own disk store and serves its slice warm.  All fault
-// draws come from seeded PRNGs, and every suite is built from the ring's
-// actual key assignment, so the scenarios do not depend on port numbers
-// or timing luck.
+// chaos`): a small simd fleet (internal/fleet) behind faultinject
+// proxies, driven through the real scheduler, asserting the resilience
+// layer end to end — zero client-visible errors in strict mode under
+// latency spikes, injected 500s and a flapping backend; correct
+// PARTIAL-ERROR accounting in degraded mode; passive quarantine before
+// any probe round; 503 + Retry-After shedding from a saturated backend;
+// a degraded store tier; a replica that rejoins with an empty store and
+// recomputes its slice; one that restarts over its own disk store and
+// serves its slice warm; and one that is reinstated and recomputes its
+// slice.  All fault draws come from seeded PRNGs, and every suite is
+// built from the ring's actual key assignment, so the scenarios do not
+// depend on port numbers or timing luck.
 package chaos
 
 import (
@@ -25,8 +26,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
+	"repro/internal/fleet"
 	"repro/internal/simd"
-	"repro/pkg/faultinject"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
 	"repro/pkg/obs"
@@ -43,35 +45,30 @@ func engineOpts() []frontendsim.Option {
 	}
 }
 
-// node is one fleet member: a real simd backend reachable only through
-// its fault-injecting proxy.
-type node struct {
-	inj      *faultinject.Injector
-	proxyURL string
-}
-
-// newFleet builds n simd backends, each behind a faultinject proxy
-// seeded with seed+i.  Schedulers must route to the proxy URLs.
-func newFleet(t *testing.T, n int, seed int64) []*node {
+// newFleet starts cfg's fleet, on engineOpts unless cfg sets its own,
+// and closes it when the test ends.
+func newFleet(t *testing.T, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()
-	fleet := make([]*node, n)
-	for i := range fleet {
-		backend := httptest.NewServer(simd.NewServer(frontendsim.New(engineOpts()...), 64))
-		t.Cleanup(backend.Close)
-		inj := faultinject.New(seed + int64(i))
-		proxy := httptest.NewServer(faultinject.NewProxy(backend.URL, inj, nil))
-		t.Cleanup(proxy.Close)
-		fleet[i] = &node{inj: inj, proxyURL: proxy.URL}
+	if cfg.Engine == nil {
+		cfg.Engine = engineOpts()
 	}
-	return fleet
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
 }
 
-func fleetURLs(fleet []*node) []string {
-	urls := make([]string, len(fleet))
-	for i, n := range fleet {
-		urls[i] = n.proxyURL
+// newScheduler builds a scheduler over f (and, with mcfg, a membership
+// registry wired to it), failing the test on error.
+func newScheduler(t *testing.T, f *fleet.Fleet, cfg scheduler.Config, mcfg *membership.Config) (*scheduler.Scheduler, *membership.Registry) {
+	t.Helper()
+	sched, members, err := f.Scheduler(cfg, mcfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return urls
+	return sched, members
 }
 
 // homedOn returns the benchmarks whose ring home is url, using the
@@ -126,36 +123,32 @@ func metricSum(t *testing.T, exposition, name, filter string) float64 {
 // backoff absorbs every injected fault, the client sees zero errors,
 // and the response is byte-identical to a fault-free serial run.
 func TestChaosStrictModeZeroClientErrors(t *testing.T) {
-	fleet := newFleet(t, 3, 42)
-	eng := frontendsim.New(engineOpts()...)
+	f := newFleet(t, fleet.Config{Replicas: 3, FaultSeed: 42})
+	eng := f.Engine
 	reg := obs.NewRegistry()
-	sched, err := scheduler.New(eng, scheduler.Config{
-		Backends:     fleetURLs(fleet),
+	sched, _ := newScheduler(t, f, scheduler.Config{
 		RetryBackoff: time.Millisecond,
 		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
 
 	// Latency spikes on node 0 (never an error), injected 500s on node
 	// 1 (10% of its traffic, bounded so the run always terminates), and
 	// a flapping node 2: its first 4 requests drop at the TCP level,
 	// then it behaves.  Node 0 never fails, so every shard's ring walk
 	// has a safe harbor.
-	fleet[0].inj.Add(faultinject.Rule{LatencyMs: 20})
-	fleet[1].inj.Add(faultinject.Rule{Status: 500, Probability: 0.1, MaxCount: 10})
-	fleet[2].inj.Add(faultinject.Rule{Drop: true, MaxCount: 4})
+	f.Replicas[0].Faults.Add(faultinject.Rule{Latency: 20 * time.Millisecond})
+	f.Replicas[1].Faults.Add(faultinject.Rule{Status: 500, Probability: 0.1, MaxCount: 10})
+	f.Replicas[2].Faults.Add(faultinject.Rule{Drop: true, MaxCount: 4})
 
 	// Build the suite from the ring's real assignment: two shards homed
 	// on every node, so each injector's traffic is guaranteed (shards
 	// homed on the flapping node hit its drops and exercise the retry
 	// path), plus a handful of bulk benchmarks.
 	var picked []string
-	for _, n := range fleet {
-		homed := homedOn(t, sched, eng, n.proxyURL)
+	for _, r := range f.Replicas {
+		homed := homedOn(t, sched, eng, r.URL)
 		if len(homed) < 2 {
-			t.Fatalf("only %d benchmarks homed on %s; need 2", len(homed), n.proxyURL)
+			t.Fatalf("only %d benchmarks homed on %s; need 2", len(homed), r.URL)
 		}
 		picked = append(picked, homed[:2]...)
 	}
@@ -194,7 +187,7 @@ func TestChaosStrictModeZeroClientErrors(t *testing.T) {
 	if n := metricSum(t, exposition, "sched_retry_backoff_seconds_count", ""); n < 1 {
 		t.Errorf("sched_retry_backoff_seconds_count = %v, want >= 1", n)
 	}
-	st0, st2 := fleet[0].inj.Stats(), fleet[2].inj.Stats()
+	st0, st2 := f.Replicas[0].Faults.Stats(), f.Replicas[2].Faults.Stats()
 	if st0.Latency < 2 {
 		t.Errorf("latency injector fired %d times, want >= 2 (two shards homed there)", st0.Latency)
 	}
@@ -209,25 +202,17 @@ func TestChaosStrictModeZeroClientErrors(t *testing.T) {
 // entries on /v1/suites, and a {"type":"shard-error"} line followed by
 // the terminal aggregate on /v1/suites/stream.
 func TestChaosPartialErrorDegradedMode(t *testing.T) {
-	fleet := newFleet(t, 3, 43)
+	f := newFleet(t, fleet.Config{Replicas: 3, FaultSeed: 43})
 	const doomed = "mcf"
-	for _, n := range fleet {
-		n.inj.Add(faultinject.Rule{
-			Match:  faultinject.Match{BodyContains: `"benchmark":"` + doomed + `"`},
-			Status: 500,
-		})
+	for _, r := range f.Replicas {
+		r.Faults.Add(faultinject.Rule{BodyContains: `"benchmark":"` + doomed + `"`, Status: 500})
 	}
-	eng := frontendsim.New(engineOpts()...)
 	reg := obs.NewRegistry()
-	sched, err := scheduler.New(eng, scheduler.Config{
-		Backends:       fleetURLs(fleet),
+	sched, _ := newScheduler(t, f, scheduler.Config{
 		RetryBackoff:   time.Millisecond,
 		PartialResults: true,
 		Metrics:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
 	front := httptest.NewServer(scheduler.NewServer(sched, scheduler.WithMetrics(reg)))
 	t.Cleanup(front.Close)
 
@@ -289,35 +274,23 @@ func TestChaosPartialErrorDegradedMode(t *testing.T) {
 // quarantines it in the membership registry and drops it from the
 // scheduler's ring, visible in ring_passive_reports_total{result="fail"}.
 func TestChaosPassiveQuarantineBeforeProbeRound(t *testing.T) {
-	fleet := newFleet(t, 3, 44)
-	fleet[0].inj.Add(faultinject.Rule{Drop: true}) // dead, permanently
+	f := newFleet(t, fleet.Config{Replicas: 3, FaultSeed: 44})
+	dead := f.Replicas[0].URL
+	f.Replicas[0].Faults.Add(faultinject.Rule{Drop: true}) // dead, permanently
 
-	eng := frontendsim.New(engineOpts()...)
+	eng := f.Engine
 	reg := obs.NewRegistry()
-	var members *membership.Registry
-	sched, err := scheduler.New(eng, scheduler.Config{
-		Backends:     fleetURLs(fleet),
+	sched, members := newScheduler(t, f, scheduler.Config{
 		RetryBackoff: time.Millisecond,
 		Metrics:      reg,
-		ReportDispatch: func(node string, err error) {
-			members.ReportDispatch(node, err)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	members, err = membership.New(membership.Config{
+	}, &membership.Config{
 		ProbeInterval:   time.Hour, // never started anyway: passive only
 		QuarantineAfter: 2,
 		EvictAfter:      -1,
-		OnChange:        sched.OnMembershipChange(),
 		Metrics:         reg,
-	}, fleetURLs(fleet))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 
-	onDead := homedOn(t, sched, eng, fleet[0].proxyURL)
+	onDead := homedOn(t, sched, eng, dead)
 	if len(onDead) < 2 {
 		t.Fatalf("only %d benchmarks homed on the dead node; need 2", len(onDead))
 	}
@@ -337,7 +310,7 @@ func TestChaosPassiveQuarantineBeforeProbeRound(t *testing.T) {
 		t.Fatalf("active members = %v, want the 2 healthy nodes", active)
 	}
 	for _, url := range active {
-		if url == fleet[0].proxyURL {
+		if url == dead {
 			t.Fatal("dead node still active")
 		}
 	}
@@ -356,19 +329,18 @@ func TestChaosPassiveQuarantineBeforeProbeRound(t *testing.T) {
 // one is served and five are shed with 503 + Retry-After and a JSON
 // envelope, all visible in simd_shed_total on /metrics.
 func TestChaosSaturatedSimdSheds(t *testing.T) {
-	eng := frontendsim.New(
-		// Long enough to hold its slot while the other requests arrive
-		// and shed.
-		frontendsim.WithWarmupOps(400_000),
-		frontendsim.WithMeasureOps(800_000),
-		frontendsim.WithWorkers(1),
-	)
 	reg := obs.NewRegistry()
-	api := simd.NewServer(eng, 64,
-		simd.WithMetrics(reg),
-		simd.WithAdmission(1, 20*time.Millisecond))
-	srv := httptest.NewServer(api)
-	t.Cleanup(srv.Close)
+	url := newFleet(t, fleet.Config{
+		Replicas: 1,
+		Engine: []frontendsim.Option{
+			// Long enough to hold its slot while the other requests
+			// arrive and shed.
+			frontendsim.WithWarmupOps(400_000),
+			frontendsim.WithMeasureOps(800_000),
+			frontendsim.WithWorkers(1),
+		},
+		Server: []simd.Option{simd.WithMetrics(reg), simd.WithAdmission(1, 20*time.Millisecond)},
+	}).Replicas[0].URL
 
 	benches := frontendsim.Benchmarks()[:6]
 	statuses := make([]int, len(benches))
@@ -379,7 +351,7 @@ func TestChaosSaturatedSimdSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int, bench string) {
 			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/simulations", "application/json",
+			resp, err := http.Post(url+"/v1/simulations", "application/json",
 				strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
 			if err != nil {
 				t.Errorf("post %s: %v", bench, err)
@@ -418,7 +390,7 @@ func TestChaosSaturatedSimdSheds(t *testing.T) {
 		t.Fatalf("served %d / shed %d, want exactly 1 / 5", served, shed)
 	}
 
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/obs"
@@ -37,24 +37,25 @@ func (d *deadTier) Stats() []resultstore.TierStats {
 
 func (d *deadTier) Close() error { return nil }
 
-// TestChaosDeadRemoteCacheDegrades runs a memory-over-dead-back-tier
+// TestChaosDeadBackTierDegrades runs a memory-over-dead-back-tier
 // simd and asserts the degradation contract: every request keeps
 // succeeding (warm keys from the memory tier, cold keys from the
 // engine), /healthz stays 200, no client ever sees an error — and the
 // failure is *visible*, not swallowed: the back tier's error counter
 // moves on /metrics while the requests stay clean.
-func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
-	store := resultstore.NewTiered(resultstore.NewMemory(16), &deadTier{})
-	t.Cleanup(func() { store.Close() })
-
+func TestChaosDeadBackTierDegrades(t *testing.T) {
 	reg := obs.NewRegistry()
-	api := simd.NewServerWithStore(frontendsim.New(engineOpts()...), store, simd.WithMetrics(reg))
-	srv := httptest.NewServer(api)
-	t.Cleanup(srv.Close)
+	url := newFleet(t, fleet.Config{
+		Replicas: 1,
+		Server:   []simd.Option{simd.WithMetrics(reg)},
+		Store: func(string) (resultstore.Store, error) {
+			return resultstore.NewTiered(resultstore.NewMemory(16), &deadTier{}), nil
+		},
+	}).Replicas[0].URL
 
 	post := func(bench string) *http.Response {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/simulations", "application/json",
+		resp, err := http.Post(url+"/v1/simulations", "application/json",
 			strings.NewReader(fmt.Sprintf(`{"benchmark":%q}`, bench)))
 		if err != nil {
 			t.Fatalf("post %s: %v", bench, err)
@@ -86,7 +87,7 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 		}
 	}
 	// Health stays green: a live front tier means degraded, not down.
-	health, err := http.Get(srv.URL + "/healthz")
+	health, err := http.Get(url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestChaosDeadRemoteCacheDegrades(t *testing.T) {
 
 	// The degradation is observable: back-tier errors and memory-tier
 	// misses both moved.
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,22 @@ func newEchoBackend(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// newProxy serves a Proxy to target through in, closed when the test
+// ends.
+func newProxy(t *testing.T, target string, in *Injector) *httptest.Server {
+	t.Helper()
+	p, err := NewProxy(target, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func TestProxyPassthrough(t *testing.T) {
 	backend := newEchoBackend(t)
-	proxy := httptest.NewServer(NewProxy(backend.URL, New(1), nil))
-	defer proxy.Close()
+	proxy := newProxy(t, backend.URL, New(1))
 
 	resp, err := http.Post(proxy.URL+"/v1/simulations", "application/json", strings.NewReader(`{"benchmark":"gzip"}`))
 	if err != nil {
@@ -56,15 +68,15 @@ func TestProxyStatusInjection(t *testing.T) {
 	}{
 		{
 			name:        "status",
-			rules:       []Rule{{Match: Match{Path: "/v1/"}, Status: 500}},
+			rules:       []Rule{{Path: "/v1/", Status: 500}},
 			status:      500,
 			passthrough: "/healthz",
 		},
 		{
 			name: "latency+status",
 			rules: []Rule{
-				{Match: Match{Method: "POST"}, LatencyMs: 30},
-				{Match: Match{Method: "POST"}, Status: 502},
+				{Path: "/v1/simulations", Latency: 30 * time.Millisecond},
+				{Path: "/v1/simulations", Status: 502},
 			},
 			status:      502,
 			minLatency:  30 * time.Millisecond,
@@ -78,8 +90,7 @@ func TestProxyStatusInjection(t *testing.T) {
 			for _, r := range tc.rules {
 				in.Add(r)
 			}
-			proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-			defer proxy.Close()
+			proxy := newProxy(t, backend.URL, in)
 
 			start := time.Now()
 			resp, err := http.Post(proxy.URL+"/v1/simulations", "application/json", strings.NewReader(`{}`))
@@ -130,8 +141,7 @@ func TestProxyDropInjection(t *testing.T) {
 			backend := newEchoBackend(t)
 			in := New(1)
 			in.Add(Rule{Drop: true, MaxCount: tc.maxCount})
-			proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-			defer proxy.Close()
+			proxy := newProxy(t, backend.URL, in)
 
 			for i := 0; i < 3; i++ {
 				resp, err := http.Get(proxy.URL + "/x")
@@ -152,9 +162,8 @@ func TestProxyDropInjection(t *testing.T) {
 func TestProxyBodyMatchAndMaxCount(t *testing.T) {
 	backend := newEchoBackend(t)
 	in := New(1)
-	in.Add(Rule{Match: Match{BodyContains: `"benchmark":"mcf"`}, Status: 503, MaxCount: 2})
-	proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-	defer proxy.Close()
+	in.Add(Rule{BodyContains: `"benchmark":"mcf"`, Status: 503, MaxCount: 2})
+	proxy := newProxy(t, backend.URL, in)
 
 	post := func(body string) int {
 		resp, err := http.Post(proxy.URL+"/v1/simulations", "application/json", strings.NewReader(body))
@@ -179,45 +188,14 @@ func TestProxyBodyMatchAndMaxCount(t *testing.T) {
 	}
 }
 
-func TestProxyCorruptByte(t *testing.T) {
-	payload := strings.Repeat("A", 256)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, payload)
-	}))
-	defer backend.Close()
-	in := New(7)
-	in.Add(Rule{CorruptByte: true})
-	proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-	defer proxy.Close()
-
-	resp, err := http.Get(proxy.URL + "/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if len(body) != len(payload) {
-		t.Fatalf("corrupted body length %d, want %d", len(body), len(payload))
-	}
-	diff := 0
-	for i := range body {
-		if body[i] != payload[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Errorf("%d bytes differ, want exactly 1", diff)
-	}
-}
-
 func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	draw := func(seed int64) []bool {
 		in := New(seed)
 		in.Add(Rule{Probability: 0.5, Status: 500})
 		out := make([]bool, 32)
 		for i := range out {
-			d := in.decide("POST", "/x", "b", nil)
-			out[i] = d.status != 0
+			d := in.decide("/x", nil)
+			out[i] = d.Status != 0
 		}
 		return out
 	}
@@ -240,91 +218,59 @@ func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestControlAPI(t *testing.T) {
+// TestRemoveRestoresPassthrough installs a rule, sees it applied, and
+// removes it by the ID Add returned: traffic flows again, and removing
+// it a second time reports that no such rule exists.
+func TestRemoveRestoresPassthrough(t *testing.T) {
 	backend := newEchoBackend(t)
 	in := New(1)
-	proxy := httptest.NewServer(NewProxy(backend.URL, in, nil))
-	defer proxy.Close()
+	proxy := newProxy(t, backend.URL, in)
 
-	// Install a rule over the wire.
-	resp, err := http.Post(proxy.URL+ControlPrefix+"/rules", "application/json",
-		strings.NewReader(`{"match":{"path":"/v1/"},"status":500}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var added struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&added); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if added.ID == "" {
-		t.Fatal("POST /rules returned no id")
-	}
-
-	if r2, err := http.Post(proxy.URL+"/v1/x", "application/json", strings.NewReader("{}")); err != nil {
-		t.Fatal(err)
-	} else {
-		r2.Body.Close()
-		if r2.StatusCode != 500 {
-			t.Fatalf("installed rule not applied: %d", r2.StatusCode)
+	post := func() int {
+		resp, err := http.Post(proxy.URL+"/v1/x", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-
-	// List shows the rule with its injection count.
-	r3, err := http.Get(proxy.URL + ControlPrefix + "/rules")
-	if err != nil {
-		t.Fatal(err)
+	id := in.Add(Rule{Path: "/v1/", Status: 500})
+	if got := post(); got != 500 {
+		t.Fatalf("installed rule not applied: %d", got)
 	}
-	var rules []Rule
-	if err := json.NewDecoder(r3.Body).Decode(&rules); err != nil {
-		t.Fatal(err)
+	if !in.Remove(id) {
+		t.Fatalf("Remove(%q) found no rule", id)
 	}
-	r3.Body.Close()
-	if len(rules) != 1 || rules[0].Injected != 1 {
-		t.Fatalf("rules = %+v, want 1 rule with 1 injection", rules)
+	if got := post(); got != 200 {
+		t.Fatalf("after Remove: %d", got)
 	}
-
-	// Delete it; traffic flows again.
-	req, _ := http.NewRequest(http.MethodDelete, proxy.URL+ControlPrefix+"/rules?id="+added.ID, nil)
-	r4, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if in.Remove(id) {
+		t.Errorf("second Remove(%q) reported a rule", id)
 	}
-	r4.Body.Close()
-	if r4.StatusCode != 200 {
-		t.Fatalf("DELETE rule: %d", r4.StatusCode)
-	}
-	r5, err := http.Post(proxy.URL+"/v1/x", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r5.Body.Close()
-	if r5.StatusCode != 200 {
-		t.Fatalf("after delete: %d", r5.StatusCode)
+	if st := in.Stats(); st.Requests != 2 || st.Status != 1 {
+		t.Errorf("stats = %+v, want 2 requests and 1 injected status", st)
 	}
 }
 
-func TestCorrupterDeterminism(t *testing.T) {
-	mk := func() []byte { return bytes.Repeat([]byte{0x11}, 64) }
-	a, b := mk(), mk()
-	i := NewCorrupter(5).FlipByte(a)
-	j := NewCorrupter(5).FlipByte(b)
-	if i != j || !bytes.Equal(a, b) {
-		t.Fatalf("same seed corrupted different bytes: %d vs %d", i, j)
+// TestProxyForwardsWholeBody sends a body twice the size BodyContains
+// matches against through a rule-less proxy: the backend must receive
+// every byte, not the matched prefix.
+func TestProxyForwardsWholeBody(t *testing.T) {
+	backend := newEchoBackend(t)
+	proxy := newProxy(t, backend.URL, New(1))
+
+	body := bytes.Repeat([]byte("0123456789abcdef"), 2*maxPeekBody/16)
+	resp, err := http.Post(proxy.URL+"/big", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a[i] != 0x11^0xff {
-		t.Errorf("byte %d = %#x, want flipped", i, a[i])
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := NewCorrupter(5)
-	if n := c.TornTail(100, 16); n < 1 || n > 16 {
-		t.Errorf("TornTail = %d, want 1..16", n)
-	}
-	if n := c.TornTail(1, 8); n != 0 {
-		t.Errorf("TornTail of 1-byte file = %d, want 0", n)
-	}
-	if idx := NewCorrupter(9).FlipByteIn(mk(), 10, 20); idx < 10 || idx >= 20 {
-		t.Errorf("FlipByteIn = %d, want in [10,20)", idx)
+	want := append([]byte("echo:/big:"), body...)
+	if resp.StatusCode != 200 || !bytes.Equal(got, want) {
+		t.Fatalf("status %d, echoed %d bytes; want 200 and the whole %d-byte body", resp.StatusCode, len(got), len(want))
 	}
 }

@@ -83,9 +83,9 @@ func NewServer(eng *frontendsim.Engine, cacheSize int, opts ...Option) *Server {
 
 // NewServerWithStore builds a Server over eng serving its responses
 // through store (a disk-backed or tiered store makes cached results
-// survive restarts; a store shared across replicas lets one backend
-// serve a peer's keys).  The caller owns the store's lifecycle and
-// closes it after shutting the server down.
+// survive restarts).  The server owns no other replica's results: a
+// disk store's directory is locked to one process.  The caller owns the
+// store's lifecycle and closes it after shutting the server down.
 func NewServerWithStore(eng *frontendsim.Engine, store resultstore.Store, opts ...Option) *Server {
 	s := &Server{
 		eng:   eng,

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/pkg/faultinject"
 )
 
 func openDisk(t *testing.T, dir string, cfg DiskConfig) *Disk {
@@ -115,8 +113,7 @@ func TestDiskKillAndReopen(t *testing.T) {
 // TestDiskTruncatedTailRecovery chops bytes off the last segment —
 // simulating a crash mid-append — and asserts replay recovers every
 // record before the torn one and the store accepts appends again.  The
-// chop length comes from the shared faultinject corrupter (the same
-// seeded mangling path the chaos proxies use), bounded to the last
+// chop length comes from the seeded corrupter, bounded to the last
 // record so each seed tears it somewhere different without reaching the
 // intact records.
 func TestDiskTruncatedTailRecovery(t *testing.T) {
@@ -151,7 +148,7 @@ func TestDiskTruncatedTailRecovery(t *testing.T) {
 			// Tear 1..len(last record) bytes off: the torn record is lost
 			// (cleanly or mid-byte), everything before it stays intact.
 			lastRec := int(full.Size() - intactSize.Size())
-			chop := faultinject.NewCorrupter(seed).TornTail(int(full.Size()), lastRec)
+			chop := newCorrupter(seed).tornTail(int(full.Size()), lastRec)
 			if chop < 1 || chop > lastRec {
 				t.Fatalf("chop = %d, want within the %d-byte last record", chop, lastRec)
 			}
@@ -188,7 +185,7 @@ func TestDiskTruncatedTailRecovery(t *testing.T) {
 
 // TestDiskCorruptRecordRecovery flips a byte inside the last record's
 // value so the length framing is intact but the CRC fails.  The flip
-// offset is drawn by the shared faultinject corrupter, restricted to
+// offset is drawn by the seeded corrupter, restricted to
 // the value region, so each seed lands the corruption somewhere else.
 func TestDiskCorruptRecordRecovery(t *testing.T) {
 	const badValue = "to be corrupted"
@@ -210,8 +207,8 @@ func TestDiskCorruptRecordRecovery(t *testing.T) {
 			// Flip one byte inside the last record's value — between its
 			// framing and its trailing CRC, both left intact.
 			from := len(raw) - recTrailerLen - len(badValue)
-			if got := faultinject.NewCorrupter(seed).FlipByteIn(raw, from, len(raw)-recTrailerLen); got < from {
-				t.Fatalf("FlipByteIn = %d, want an offset in the value region", got)
+			if got := newCorrupter(seed).flipByteIn(raw, from, len(raw)-recTrailerLen); got < from {
+				t.Fatalf("flipByteIn = %d, want an offset in the value region", got)
 			}
 			if err := os.WriteFile(seg, raw, 0o644); err != nil {
 				t.Fatal(err)

@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/pkg/faultinject"
 )
 
 // encodeRecord frames one key/value pair exactly as Set does — the
-// seeds below build well-formed segments that the Corrupter then mauls.
+// seeds below build well-formed segments that the corrupter then mauls.
 func encodeRecord(key string, val []byte) []byte {
 	rec := make([]byte, recordSize(len(key), len(val)))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
@@ -57,7 +55,7 @@ func referenceDecode(data []byte) map[string]string {
 // is: nothing past the first framing/CRC failure), and must leave a
 // store that still accepts writes.
 func FuzzSegmentReplay(f *testing.F) {
-	// Seed corpus: a clean segment, then Corrupter-damaged variants of
+	// Seed corpus: a clean segment, then corrupter-damaged variants of
 	// it — a flipped byte anywhere, a flipped byte inside the first
 	// record's value, and torn tails of several lengths.
 	var clean []byte
@@ -67,14 +65,14 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(clean)
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 4; seed++ {
-		c := faultinject.NewCorrupter(seed)
+		c := newCorrupter(seed)
 		flipped := append([]byte(nil), clean...)
-		c.FlipByte(flipped)
+		c.flipByte(flipped)
 		f.Add(flipped)
 		inValue := append([]byte(nil), clean...)
-		c.FlipByteIn(inValue, recHeaderLen+len("alpha"), recHeaderLen+len("alpha")+15)
+		c.flipByteIn(inValue, recHeaderLen+len("alpha"), recHeaderLen+len("alpha")+15)
 		f.Add(inValue)
-		f.Add(clean[:c.TornTail(len(clean), len(clean)-1)])
+		f.Add(clean[:c.tornTail(len(clean), len(clean)-1)])
 	}
 	// A header promising more data than exists.
 	huge := encodeRecord("key", []byte("val"))

@@ -319,13 +319,13 @@ func postRaw(t *testing.T, url, body string) (string, []byte) {
 	return resp.Header.Get("X-Cache"), raw
 }
 
-// TestSharedRemoteStoreBytesIdentical runs one simd replica and one
+// TestSharedStoreBytesIdenticalAcrossTiers runs one simd replica and one
 // scheduler over one shared store: both tiers cache a key under the
 // same canonical name, so either one's write decides what the other
 // serves.  Every body for the key — simd's own MISS, the scheduler's
 // MISS, COALESCED and HIT, and simd's HIT after the scheduler's
 // write-through — must be the same bytes.
-func TestSharedRemoteStoreBytesIdentical(t *testing.T) {
+func TestSharedStoreBytesIdenticalAcrossTiers(t *testing.T) {
 	shared := resultstore.NewMemory(16)
 	t.Cleanup(func() { shared.Close() })
 	inner := simd.NewServerWithStore(frontendsim.New(testOpts()...), shared)

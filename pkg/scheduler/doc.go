@@ -30,11 +30,11 @@
 // Ring assignment is a pure function of the backend set (128 virtual
 // points per node by default): stable across scheduler restarts and
 // backend-list reorderings, and removing a node re-homes only that
-// node's keys.  Combined with a shared backend-side result store (see
-// pkg/resultstore and examples/distributed), the ring neighbour that
-// inherits a dead backend's keys serves them from the shared tier
-// without recomputing — the serving-tier mirror of the paper's move of
-// distributing a hot centralized structure across cooler replicas.
+// node's keys.  The ring neighbour that inherits a dead backend's keys
+// recomputes them once, byte-identically, since a result's bytes are a
+// pure function of its key — the serving-tier mirror of the paper's
+// move of distributing a hot centralized structure across cooler
+// replicas.
 //
 // See docs/ARCHITECTURE.md for the full request lifecycle and
 // docs/OPERATIONS.md for running a backend ring.
