@@ -94,16 +94,19 @@ bench:
 	$(GO) test -run NONE -bench '$(BENCH_FAST)' -benchmem -benchtime 2s . ./pkg/scheduler ./pkg/frontendsim >> BENCH_raw.out
 	$(GO) run ./cmd/benchjson -o BENCH_results.json < BENCH_raw.out && rm -f BENCH_raw.out
 
-# Paired A/B of the simulator rungs (BENCH_SIM) against revision REV:
-# REV is exported with git archive under .bench_build/ab, both sides'
-# test binaries are built once, and COUNT pairs run with the side that
-# goes first alternating.  benchjson then prints, per benchmark, each
-# side's median [q1–q3] of ns/op, the ratio of the medians (working tree
-# over REV) and the pairs the working tree won.  A/A check:
+# Paired A/B of the simulator rungs (BENCH_SIM at 3x) and of
+# BenchmarkEngineRunShort (at make bench's 2s; its runs have the length
+# of a warm-suite or mixed-open prefill run) against revision REV: REV
+# is exported with git archive under .bench_build/ab, both sides' test
+# binaries are built once, and COUNT pairs run with the side that goes
+# first alternating.  benchjson then prints, per benchmark, each side's
+# median [q1–q3] of ns/op, the ratio of the medians (working tree over
+# REV) and the pairs the working tree won.  A/A check:
 # `make bench-ab REV=HEAD COUNT=6` on a clean tree.
 REV ?= HEAD
 COUNT ?= 10
 AB = .bench_build/ab
+BENCH_AB_SHORT = ^BenchmarkEngineRunShort$$
 bench-ab:
 	rm -rf $(AB) && mkdir -p $(AB)/base
 	git archive $(REV) | tar -x -C $(AB)/base
@@ -117,6 +120,7 @@ bench-ab:
 			echo "pair $$i: $$s"; \
 			(cd $$dir && $(CURDIR)/$(AB)/$$s.root.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x -test.timeout 30m) >> $(AB)/$$s.out || exit 1; \
 			(cd $$dir/pkg/frontendsim && $(CURDIR)/$(AB)/$$s.fsim.test -test.run NONE -test.bench '$(BENCH_SIM)' -test.benchmem -test.benchtime 3x -test.timeout 30m) >> $(AB)/$$s.out || exit 1; \
+			(cd $$dir/pkg/frontendsim && $(CURDIR)/$(AB)/$$s.fsim.test -test.run NONE -test.bench '$(BENCH_AB_SHORT)' -test.benchmem -test.benchtime 2s -test.timeout 30m) >> $(AB)/$$s.out || exit 1; \
 		done; \
 	done
 	$(GO) run ./cmd/benchjson $(AB)/base.out $(AB)/new.out

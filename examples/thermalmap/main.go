@@ -34,7 +34,7 @@ func spark(vals []float64, lo, hi float64) string {
 }
 
 func trace(r *sim.Result, name string) []float64 {
-	i := r.Floorplan.Index(name)
+	i := r.Floorplan().Index(name)
 	if i < 0 {
 		return nil
 	}
@@ -68,7 +68,7 @@ func main() {
 			blocks = append(blocks, floorplan.TCBank(b))
 		}
 		for _, bl := range blocks {
-			if r.Floorplan.Index(bl) < 0 {
+			if r.Floorplan().Index(bl) < 0 {
 				continue
 			}
 			vals := trace(r, bl)

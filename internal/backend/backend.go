@@ -329,11 +329,16 @@ func (q *IssueQueue) Wake(id int32, now uint64) bool {
 func (q *IssueQueue) CountWakeups(n uint64) { q.Reads += n }
 
 // RemoveIssued removes active entry i, counting the issue, and returns
-// its id.  The other entries keep their order.
+// its id.  The last active entry moves into slot i and the last parked
+// one into the freed active slot, as the select orders by Seq, not by
+// position.
 func (q *IssueQueue) RemoveIssued(i int) int32 {
 	id := q.window[i].ID
-	q.window = append(q.window[:i], q.window[i+1:]...)
+	last := len(q.window) - 1
 	q.active--
+	q.window[i] = q.window[q.active]
+	q.window[q.active] = q.window[last]
+	q.window = q.window[:last]
 	q.IssueCount++
 	return id
 }

@@ -59,8 +59,8 @@ func TestQueueDispatchAdvanceIssue(t *testing.T) {
 	}
 }
 
-// The window keeps arrival order and RemoveIssued closes the gap without
-// reordering, so the core's oldest-by-Seq select sees a stable window.
+// The core's select issues the oldest entry by Seq wherever it sits, and
+// RemoveIssued closes the gap with the last entry.
 func TestQueueOldestFirst(t *testing.T) {
 	q := NewIssueQueue(IntQueue, 8, 8)
 	q.Dispatch(QueueEntry{ID: 10, Seq: 5}, 0)
@@ -79,7 +79,7 @@ func TestQueueOldestFirst(t *testing.T) {
 	}
 	win = q.Window()
 	if len(win) != 2 || win[0].ID != 10 || win[1].ID != 12 {
-		t.Fatalf("window after issue = %+v, want ids 10, 12 in arrival order", win)
+		t.Fatalf("window after issue = %+v, want ids 10, 12", win)
 	}
 }
 
@@ -145,11 +145,19 @@ func TestQueueParkWake(t *testing.T) {
 			t.Fatalf("woken entry NotBefore %d, want 9", e.NotBefore)
 		}
 	}
+	parked, issued, kept := act[1].ID, act[0].ID, act[2].ID
 	q.Park(1)
-	q.RemoveIssued(0)
+	if id := q.RemoveIssued(0); id != issued {
+		t.Fatalf("issued %d, want %d", id, issued)
+	}
 	if q.WindowOccupancy() != 2 || len(q.Active()) != 1 || q.NextArrival() != 4 {
 		t.Fatalf("after an issue: window %+v, %d active, NextArrival %d; want 2, 1, 4",
 			q.Window(), len(q.Active()), q.NextArrival())
+	}
+	// The issue moved the parked entry into the freed slot: it stays
+	// parked and wakes.
+	if q.Active()[0].ID != kept || !q.Wake(parked, 11) || len(q.Active()) != 2 {
+		t.Fatalf("after an issue and a wake: window %+v, active %+v", q.Window(), q.Active())
 	}
 }
 

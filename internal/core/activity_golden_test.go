@@ -35,15 +35,7 @@ const (
 // that shifts any counter by one event in any 1k-cycle window, even if
 // the totals and the cycle count survive, changes the digest.
 func TestGoldenActivityDigest(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", DefaultConfig()},
-		{"dist2", DefaultConfig().WithDistributedFrontend(2)},
-		{"dist2_hop", DefaultConfig().WithDistributedFrontend(2).WithBankHopping()},
-		{"dist4_8cl", eightClusters().WithDistributedFrontend(4)},
-	}
+	configs := digestConfigs()
 	// One goroutine per configuration: the runs are independent and the
 	// suite takes seconds per configuration.
 	digests := make([]map[string][]string, len(configs))
@@ -67,6 +59,23 @@ func TestGoldenActivityDigest(t *testing.T) {
 		maps.Copy(got, d)
 	}
 	goldentest.Check(t, filepath.Join("testdata", "golden_activity_digest.json"), got, *updateGolden)
+}
+
+// digestConfig is one named configuration of the activity digest.
+type digestConfig struct {
+	name string
+	cfg  Config
+}
+
+// digestConfigs returns the configurations TestGoldenActivityDigest
+// runs every benchmark on.
+func digestConfigs() []digestConfig {
+	return []digestConfig{
+		{"base", DefaultConfig()},
+		{"dist2", DefaultConfig().WithDistributedFrontend(2)},
+		{"dist2_hop", DefaultConfig().WithDistributedFrontend(2).WithBankHopping()},
+		{"dist4_8cl", eightClusters().WithDistributedFrontend(4)},
+	}
 }
 
 // eightClusters is the default machine widened to eight backend clusters.

@@ -107,14 +107,14 @@ func newCorpusEntry(seed uint64) corpusEntry {
 	return e
 }
 
-// run executes the entry to completion and returns its digest: the cycle
-// count and activity digest of steppedDigest, plus Stats.ReadyEvals.
-func (e corpusEntry) run() []string {
+// start builds the entry's processor and the schedule steppedDigest
+// runs between its snapshots.
+func (e corpusEntry) start() (*Processor, func(k uint64)) {
 	prof, _ := workload.ByName(e.bench)
 	prof.LengthScale = 1
 	p := New(e.cfg, workload.NewGenerator(prof, corpusOps))
 	temps := make([]float64, e.cfg.TC.Banks)
-	d := steppedDigest(p, e.stride, func(k uint64) {
+	return p, func(k uint64) {
 		if k%e.reconfigEvery != 0 {
 			return
 		}
@@ -127,7 +127,14 @@ func (e corpusEntry) run() []string {
 			temps[b] = 60 + float64((uint64(b)*7+i)%5)
 		}
 		p.TraceCache().Reconfigure(temps)
-	})
+	}
+}
+
+// run executes the entry to completion and returns its digest: the cycle
+// count and activity digest of steppedDigest, plus Stats.ReadyEvals.
+func (e corpusEntry) run() []string {
+	p, between := e.start()
+	d := steppedDigest(p, e.stride, between)
 	return append(d, fmt.Sprintf("ready_evals=%d", p.Stats.ReadyEvals))
 }
 

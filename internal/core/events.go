@@ -128,8 +128,9 @@ func (q *eventQueue) migrate(now uint64) {
 // drainInto detaches cycle now's bucket (after migrating any overflow
 // events that came within the horizon) and appends its ids to buf in
 // push order, clearing their links and the queued count.  Every id
-// drained was scheduled for exactly cycle now, because the drain cursor
-// advances one cycle per Step and pushes are strictly future.
+// drained was scheduled for exactly cycle now: pushes are strictly
+// future, and the drain cursor skips only cycles before nextBusy's
+// answer, whose buckets are empty and which migrate nothing.
 func (q *eventQueue) drainInto(now uint64, buf []int32) []int32 {
 	if q.ovCount > 0 && q.ovMin-now < q.horizon() {
 		q.migrate(now)
@@ -149,4 +150,23 @@ func (q *eventQueue) drainInto(now uint64, buf []int32) []int32 {
 		id = next
 	}
 	return buf
+}
+
+// nextBusy returns the first cycle after now and before limit at which
+// the queue has work: a non-empty bucket, or the migration of the
+// earliest overflow event.  It returns limit when there is none.
+// Bucketed events lie within the horizon of now, so the scan reads at
+// most that many buckets.
+func (q *eventQueue) nextBusy(now, limit uint64) uint64 {
+	if q.ovCount > 0 {
+		limit = min(limit, q.ovMin-q.horizon()+1)
+	}
+	if q.count > q.ovCount {
+		for c, end := now+1, min(limit, now+q.horizon()); c < end; c++ {
+			if q.head[c&q.mask] >= 0 {
+				return c
+			}
+		}
+	}
+	return limit
 }

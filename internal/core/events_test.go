@@ -88,6 +88,39 @@ func TestEventQueueOverflowMigration(t *testing.T) {
 
 // TestEventQueuePastPushPanics pins the protocol: completion events are
 // always scheduled strictly after the cycle that produces them.
+// TestEventQueueNextBusy pins the skip's view of the queue: the next
+// non-empty bucket, the cycle the earliest overflow event migrates, and
+// the caller's limit when neither comes first.
+func TestEventQueueNextBusy(t *testing.T) {
+	var q eventQueue
+	q.initEventQueue(8, 32)
+	if got := q.nextBusy(0, 100); got != 100 {
+		t.Fatalf("empty queue: nextBusy = %d, want the limit", got)
+	}
+	q.push(30, 1, 0) // overflow: migrates at 30-8+1 = 23
+	if got := q.nextBusy(0, 100); got != 23 {
+		t.Fatalf("overflow only: nextBusy = %d, want its migration cycle 23", got)
+	}
+	q.push(5, 2, 0)
+	for _, c := range []struct{ now, limit, want uint64 }{
+		{0, 100, 5}, {0, 4, 4}, {0, 5, 5},
+	} {
+		if got := q.nextBusy(c.now, c.limit); got != c.want {
+			t.Errorf("nextBusy(%d, %d) = %d, want %d", c.now, c.limit, got, c.want)
+		}
+	}
+	drainCycle(&q, 5)
+	if got := q.nextBusy(5, 100); got != 23 {
+		t.Fatalf("after the drain: nextBusy = %d, want 23", got)
+	}
+	if got := drainCycle(&q, 23); len(got) != 0 || q.ovCount != 0 {
+		t.Fatalf("cycle 23 drained %v, %d left in overflow", got, q.ovCount)
+	}
+	if got := q.nextBusy(23, 100); got != 30 {
+		t.Fatalf("after migrating: nextBusy = %d, want 30", got)
+	}
+}
+
 func TestEventQueuePastPushPanics(t *testing.T) {
 	var q eventQueue
 	q.initEventQueue(8, 8)

@@ -160,7 +160,7 @@ func (p *Processor) dispatch(now uint64) {
 		if front == nil || front.ready > now {
 			return
 		}
-		plan, ok := p.planDispatch(&front.u)
+		plan, ok := p.planDispatch(&front.u, steerRR(now, p.cfg.Clusters))
 		if !ok {
 			p.Stats.DispatchStalls++
 			return
@@ -173,8 +173,8 @@ func (p *Processor) dispatch(now uint64) {
 // steer picks the destination cluster: it scores each cluster by how many
 // source operands are already present (availability-table lookups) minus
 // a load penalty, as in the clustered steering schemes the paper builds
-// on.
-func (p *Processor) steer(u *uop.MicroOp) int {
+// on.  Ties go to cluster rr.
+func (p *Processor) steer(u *uop.MicroOp, rr int) int {
 	kind := queueFor(u.Class)
 	srcs, nSrc := u.Sources()
 	var holders [2]uint32
@@ -182,7 +182,6 @@ func (p *Processor) steer(u *uop.MicroOp) int {
 		holders[s] = p.avail.Holders(srcs[s])
 	}
 	best, bestScore := 0, -1<<30
-	rr := p.steerRR()
 	for cl := 0; cl < p.cfg.Clusters; cl++ {
 		score := 0
 		for s := 0; s < nSrc; s++ {
@@ -211,13 +210,16 @@ func (p *Processor) steer(u *uop.MicroOp) int {
 	return best
 }
 
-// steerRR rotates a tie-breaking preference across clusters.
-func (p *Processor) steerRR() int { return int(p.cycle) % p.cfg.Clusters }
+// steerRR is the cluster steer prefers on ties in cycle c: the
+// preference rotates across the clusters one per cycle.
+func steerRR(c uint64, clusters int) int { return int(c % uint64(clusters)) }
 
-// planDispatch steers the op and verifies every resource it needs.
-func (p *Processor) planDispatch(u *uop.MicroOp) (dispatchPlan, bool) {
+// planDispatch steers the op, preferring cluster rr on ties, and
+// verifies every resource it needs.  It changes nothing but the
+// availability table's read count.
+func (p *Processor) planDispatch(u *uop.MicroOp, rr int) (dispatchPlan, bool) {
 	plan := dispatchPlan{donor: [2]int8{-1, -1}}
-	plan.cluster = p.steer(u)
+	plan.cluster = p.steer(u, rr)
 	plan.kind = queueFor(u.Class)
 	cl := plan.cluster
 	cluster := p.clusters[cl]

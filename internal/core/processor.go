@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/backend"
 	"repro/internal/bpred"
@@ -238,10 +239,16 @@ type Processor struct {
 	events   eventQueue
 	drainBuf []int32 // reused by drainEvents; at most one event per slab slot
 
+	// stallReads holds, per steering residue, the availability-table
+	// reads of the stalled decode-pipe front op's failed dispatch plan:
+	// skipQuiet charges them per skipped cycle.
+	stallReads []uint64
+
 	pendingCommits []pendingCommit // commit effects delayed by the distributed latency
 	commitBuf      []int32
 
 	lastCommitCycle uint64
+	stepped         uint64 // cycles step ran, the rest were skipped
 
 	Stats Stats
 
@@ -331,6 +338,7 @@ func New(cfg Config, feeder Feeder) *Processor {
 	p.pendingCommits = make([]pendingCommit, 0, cfg.CommitWidth*(cfg.DistributedCommitExtra+2))
 	p.commitBuf = make([]int32, 0, cfg.CommitWidth)
 	p.pending = make([]uop.MicroOp, 0, 2*uop.MaxTraceOps)
+	p.stallReads = make([]uint64, cfg.Clusters)
 
 	// Architectural initial state: every logical register lives in
 	// cluster 0, mapped to a freshly allocated (and ready) physical
@@ -433,8 +441,13 @@ func (p *Processor) Step() {
 	p.settleAll()
 }
 
+// watchdogCycles is how long the ROB may hold instructions without a
+// commit before the cycle loop declares a deadlock and panics.
+const watchdogCycles = 500000
+
 func (p *Processor) step() {
 	p.cycle++
+	p.stepped++
 	p.cursor = -1
 	now := p.cycle
 	p.applyPendingCommits(now)
@@ -444,7 +457,7 @@ func (p *Processor) step() {
 	p.dispatch(now)
 	p.fetch(now)
 	p.Stats.Cycles = p.cycle
-	if p.reorder.Occupancy() > 0 && now-p.lastCommitCycle > 500000 {
+	if now-p.lastCommitCycle > watchdogCycles && p.reorder.Occupancy() > 0 {
 		id, _ := p.reorder.Head()
 		panic(fmt.Sprintf("core: no commit for %d cycles; head op %+v", now-p.lastCommitCycle, p.slab[id].u))
 	}
@@ -454,22 +467,138 @@ func (p *Processor) step() {
 // limit); it returns the number of cycles executed.
 func (p *Processor) Run(maxCycles uint64) uint64 {
 	start := p.cycle
-	for !p.Done() {
-		if maxCycles > 0 && p.cycle-start >= maxCycles {
-			break
-		}
-		p.step()
+	if maxCycles == 0 {
+		maxCycles = noBound
 	}
-	p.settleAll()
+	p.runUntil(start + min(maxCycles, noBound-start))
 	return p.cycle - start
 }
 
 // RunCycles executes exactly n cycles (or fewer if the workload drains).
 func (p *Processor) RunCycles(n uint64) {
-	for i := uint64(0); i < n && !p.Done(); i++ {
-		p.step()
+	p.runUntil(p.cycle + min(n, noBound-p.cycle))
+}
+
+// noBound is the last cycle runUntil can run to: nextActive answers up
+// to one past its bound.
+const noBound = math.MaxUint64 - 1
+
+// runUntil runs the machine to cycle end (at most noBound), or until the
+// workload drains.  It steps only the cycles in which some stage can act
+// and jumps over the quiet ones (skipQuiet), so the counters read as if
+// every cycle had been stepped.
+func (p *Processor) runUntil(end uint64) {
+	for p.cycle < end && !p.Done() {
+		p.skipQuiet(end)
+		if p.cycle < end {
+			p.step()
+		}
 	}
 	p.settleAll()
+}
+
+// skipQuiet advances the cycle to just before the next cycle in which
+// any stage can act, at most to end, and charges the skipped cycles'
+// per-cycle counters in bulk.  In a skipped cycle no event is due, no
+// instruction commits or has its commit effects applied, no issue queue
+// is due, dispatch either has no ready op or fails its plan, and
+// fetch is stalled, gated or blocked; what such a cycle counts is one
+// ROB walk read while the head waits, and one DispatchStalls with the
+// availability-table reads of that cycle's steering plan while dispatch
+// stalls.  The issue queues' parked charges settle from the cycle
+// number on their own.
+func (p *Processor) skipQuiet(end uint64) {
+	now := p.cycle
+	t := p.nextActive(end)
+	if t <= now+1 {
+		return
+	}
+	to := t - 1 // the last quiet cycle
+	n := to - now
+	p.reorder.ChargeStalledWalks(n)
+	if front := p.pipeFront(); front != nil && front.ready <= now {
+		// Dispatch stalls in every skipped cycle; nextActive recorded
+		// the reads of each residue they cover.
+		k := uint64(p.cfg.Clusters)
+		reads := uint64(0)
+		for c := now + 1; c <= min(to, now+k); c++ {
+			r := p.stallReads[steerRR(c, p.cfg.Clusters)]
+			reads += r * ((to-c)/k + 1)
+		}
+		p.Stats.DispatchStalls += n
+		p.avail.Reads += reads
+	}
+	p.cycle = to
+	p.Stats.Cycles = to
+}
+
+// nextActive returns the first cycle after the current one in which
+// some stage can act, or end+1 when no cycle up to end can.  It reads
+// the stages' own resume cycles cheapest first and stops early at the
+// next cycle.  When the decode pipe's front op is ready but stalled it
+// records, per steering residue it tried, the availability-table reads
+// of the failed plan in stallReads.
+func (p *Processor) nextActive(end uint64) uint64 {
+	now := p.cycle
+	soon := now + 1
+	t := end + 1
+	if t <= soon {
+		return soon
+	}
+	// Issue: a queue due; commit: a completed head, or a delayed commit
+	// effect.
+	if p.nextDue <= soon || p.reorder.HeadCompleted() {
+		return soon
+	}
+	t = min(t, p.nextDue)
+	if len(p.pendingCommits) > 0 {
+		// Appended in applyAt order, and compaction keeps the order.
+		t = min(t, max(p.pendingCommits[0].applyAt, soon))
+	}
+	front := p.pipeFront()
+	if front != nil && front.ready > now {
+		t = min(t, front.ready)
+	}
+	if t == soon {
+		return soon
+	}
+	// Fetch: it can act once unstalled, in an open gate cycle, with room
+	// in the pipe and something to fetch; fetchBlocked clears only at an
+	// event.
+	if !p.fetchBlocked && p.pipeSpace() >= uop.MaxTraceOps && (len(p.pending) > 0 || !p.genDone) {
+		c := max(p.fetchStallUntil, soon)
+		if p.gateDen > 0 {
+			if r := int(c % uint64(p.gateDen)); r >= p.gateNum {
+				c += uint64(p.gateDen - r)
+			}
+		}
+		if t = min(t, c); t == soon {
+			return soon
+		}
+	}
+	if p.reorder.Occupancy() > 0 {
+		t = min(t, max(p.lastCommitCycle+watchdogCycles+1, soon))
+	}
+	if t = p.events.nextBusy(now, t); t == soon {
+		return soon
+	}
+	if front != nil && front.ready <= now {
+		// Dispatch stalls until a cycle whose steering residue makes the
+		// front op's plan succeed: nothing else it reads can change
+		// before t.
+		k := uint64(p.cfg.Clusters)
+		for c := soon; c < min(t, soon+k); c++ {
+			rr := steerRR(c, p.cfg.Clusters)
+			before := p.avail.Reads
+			_, ok := p.planDispatch(&front.u, rr)
+			p.stallReads[rr] = p.avail.Reads - before
+			p.avail.Reads = before
+			if ok {
+				return c
+			}
+		}
+	}
+	return t
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,9 @@ package floorplan
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -237,6 +239,11 @@ func (f *Floorplan) add(b Block) {
 	}
 	f.byName[b.Name] = len(f.Blocks)
 	f.Blocks = append(f.Blocks, b)
+}
+
+// Clone returns a deep copy of f.
+func (f *Floorplan) Clone() *Floorplan {
+	return &Floorplan{Blocks: slices.Clone(f.Blocks), byName: maps.Clone(f.byName), adj: slices.Clone(f.adj)}
 }
 
 // Index returns the index of the named block, or -1.

@@ -255,3 +255,17 @@ func TestFourBankLayout(t *testing.T) {
 		}
 	}
 }
+
+func TestCloneIsDeep(t *testing.T) {
+	f := New(Config{TCBanks: 3})
+	c := f.Clone()
+	if len(c.Blocks) != len(f.Blocks) || len(c.Adjacencies()) != len(f.Adjacencies()) || c.Index(ROB) != f.Index(ROB) {
+		t.Fatal("clone differs from the original")
+	}
+	c.Blocks[0].Name = "edited"
+	c.Adjacencies()[0].Shared = -1
+	c.add(Block{Name: "extra", W: 1, H: 1})
+	if f.Blocks[0].Name == "edited" || f.Adjacencies()[0].Shared == -1 || f.Index("extra") != -1 || len(f.Blocks) != len(c.Blocks)-1 {
+		t.Error("editing the clone changed the original")
+	}
+}

@@ -84,6 +84,32 @@ func (s *Source) Geometric(m float64) int {
 	return v
 }
 
+// GeometricSampler draws from the geometric distribution of one mean
+// with its constants computed once: Draw(s) returns what s.Geometric(m)
+// would and consumes the same draws from s (none when m <= 1).
+type GeometricSampler struct {
+	logQ  float64 // math.Log(1 - 1/m)
+	clamp int     // the tail clamp, int(8*m) + 8
+	one   bool    // m <= 1: every draw is 1
+}
+
+// NewGeometricSampler prepares draws with mean m.
+func NewGeometricSampler(m float64) GeometricSampler {
+	if m <= 1 {
+		return GeometricSampler{one: true}
+	}
+	return GeometricSampler{logQ: math.Log(1 - 1.0/m), clamp: int(8*m) + 8}
+}
+
+// Draw returns the next sample, drawn from s.
+func (g GeometricSampler) Draw(s *Source) int {
+	if g.one {
+		return 1
+	}
+	v := int(math.Ceil(math.Log(1-s.Float64()) / g.logQ))
+	return min(max(v, 1), g.clamp)
+}
+
 // Zipf draws a value in [0, n) with a Zipf-like distribution of exponent
 // theta: low indices are drawn much more often than high ones.  It uses a
 // simple inverse-power transform, which is cheap and deterministic (a

@@ -121,6 +121,25 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
+// TestGeometricSamplerMatchesGeometric checks the prepared sampler
+// against Geometric draw for draw, including the means at and below 1
+// that consume no draw: the two sources must stay in step.
+func TestGeometricSamplerMatchesGeometric(t *testing.T) {
+	for _, m := range []float64{-3, 0, 0.5, 1, 1.0000001, 1.1, 1.5, 2, 2.5, 3, 4.7, 6, 12, 50, 1e6} {
+		ref, got := New(7), New(7)
+		g := NewGeometricSampler(m)
+		for i := 0; i < 20000; i++ {
+			want := ref.Geometric(m)
+			if v := g.Draw(got); v != want {
+				t.Fatalf("m=%v draw %d: sampler %d, Geometric %d", m, i, v, want)
+			}
+		}
+		if ref.Uint64() != got.Uint64() {
+			t.Fatalf("m=%v: the sources drifted apart", m)
+		}
+	}
+}
+
 func TestZipfSkew(t *testing.T) {
 	s := New(9)
 	const n = 64

@@ -202,3 +202,21 @@ func (r *ROB) Head() (int32, bool) {
 	}
 	return part.ring[part.head].id, true
 }
+
+// HeadCompleted reports whether the oldest instruction exists and has
+// completed, that is whether Commit would retire anything.
+func (r *ROB) HeadCompleted() bool {
+	part := &r.parts[r.cur]
+	return part.count > 0 && part.ring[part.head].completed
+}
+
+// ChargeStalledWalks counts the R-bit reads of n Commit calls that each
+// stop at a head that has not completed: one read per call, none when
+// the ROB is empty.  The cycle loop charges the cycles it skips with it.
+func (r *ROB) ChargeStalledWalks(n uint64) {
+	if r.parts[r.cur].count == 0 {
+		return
+	}
+	r.Stats.WalkReads += n
+	r.Part[r.cur].WalkReads += n
+}

@@ -245,3 +245,34 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestChargeStalledWalksMatchesCommit checks the bulk charge against the
+// Commit calls it stands for: n walks that each stop at a waiting head
+// read its R bit once, in the head's partition, and an empty ROB reads
+// nothing.
+func TestChargeStalledWalksMatchesCommit(t *testing.T) {
+	polled, charged := New(2, 4), New(2, 4)
+	charged.ChargeStalledWalks(5)
+	for i := 0; i < 5; i++ {
+		polled.Commit(4, nil)
+	}
+	for _, r := range []*ROB{polled, charged} {
+		r.Alloc(0, 0)
+		r.Alloc(1, 1)
+		if r.HeadCompleted() {
+			t.Fatal("a fresh head reads as completed")
+		}
+		r.Complete(Ref{Part: 0, Slot: 0})
+		if !r.HeadCompleted() {
+			t.Fatal("a completed head reads as waiting")
+		}
+		r.Commit(4, nil) // retires 0, stops at 1 in partition 1
+	}
+	charged.ChargeStalledWalks(7)
+	for i := 0; i < 7; i++ {
+		polled.Commit(4, nil)
+	}
+	if polled.Stats != charged.Stats || polled.Part[0] != charged.Part[0] || polled.Part[1] != charged.Part[1] {
+		t.Errorf("charged %+v %+v, polled %+v %+v", charged.Stats, charged.Part, polled.Stats, polled.Part)
+	}
+}

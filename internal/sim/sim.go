@@ -18,6 +18,8 @@
 package sim
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
@@ -67,10 +69,10 @@ type Result struct {
 	MeasCycles uint64     // cycles of the measured phase
 	MeasOps    uint64     // micro-ops committed in the measured phase
 
-	Floorplan *floorplan.Floorplan
-	Temps     *metrics.Series // per-interval block temperatures
-	AvgPower  []float64       // measured-phase average per-block power (W)
-	Nominal   []float64       // profiling-phase nominal dynamic power (W)
+	fp       *floorplan.Floorplan // shared by every run of its geometry; see Floorplan
+	Temps    *metrics.Series      // per-interval block temperatures
+	AvgPower []float64            // measured-phase average per-block power (W)
+	Nominal  []float64            // profiling-phase nominal dynamic power (W)
 
 	TCHitRate float64
 	TCHops    uint64
@@ -80,6 +82,11 @@ type Result struct {
 	DTMThrottled   uint64
 	DTMMinDuty     int
 }
+
+// Floorplan returns a copy of the run's floorplan, whose blocks index
+// Temps, AvgPower and Nominal.  The run's own floorplan is shared with
+// every run of the same geometry, so it is never handed out.
+func (r *Result) Floorplan() *floorplan.Floorplan { return r.fp.Clone() }
 
 // IPC returns the measured-phase IPC.
 func (r *Result) IPC() float64 {
@@ -138,7 +145,7 @@ func RunHooked(cfg core.Config, prof workload.Profile, opt Options, hook Hook) (
 		pk = *opt.Power
 	}
 
-	fp := floorplan.New(floorplan.Config{
+	fp := floorplans.get(floorplan.Config{
 		TCBanks:     cfg.TC.Banks,
 		Distributed: cfg.Distributed(),
 		Partitions:  cfg.Frontends,
@@ -151,7 +158,7 @@ func RunHooked(cfg core.Config, prof workload.Profile, opt Options, hook Hook) (
 	gen := workload.NewGenerator(prof, total)
 	proc := core.New(cfg, gen)
 
-	res := &Result{Config: cfg, Bench: prof.Name, Floorplan: fp}
+	res := &Result{Config: cfg, Bench: prof.Name, fp: fp}
 
 	// Scratch owned by the loop: two cumulative Activity snapshots that
 	// flip roles each interval, one delta, and the per-block power and
@@ -291,6 +298,47 @@ func RunHooked(cfg core.Config, prof workload.Profile, opt Options, hook Hook) (
 	}
 	finalize()
 	return res, nil
+}
+
+// floorplanTableCap bounds the shared floorplan table.  One geometry is
+// one entry; the paper's configurations need a handful.
+const floorplanTableCap = 16
+
+// floorplanTable shares one floorplan per geometry across runs: a
+// floorplan is a pure function of its floorplan.Config, and the power and
+// thermal models only read it.  It holds at most floorplanTableCap
+// entries and replaces the oldest when full.
+type floorplanTable struct {
+	mu      sync.Mutex
+	entries []sharedFloorplan
+	next    int // the slot a full table replaces next
+}
+
+type sharedFloorplan struct {
+	cfg floorplan.Config
+	fp  *floorplan.Floorplan
+}
+
+var floorplans floorplanTable
+
+// get returns the shared floorplan of geometry cfg, building it on a
+// miss.  Callers must not modify it.
+func (t *floorplanTable) get(cfg floorplan.Config) *floorplan.Floorplan {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.entries {
+		if e.cfg == cfg {
+			return e.fp
+		}
+	}
+	e := sharedFloorplan{cfg: cfg, fp: floorplan.New(cfg)}
+	if len(t.entries) < floorplanTableCap {
+		t.entries = append(t.entries, e)
+	} else {
+		t.entries[t.next] = e
+		t.next = (t.next + 1) % floorplanTableCap
+	}
+	return e.fp
 }
 
 // converge iterates steady state <-> leakage until the temperatures

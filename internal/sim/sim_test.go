@@ -101,12 +101,12 @@ func TestNominalPowerPositive(t *testing.T) {
 	r := runQuick(t, core.DefaultConfig(), "gzip")
 	for i, w := range r.Nominal {
 		if w <= 0 {
-			t.Errorf("nominal power of %s = %v", r.Floorplan.Blocks[i].Name, w)
+			t.Errorf("nominal power of %s = %v", r.Floorplan().Blocks[i].Name, w)
 		}
 	}
 	for i, w := range r.AvgPower {
 		if w < 0 || math.IsNaN(w) {
-			t.Errorf("avg power of %s = %v", r.Floorplan.Blocks[i].Name, w)
+			t.Errorf("avg power of %s = %v", r.Floorplan().Blocks[i].Name, w)
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestGatedBankCools(t *testing.T) {
 	last := r.Temps.PerInterval(r.Temps.Intervals() - 1)
 	var bankTemps []float64
 	for b := 0; b < 3; b++ {
-		if i := r.Floorplan.Index(floorplan.TCBank(b)); i >= 0 {
+		if i := r.Floorplan().Index(floorplan.TCBank(b)); i >= 0 {
 			bankTemps = append(bankTemps, last[i])
 		}
 	}
@@ -228,5 +228,29 @@ func TestFigure14CombinedMesa(t *testing.T) {
 	r := run(t, cfg, prof, DefaultOptions())
 	if r.MeasOps == 0 || r.IPC() <= 0 {
 		t.Fatalf("measured phase empty: %d ops, IPC %v", r.MeasOps, r.IPC())
+	}
+}
+
+// TestFloorplanSharedNotHandedOut checks that runs of one geometry share
+// one floorplan, and that a caller editing the floorplan a Result hands
+// out changes neither the shared one nor another run's.
+func TestFloorplanSharedNotHandedOut(t *testing.T) {
+	a := runQuick(t, core.DefaultConfig(), "gzip")
+	b := runQuick(t, core.DefaultConfig(), "vpr")
+	if a.fp != b.fp {
+		t.Fatal("two runs of one geometry built separate floorplans")
+	}
+	if c := runQuick(t, core.DefaultConfig().WithBankHopping(), "gzip"); c.fp == a.fp {
+		t.Fatal("runs of different geometries share a floorplan")
+	}
+	fp := a.Floorplan()
+	name := fp.Blocks[0].Name
+	fp.Blocks[0].Name = "edited"
+	fp.Blocks[0].W *= 2
+	if got := b.Floorplan().Blocks[0]; got.Name != name || got.W == fp.Blocks[0].W {
+		t.Errorf("editing one result's floorplan changed another's: %+v", got)
+	}
+	if a.fp.Index(name) != 0 || a.fp.Index("edited") != -1 {
+		t.Error("editing a result's floorplan changed the shared one")
 	}
 }

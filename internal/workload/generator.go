@@ -16,6 +16,8 @@ type Generator struct {
 	src   *rng.Source
 	total uint64
 	count uint64
+	// depDist draws register dependency distances (mean DepDistMean).
+	depDist rng.GeometricSampler
 
 	// Current trace-line buffer.
 	buf    [uop.MaxTraceOps]uop.MicroOp
@@ -47,18 +49,39 @@ type Generator struct {
 	nextStream int
 	hotBase    uint64
 
-	// Per-trace loop counters driving structured branch outcomes.
-	loopState map[uint64]uint8
+	// lines memoizes each trace's static shape, and holds its loop
+	// counter, by the trace's index in the Zipf draw (pickTrace).
+	lines []traceLine
 }
+
+// traceLine is what fillTrace needs of one trace that is a pure function
+// of its ID, built on first use, plus the per-trace loop counter that
+// drives its branch's outcomes.  A trace ends at its first branch, so it
+// has at most one.
+type traceLine struct {
+	n     uint8 // static length; 0 until built
+	loopK uint8
+	loops uint8 // executions of the branch so far
+	class [uop.MaxTraceOps]uop.Class
+	flags [uop.MaxTraceOps]uint8 // slotFPData, slotInduction, slotSrc2
+}
+
+// Static per-slot properties of a trace line.
+const (
+	slotFPData    = 1 << iota // a memory op moving FP data (isFPConsumerSlot)
+	slotInduction             // an IntALU induction update
+	slotSrc2                  // an integer op with a second source
+)
 
 // NewGenerator returns a generator that will emit totalOps micro-ops
 // (scaled by the profile's LengthScale) for profile p.
 func NewGenerator(p Profile, totalOps uint64) *Generator {
 	p = p.defaults()
 	g := &Generator{
-		prof:  p,
-		src:   rng.New(p.Seed),
-		total: uint64(float64(totalOps) * p.LengthScale),
+		prof:    p,
+		src:     rng.New(p.Seed),
+		total:   uint64(float64(totalOps) * p.LengthScale),
+		depDist: rng.NewGeometricSampler(p.DepDistMean),
 	}
 	if g.total == 0 {
 		g.total = 1
@@ -76,7 +99,7 @@ func NewGenerator(p Profile, totalOps uint64) *Generator {
 		g.streamBase[s] = g.src.Uint64n(p.DataWS &^ 63)
 	}
 	g.hotBase = g.src.Uint64n(p.DataWS-p.HotDataB+1) &^ 63
-	g.loopState = make(map[uint64]uint8)
+	g.lines = make([]traceLine, max(p.HotTraces, p.ColdTraces))
 	g.hot = true
 	g.phaseLeft = p.PhaseLen
 	return g
@@ -151,8 +174,9 @@ func (g *Generator) TraceLen(id uint64) int {
 	return uop.MaxTraceOps
 }
 
-// pickTrace selects the next trace ID according to the current phase.
-func (g *Generator) pickTrace() uint64 {
+// pickTrace selects the next trace according to the current phase and
+// returns its index in the working set; traceID maps it to the ID.
+func (g *Generator) pickTrace() int {
 	p := &g.prof
 	if g.phaseLeft <= 0 {
 		g.phaseLeft = p.PhaseLen
@@ -164,15 +188,45 @@ func (g *Generator) pickTrace() uint64 {
 	} else {
 		idx = g.src.Zipf(p.ColdTraces, 0.25)
 	}
-	// The hot working set is a subset of the cold one (hot loops live
-	// inside the full program), so both phases share low indices.
-	return hash64(p.Seed ^ uint64(idx)*0x9E3779B97F4A7C15)
+	return idx
+}
+
+// traceID returns the ID of the trace at index idx of the working set.
+// The hot working set is a subset of the cold one (hot loops live inside
+// the full program), so both phases share low indices.  Distinct indices
+// give distinct IDs: the map is a bijection.
+func (g *Generator) traceID(idx int) uint64 {
+	return hash64(g.prof.Seed ^ uint64(idx)*0x9E3779B97F4A7C15)
+}
+
+// line returns the trace line at index idx, building its static shape on
+// first use.
+func (g *Generator) line(idx int) (*traceLine, uint64) {
+	l, id := &g.lines[idx], g.traceID(idx)
+	if l.n > 0 {
+		return l, id
+	}
+	l.n = uint8(g.TraceLen(id))
+	l.loopK = uint8(2 + hash64(id^0xB10C)%14)
+	for i := 0; i < int(l.n); i++ {
+		l.class[i] = g.classAt(id, i)
+		if g.isFPConsumerSlot(id, i) {
+			l.flags[i] |= slotFPData
+		}
+		if hash64(id^uint64(i)*0x5bd1e995)%4 == 0 {
+			l.flags[i] |= slotInduction
+		}
+		if hash64(id+uint64(i)*31)&1 == 0 {
+			l.flags[i] |= slotSrc2
+		}
+	}
+	return l, id
 }
 
 // srcIntReg returns a source register with geometric dependency distance
 // over recently written integer registers.
 func (g *Generator) srcIntReg() int8 {
-	d := uint64(g.src.Geometric(g.prof.DepDistMean))
+	d := uint64(g.depDist.Draw(g.src))
 	if d > g.nInt {
 		d = g.nInt
 	}
@@ -184,7 +238,7 @@ func (g *Generator) srcIntReg() int8 {
 
 // srcFPReg returns a source register over recently written FP registers.
 func (g *Generator) srcFPReg() int8 {
-	d := uint64(g.src.Geometric(g.prof.DepDistMean))
+	d := uint64(g.depDist.Draw(g.src))
 	if d > g.nFP {
 		d = g.nFP
 	}
@@ -227,7 +281,7 @@ func (g *Generator) srcAddrReg() int8 {
 	case u < ptrChaseFrac:
 		return g.srcIntReg()
 	case u < ptrChaseFrac+aluAddrFrac:
-		d := uint64(g.src.Geometric(g.prof.DepDistMean))
+		d := uint64(g.depDist.Draw(g.src))
 		if d > g.nAddr {
 			d = g.nAddr
 		}
@@ -271,10 +325,10 @@ func (g *Generator) memAddr() uint64 {
 
 // fillTrace materializes the next trace line into the buffer.
 func (g *Generator) fillTrace() {
-	id := g.pickTrace()
-	n := g.TraceLen(id)
+	l, id := g.line(g.pickTrace())
+	n := int(l.n)
 	for i := 0; i < n; i++ {
-		cl := g.classAt(id, i)
+		cl := l.class[i]
 		op := uop.MicroOp{
 			PC:    id<<6 + uint64(i)*4,
 			Class: cl,
@@ -290,10 +344,8 @@ func (g *Generator) fillTrace() {
 			// data-dependent flips.  Real branch predictors can learn
 			// this; the profile's MispredRate still drives the default
 			// (calibrated) misprediction behaviour.
-			k := uint8(2 + hash64(id^0xB10C)%14)
-			cnt := g.loopState[id]
-			op.Taken = cnt%k != k-1
-			g.loopState[id] = cnt + 1
+			op.Taken = l.loops%l.loopK != l.loopK-1
+			l.loops++
 			if g.src.Bool(0.08) {
 				op.Taken = !op.Taken
 			}
@@ -301,7 +353,7 @@ func (g *Generator) fillTrace() {
 		case uop.Load:
 			op.Src1 = g.srcAddrReg() // address base
 			op.Addr = g.memAddr()
-			if g.isFPConsumerSlot(id, i) {
+			if l.flags[i]&slotFPData != 0 {
 				op.Dst = g.allocFPDst()
 			} else {
 				op.Dst = g.allocIntDst(true)
@@ -309,7 +361,7 @@ func (g *Generator) fillTrace() {
 		case uop.Store:
 			op.Src1 = g.srcAddrReg() // address base
 			op.Addr = g.memAddr()
-			if g.isFPConsumerSlot(id, i) {
+			if l.flags[i]&slotFPData != 0 {
 				op.Src2 = g.srcFPReg()
 			} else {
 				op.Src2 = g.srcIntReg()
@@ -319,11 +371,9 @@ func (g *Generator) fillTrace() {
 			op.Src2 = g.srcFPReg()
 			op.Dst = g.allocFPDst()
 		default: // integer ALU/mul/div
-			if cl == uop.IntALU && hash64(id^uint64(i)*0x5bd1e995)%4 == 0 {
+			if cl == uop.IntALU && l.flags[i]&slotInduction != 0 {
 				// Induction update: r = r + stride, a loop-carried
 				// 1-cycle chain independent of memory.
-				r := numInductionRegs + g.rrInd // placeholder, fixed below
-				_ = r
 				ind := g.rrInd
 				g.rrInd = (g.rrInd + 1) % numInductionRegs
 				op.Src1 = ind
@@ -331,7 +381,7 @@ func (g *Generator) fillTrace() {
 				break
 			}
 			op.Src1 = g.srcIntReg()
-			if hash64(id+uint64(i)*31)&1 == 0 {
+			if l.flags[i]&slotSrc2 != 0 {
 				op.Src2 = g.srcIntReg()
 			}
 			op.Dst = g.allocIntDst(false)

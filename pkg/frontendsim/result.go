@@ -96,10 +96,10 @@ func newResult(sr *sim.Result) *Result {
 		DTMMinDuty:     sr.DTMMinDuty,
 		raw:            sr,
 	}
-	r.Blocks = make([]string, len(sr.Floorplan.Blocks))
-	r.PeakRiseC = make([]float64, len(sr.Floorplan.Blocks))
-	for i, b := range sr.Floorplan.Blocks {
-		name := b.Name
+	names := sr.Temps.Names() // the floorplan's blocks, in index order
+	r.Blocks = make([]string, len(names))
+	r.PeakRiseC = make([]float64, len(names))
+	for i, name := range names {
 		r.Blocks[i] = name
 		r.PeakRiseC[i] = sr.Temps.AbsMax(func(n string) bool { return n == name })
 	}
