@@ -65,17 +65,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/pprofserve"
+	"repro/internal/serve"
 	"repro/internal/simd"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
@@ -103,7 +102,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pprofserve.Maybe("simd", *pprofAddr)
+	serve.Pprof("simd", *pprofAddr)
 
 	store, err := resultstore.OpenStack(*cacheSize,
 		resultstore.DiskConfig{Dir: *storeDir, MaxBytes: *storeMax})
@@ -121,32 +120,29 @@ func main() {
 	api := simd.NewServerWithStore(eng, store,
 		simd.WithMetrics(obs.NewRegistry()),
 		simd.WithAdmission(*maxQueue, *queueWait))
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simd:", err)
+		os.Exit(1)
 	}
 
 	// SIGTERM included so orchestrated stops (systemd, containers) get
 	// the same drain-and-depart path as an interactive Ctrl-C.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		// Fail the health check first so the scheduler's probes stop
-		// routing new work here, then tell it explicitly and drain.
-		api.SetReady(false)
-		if *announce != "" {
+	// Draining fails the health check first so the scheduler's probes
+	// stop routing new work here; depart then tells the scheduler
+	// explicitly, before the listener closes.
+	var depart func()
+	if *announce != "" {
+		depart = func() {
 			departCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
 			if err := membership.Depart(departCtx, nil, *announce, *self); err != nil {
 				fmt.Fprintf(os.Stderr, "simd: depart: %v\n", err)
 			}
-			cancel()
 		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
+	}
 
 	// Startup sequencing: the replica is ready as soon as it listens
 	// (it serves any key, recomputing what its store lacks), then it
@@ -178,7 +174,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "simd: listening on %s, %s store (%s)\n",
 		*addr, strings.Join(tiers, "→"), simd.Describe())
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serve.Run(ctx, ln, api, depart); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

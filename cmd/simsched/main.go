@@ -64,9 +64,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -74,7 +74,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/pprofserve"
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
 	"repro/pkg/obs"
@@ -111,7 +111,7 @@ func main() {
 	)
 	flag.Parse()
 
-	pprofserve.Maybe("simsched", *pprofAddr)
+	serve.Pprof("simsched", *pprofAddr)
 
 	nodes := splitServers(*backends)
 	for i, b := range nodes {
@@ -172,26 +172,17 @@ func main() {
 
 	api := scheduler.NewServer(sched,
 		scheduler.WithMembership(members), scheduler.WithMetrics(metrics))
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simsched:", err)
+		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		// Fail the health check first so upstream load balancers stop
-		// sending new suites here, then drain in-flight runs.
-		api.SetReady(false)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
 
 	fmt.Fprintf(os.Stderr, "simsched: listening on %s, %d backend(s) (%s)\n",
 		*addr, len(nodes), scheduler.Describe())
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serve.Run(ctx, ln, api, nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

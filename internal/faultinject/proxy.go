@@ -2,13 +2,14 @@ package faultinject
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Proxy is a fault-injecting reverse proxy: it forwards every request
@@ -31,7 +32,7 @@ func NewProxy(target string, in *Injector) (*Proxy, error) {
 	// NDJSON streams through the proxy keep their per-line delivery.
 	rp.FlushInterval = -1
 	rp.ErrorHandler = func(w http.ResponseWriter, _ *http.Request, err error) {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("upstream: %v", err))
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("faultinject: upstream: %v", err))
 	}
 	return &Proxy{in: in, rp: rp}, nil
 }
@@ -46,7 +47,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	r.Body.Close()
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("read body: %v", err))
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("faultinject: read body: %v", err))
 		return
 	}
 
@@ -64,18 +65,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	if d.Status > 0 {
-		writeError(w, d.Status, fmt.Sprintf("injected status %d", d.Status))
+		serve.WriteError(w, d.Status, fmt.Errorf("faultinject: injected status %d", d.Status))
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	p.rp.ServeHTTP(w, r)
-}
-
-// writeError answers with status and a JSON error envelope.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{"faultinject: " + msg})
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/obs"
 	"repro/pkg/resultstore"
@@ -306,13 +307,13 @@ func TestBodyTooLarge(t *testing.T) {
 
 	// One byte over the cap, otherwise well-formed JSON.
 	const head, tail = `{"benchmark":"gzip","unused":"`, `"}`
-	huge := head + strings.Repeat("x", DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
+	huge := head + strings.Repeat("x", serve.MaxBodyBytes+1-len(head)-len(tail)) + tail
 	for _, path := range []string{"/v1/simulations", "/v1/simulations/stream"} {
 		w := post(t, srv, path, huge)
 		if w.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status = %d, want 413", path, w.Code)
 		}
-		var e apiError
+		var e serve.ErrorBody
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
 			t.Errorf("%s: non-JSON 413 body %q", path, w.Body.String())
 		}
@@ -409,9 +410,9 @@ func TestRoutesMatchAPIDoc(t *testing.T) {
 			documented[strings.TrimSuffix(route, "`")] = true
 		}
 	}
-	served := map[string]bool{metricsRoute: true}
+	served := map[string]bool{serve.MetricsRoute: true}
 	for _, rt := range routes {
-		served[rt.pattern] = true
+		served[rt.Pattern] = true
 	}
 	for route := range served {
 		if !documented[route] {
@@ -434,7 +435,7 @@ var metricName = regexp.MustCompile("`([a-z][a-z0-9]*_[a-z0-9_]*)[^`]*`")
 // there, and every family named there is rendered.
 func TestMetricsMatchAPIDoc(t *testing.T) {
 	section := apiDocSection(t, "simd endpoints")
-	start := strings.Index(section, "### `"+metricsRoute+"`")
+	start := strings.Index(section, "### `"+serve.MetricsRoute+"`")
 	if start < 0 {
 		t.Fatal("docs/API.md's simd section has no GET /metrics paragraph")
 	}

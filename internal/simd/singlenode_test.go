@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 	"repro/pkg/scheduler"
@@ -205,7 +206,7 @@ func TestSuiteStreamBadRequest(t *testing.T) {
 		if ct := w.Header().Get("Content-Type"); ct == "application/x-ndjson" {
 			t.Errorf("%s: pre-stream error sent as NDJSON", tc.name)
 		}
-		var e apiError
+		var e serve.ErrorBody
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, tc.wantIn) {
 			t.Errorf("%s: error body %q does not mention %q", tc.name, w.Body.String(), tc.wantIn)
 		}

@@ -20,13 +20,14 @@
 package membership
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -618,9 +619,9 @@ func Announce(ctx context.Context, client *http.Client, schedulerURL, selfURL st
 	if client == nil {
 		client = http.DefaultClient
 	}
-	body := fmt.Sprintf(`{"url":%q}`, selfURL)
+	body, _ := json.Marshal(map[string]string{"url": selfURL}) // a string map always encodes
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		schedulerURL+"/v1/ring/members", strings.NewReader(body))
+		schedulerURL+"/v1/ring/members", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

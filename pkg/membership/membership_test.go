@@ -2,6 +2,7 @@ package membership
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -407,6 +408,44 @@ func TestAnnounce(t *testing.T) {
 	defer bad.Close()
 	if err := Announce(context.Background(), nil, bad.URL, "http://sim-1:8723"); err == nil {
 		t.Error("announce to refusing scheduler did not error")
+	}
+}
+
+// TestAnnounceBodyIsJSON pins the announce body to JSON quoting: a
+// scheduler that decodes it strictly reads back the advertised URL even
+// when it holds a control byte, a quote or a backslash, and invalid
+// UTF-8 arrives as U+FFFD instead of as a body no JSON decoder accepts
+// (which left simd re-announcing every second).
+func TestAnnounceBodyIsJSON(t *testing.T) {
+	var got atomic.Value
+	sched := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			URL string `json:"url"`
+		}
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil || dec.More() {
+			http.Error(w, fmt.Sprint("decode: ", err), http.StatusBadRequest)
+			return
+		}
+		got.Store(body.URL)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer sched.Close()
+
+	for _, self := range []string{
+		"http://sim-1:8723",
+		"http://sim-1:8723/\x01\x7f",
+		`http://sim-1:8723/"q"\b`,
+		"http://sim-1:8723/\xff",
+	} {
+		if err := Announce(context.Background(), nil, sched.URL, self); err != nil {
+			t.Errorf("announce %q: %v", self, err)
+			continue
+		}
+		if want := strings.ToValidUTF8(self, "\uFFFD"); got.Load() != want {
+			t.Errorf("announce %q: scheduler read %q, want %q", self, got.Load(), want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
 	"repro/pkg/obs"
@@ -15,11 +16,9 @@ import (
 // or without a label selector.
 var metricName = regexp.MustCompile("`([a-z][a-z0-9]*_[a-z0-9_]*)[^`]*`")
 
-// TestMetricsMatchAPIDoc pins the GET /metrics paragraph of docs/API.md's
-// simsched section to the registry simsched builds (scheduler,
-// membership and HTTP server on one registry): every family rendered is
-// named there, and every family named there is rendered.
-func TestMetricsMatchAPIDoc(t *testing.T) {
+// apiDocSection returns docs/API.md's simsched endpoints section.
+func apiDocSection(t *testing.T) string {
+	t.Helper()
 	doc, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +32,42 @@ func TestMetricsMatchAPIDoc(t *testing.T) {
 	if end := strings.Index(section, "\n## "); end >= 0 {
 		section = section[:end]
 	}
-	start = strings.Index(section, "### `GET /metrics`")
+	return section
+}
+
+// TestRoutesMatchAPIDoc pins docs/API.md's simsched section to the
+// route table: every route has a "### `METHOD /path`" heading, and no
+// heading names a route simsched does not serve.
+func TestRoutesMatchAPIDoc(t *testing.T) {
+	documented := map[string]bool{}
+	for _, line := range strings.Split(apiDocSection(t), "\n") {
+		if route, ok := strings.CutPrefix(line, "### `"); ok {
+			documented[strings.TrimSuffix(route, "`")] = true
+		}
+	}
+	served := map[string]bool{serve.MetricsRoute: true}
+	for _, rt := range routes {
+		served[rt.Pattern] = true
+	}
+	for route := range served {
+		if !documented[route] {
+			t.Errorf("route %q is not documented in docs/API.md's simsched section", route)
+		}
+	}
+	for route := range documented {
+		if !served[route] {
+			t.Errorf("docs/API.md documents simsched route %q, which the route table lacks", route)
+		}
+	}
+}
+
+// TestMetricsMatchAPIDoc pins the GET /metrics paragraph of docs/API.md's
+// simsched section to the registry simsched builds (scheduler,
+// membership and HTTP server on one registry): every family rendered is
+// named there, and every family named there is rendered.
+func TestMetricsMatchAPIDoc(t *testing.T) {
+	section := apiDocSection(t)
+	start := strings.Index(section, "### `"+serve.MetricsRoute+"`")
 	if start < 0 {
 		t.Fatal("docs/API.md's simsched section has no GET /metrics paragraph")
 	}

@@ -85,13 +85,13 @@ func newPassiveFleet(t *testing.T, cfg Config, quarantineAfter int) (*Scheduler,
 	return sched, members
 }
 
-// TestSchedulerBreakerDivertsRingWalk runs a real two-backend ring where
+// TestPassiveQuarantineDivertsRingWalk runs a real two-backend ring where
 // one backend always 500s, under a registry fed only by dispatch
 // verdicts: after threshold failures the registry quarantines it, the
 // ring drops it, and later dispatches homed on it go straight to the
 // healthy node — without contacting the dead one, retrying or backing
 // off.
-func TestSchedulerBreakerDivertsRingWalk(t *testing.T) {
+func TestPassiveQuarantineDivertsRingWalk(t *testing.T) {
 	var badHits atomic.Int64
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		badHits.Add(1)
@@ -188,12 +188,12 @@ func TestSchedulerBackoffSpacing(t *testing.T) {
 	}
 }
 
-// TestWalkSkipsOpenNodesWithoutBackoff pins what a quarantined node
+// TestWalkSkipsQuarantinedNodeWithoutBackoff pins what a quarantined node
 // costs the walk: when the only attempt fails and the remaining node was
 // quarantined by a dispatch verdict, the walk ends at once — the ring no
 // longer holds that node, so no backoff is slept before finding nothing
 // left to try.
-func TestWalkSkipsOpenNodesWithoutBackoff(t *testing.T) {
+func TestWalkSkipsQuarantinedNodeWithoutBackoff(t *testing.T) {
 	var nodes []string
 	for i := 0; i < 2; i++ {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

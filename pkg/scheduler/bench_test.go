@@ -73,19 +73,19 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		sched := newSched(nil)
 		run(b, func(req frontendsim.Request) error {
-			_, _, err := sched.serve(ctx, req)
+			_, _, _, err := sched.serve(ctx, req)
 			return err
 		})
 	})
 	b.Run("hit", func(b *testing.B) {
 		sched := newSched(resultstore.NewMemory(len(benches)))
 		for _, bench := range benches {
-			if _, _, err := sched.serve(ctx, frontendsim.Request{Benchmark: bench}); err != nil {
+			if _, _, _, err := sched.serve(ctx, frontendsim.Request{Benchmark: bench}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		run(b, func(req frontendsim.Request) error {
-			_, src, err := sched.serve(ctx, req)
+			_, _, src, err := sched.serve(ctx, req)
 			if err == nil && src != SourceCached {
 				b.Fatalf("%s served %v, want a store hit", req.Benchmark, src)
 			}

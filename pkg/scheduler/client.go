@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 )
 
@@ -119,9 +120,7 @@ func backendMessage(r io.Reader) string {
 	if err != nil {
 		return err.Error()
 	}
-	var env struct {
-		Error string `json:"error"`
-	}
+	var env serve.ErrorBody
 	if json.Unmarshal(raw, &env) == nil && env.Error != "" {
 		return env.Error
 	}

@@ -14,10 +14,11 @@
 //     Served/Source report the X-Cache accounting.  Entries are the
 //     backends' response bodies verbatim, so a key's bytes are the
 //     same in both tiers and the two may share one store.
-//   - Single-flight (internal/singleflight): identical concurrent
-//     misses — across suites and plain simulations — resolve to one
-//     uncounted store re-check and at most one backend call, with
-//     reference-counted cancellation.
+//   - Single-flight: identical concurrent misses — across suites and
+//     plain simulations — resolve to one uncounted store re-check and
+//     at most one backend call, with reference-counted cancellation.
+//     The cache and the single-flight are internal/serve's
+//     ReadThrough, the one read-through simd serves by too.
 //   - Ring dispatch (Ring, Client): each key's home node first, then
 //     up to Config.Retries failover nodes; request errors (4xx) never
 //     retry, transport errors and 5xx walk the ring.

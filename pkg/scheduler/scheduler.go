@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/singleflight"
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/obs"
 	"repro/pkg/resultstore"
@@ -117,8 +117,11 @@ type Scheduler struct {
 	// and is resolved against the current ring size on every dispatch —
 	// the ring can grow and shrink at runtime.
 	retries int
-	cache   resultstore.Store // nil disables the scheduler-tier store
-	flight  singleflight.Group[outcome]
+	// reads serves a canonical request from the scheduler-tier store
+	// (nil disables it), checking each stored body with
+	// frontendsim.DecodeResultView, or walks the ring once for every
+	// concurrent identical caller (dispatchKey).
+	reads *serve.ReadThrough[frontendsim.Request, *frontendsim.Result]
 
 	// Resilience plumbing: the jittered retry backoff and the passive
 	// membership feed.  sleep is injectable so backoff tests assert
@@ -133,22 +136,8 @@ type Scheduler struct {
 
 	dispatched atomic.Uint64
 	retried    atomic.Uint64
-	coalesced  atomic.Uint64
-	cacheHits  atomic.Uint64
 	ringSwaps  atomic.Uint64
 	backoffs   atomic.Uint64
-}
-
-// outcome is one served request's result plus whether the
-// scheduler-tier store served it.  body is simd's response body
-// verbatim — the one representation the scheduler caches and serves,
-// so a result's bytes stay those the backend computed — and res is its
-// aggregation view (frontendsim.DecodeResultView), whether the body
-// came from a backend or the store; Full decodes the rest.
-type outcome struct {
-	body   []byte
-	res    *frontendsim.Result
-	cached bool
 }
 
 // New builds a Scheduler over eng's request canonicalization
@@ -166,13 +155,13 @@ func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
 		eng:            eng,
 		client:         NewClient(cfg.HTTPClient),
 		retries:        cfg.Retries,
-		cache:          cfg.Cache,
 		retryBackoff:   cfg.RetryBackoff,
 		rng:            newJitterRNG(),
 		sleep:          sleepCtx,
 		reportDispatch: cfg.ReportDispatch,
 		partial:        cfg.PartialResults,
 	}
+	s.reads = serve.NewReadThrough(cfg.Cache, frontendsim.DecodeResultView, s.dispatchKey)
 	s.ring.Store(ring)
 	if cfg.Metrics != nil {
 		s.registerMetrics(cfg.Metrics)
@@ -198,15 +187,7 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 		obs.TypeGauge, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(len(s.Ring().Nodes())))
 		})
-	reg.Sampled("scheduler_store_ops_total", "Scheduler-tier response store counters.",
-		obs.TypeCounter, []string{"tier", "op"}, func(emit func([]string, float64)) {
-			for _, t := range s.CacheStats() {
-				emit([]string{t.Tier, "hit"}, float64(t.Hits))
-				emit([]string{t.Tier, "miss"}, float64(t.Misses))
-				emit([]string{t.Tier, "set"}, float64(t.Sets))
-				emit([]string{t.Tier, "error"}, float64(t.Errors))
-			}
-		})
+	s.reads.RegisterStoreOps(reg, "scheduler_store_ops_total", "Scheduler-tier response store counters.")
 	h := reg.Histogram("sched_retry_backoff_seconds",
 		"Jittered backoff slept between ring-walk retry attempts.", nil)
 	s.backoffSeconds = &h
@@ -248,8 +229,8 @@ func (s *Scheduler) Stats() Stats {
 	return Stats{
 		Dispatched: s.dispatched.Load(),
 		Retried:    s.retried.Load(),
-		Coalesced:  s.coalesced.Load(),
-		CacheHits:  s.cacheHits.Load(),
+		Coalesced:  s.reads.Coalesced(),
+		CacheHits:  s.reads.Hits(),
 		RingSwaps:  s.ringSwaps.Load(),
 		Backoffs:   s.backoffs.Load(),
 	}
@@ -257,37 +238,22 @@ func (s *Scheduler) Stats() Stats {
 
 // CacheStats returns the scheduler-tier store's per-tier counters (nil
 // when the tier is disabled).
-func (s *Scheduler) CacheStats() []resultstore.TierStats {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache.Stats()
-}
+func (s *Scheduler) CacheStats() []resultstore.TierStats { return s.reads.StoreStats() }
 
-// Source reports how one dispatch was served.
-type Source int
+// Source reports how one dispatch was served; its String is the X-Cache
+// spelling.
+type Source = serve.Source
 
 const (
 	// SourceDispatched: the request was shipped to a backend.
-	SourceDispatched Source = iota
-	// SourceCached: the scheduler-tier store answered, no backend was
-	// contacted.
-	SourceCached
+	SourceDispatched = serve.Miss
+	// SourceCached: the scheduler-tier store answered, before or inside
+	// a flight; no backend was contacted on the caller's behalf.
+	SourceCached = serve.Hit
 	// SourceCoalesced: the caller joined an identical in-flight
 	// dispatch started by another caller.
-	SourceCoalesced
+	SourceCoalesced = serve.Coalesced
 )
-
-// String returns the X-Cache spelling of the source.
-func (s Source) String() string {
-	switch s {
-	case SourceCached:
-		return "HIT"
-	case SourceCoalesced:
-		return "COALESCED"
-	}
-	return "MISS"
-}
 
 // Served is a suite's breakdown of how its unique shards (canonical
 // keys) were served.
@@ -371,8 +337,8 @@ func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteR
 	return s.runSuite(ctx, suite, sink, true)
 }
 
-// runSuite is RunSuiteStream over serveKey, with the key each shard's
-// dispatch is handed by the suite.  Shards carry views of their bytes
+// runSuite is RunSuiteStream over the read-through, with the key each
+// shard's dispatch is handed by the suite.  Shards carry views of their bytes
 // (frontendsim.DecodeResultView), stored or dispatched alike; with
 // full set each is decoded in full once, in its shard's dispatch,
 // so the positions of one shard share one *Result.  The HTTP handlers
@@ -380,11 +346,10 @@ func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteR
 func (s *Scheduler) runSuite(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink, full bool) (*frontendsim.SuiteResult, Served, error) {
 	var cached, dispatched, coalesced atomic.Uint64
 	dispatch := func(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, string, error) {
-		out, src, err := s.serveKey(ctx, key, req)
+		_, r, src, err := s.reads.Get(ctx, key, req)
 		if err != nil {
 			return nil, "", err
 		}
-		r := out.res
 		if full {
 			if r, err = r.Full(); err != nil {
 				return nil, "", err
@@ -434,114 +399,26 @@ func (s *Scheduler) Dispatch(ctx context.Context, req frontendsim.Request) (*fro
 
 // DispatchSource is Dispatch plus how the request was served.
 func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, Source, error) {
-	out, src, err := s.serve(ctx, req)
+	_, res, src, err := s.serve(ctx, req)
 	if err != nil {
 		return nil, src, err
 	}
-	res, err := out.res.Full()
+	res, err = res.Full()
 	return res, src, err
 }
 
-// serve is DispatchSource returning the whole outcome, body bytes
-// included: serveKey under req's canonical key.
-func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) (outcome, Source, error) {
+// serve is DispatchSource returning the body bytes and the aggregation
+// view: the read-through under req's canonical key.  body is simd's
+// response body verbatim — the one representation the scheduler caches
+// and serves, so a result's bytes stay those the backend computed — and
+// res is its view (frontendsim.DecodeResultView), whether the body came
+// from a backend or the store; Full decodes the rest.
+func (s *Scheduler) serve(ctx context.Context, req frontendsim.Request) ([]byte, *frontendsim.Result, Source, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
-		return outcome{}, SourceDispatched, err
+		return nil, nil, SourceDispatched, err
 	}
-	return s.serveKey(ctx, key, req)
-}
-
-// serveKey serves req, whose canonical key is key, in simd's shape: a
-// counted store lookup answers a hit without starting a flight, and
-// concurrent identical misses resolve to one single-flighted backend
-// dispatch, whose body is written back to the store.  Inside the
-// flight an uncounted re-check of the store catches a miss that raced
-// a just-finished dispatch of the same key.
-func (s *Scheduler) serveKey(ctx context.Context, key string, req frontendsim.Request) (outcome, Source, error) {
-	out, ok := s.cacheGet(ctx, key, true)
-	shared := false
-	if !ok {
-		var err error
-		out, err, shared = s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
-			if out, ok := s.cacheGet(runCtx, key, false); ok {
-				return out, nil
-			}
-			out, err := s.dispatchKey(runCtx, key, req)
-			if err != nil {
-				return outcome{}, err
-			}
-			s.cacheSet(runCtx, key, out.body)
-			return out, nil
-		})
-		if err != nil {
-			// A joined execution that failed served nobody: the caller
-			// was not spared a backend dispatch, it inherited a failure.
-			// The source still reports the join, but failed shares stay
-			// out of the Coalesced counter — it counts work actually
-			// saved.
-			src := SourceDispatched
-			if shared {
-				src = SourceCoalesced
-			}
-			return outcome{}, src, err
-		}
-	}
-	// A caller the store answered — before the flight, or by the
-	// re-check inside one it started or joined — was served by the
-	// store: no backend was contacted on its behalf, so it counts as a
-	// cache hit, not a coalesce; only joins of real dispatches count as
-	// coalesced.  This keeps a fully cache-served suite reporting
-	// X-Cache: HIT even when two identical suites race.
-	switch {
-	case out.cached:
-		s.cacheHits.Add(1)
-		return out, SourceCached, nil
-	case shared:
-		s.coalesced.Add(1)
-		return out, SourceCoalesced, nil
-	}
-	return out, SourceDispatched, nil
-}
-
-// cacheGet reads one result from the scheduler-tier store — a counted
-// Get, or an uncounted resultstore.Peek — and decodes its aggregation
-// view, which type-checks the entry as strictly as a full decode.  Any
-// failure (store error, an entry json.Unmarshal would refuse) is a
-// miss: the ring recomputes the result.  A refused entry is deleted, so
-// the recompute's write-back replaces it instead of the write-once
-// store keeping it.
-func (s *Scheduler) cacheGet(ctx context.Context, key string, counted bool) (outcome, bool) {
-	if s.cache == nil {
-		return outcome{}, false
-	}
-	var body []byte
-	var ok bool
-	var err error
-	if counted {
-		body, ok, err = s.cache.Get(ctx, key)
-	} else {
-		body, ok, err = resultstore.Peek(ctx, s.cache, key)
-	}
-	if err != nil || !ok {
-		return outcome{}, false
-	}
-	res, err := frontendsim.DecodeResultView(body)
-	if err != nil {
-		// Best-effort, like cacheSet: a failed delete only costs the
-		// next request this same recompute.
-		resultstore.Delete(ctx, s.cache, key)
-		return outcome{}, false
-	}
-	return outcome{body: body, res: res, cached: true}, true
-}
-
-// cacheSet writes one dispatched body back to the scheduler-tier store
-// verbatim, best-effort: a store failure only costs a later recompute.
-func (s *Scheduler) cacheSet(ctx context.Context, key string, body []byte) {
-	if s.cache != nil {
-		s.cache.Set(ctx, key, body)
-	}
+	return s.reads.Get(ctx, key, req)
 }
 
 // attempts resolves the Config.Retries semantics against the current
@@ -563,7 +440,7 @@ func (s *Scheduler) attempts(ringSize int) int {
 // that keeps failing dispatches leaves the walk once ReportDispatch
 // quarantines it.  Request errors (4xx — every backend would refuse)
 // and the caller's own cancellation abort the walk immediately.
-func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (outcome, error) {
+func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) ([]byte, *frontendsim.Result, error) {
 	s.dispatched.Add(1)
 	nodes := s.Ring().Sequence(key)
 	nodes = nodes[:s.attempts(len(nodes))]
@@ -573,24 +450,24 @@ func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim
 		if i > 0 {
 			s.retried.Add(1)
 			if err := s.backoff(ctx, i); err != nil {
-				return outcome{}, err
+				return nil, nil, err
 			}
 		}
 		body, res, err := s.client.Simulate(ctx, node, req)
 		switch classifyDispatch(ctx, err) {
 		case outcomeSuccess:
 			s.report(node, nil)
-			return outcome{body: body, res: res}, nil
+			return body, res, nil
 		case outcomeUnknown:
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return outcome{}, ctxErr
+				return nil, nil, ctxErr
 			}
-			return outcome{}, err
+			return nil, nil, err
 		}
 		s.report(node, err)
 		lastErr = err
 	}
-	return outcome{}, &ExhaustedError{Benchmark: req.Benchmark, Attempts: len(nodes), Last: lastErr}
+	return nil, nil, &ExhaustedError{Benchmark: req.Benchmark, Attempts: len(nodes), Last: lastErr}
 }
 
 // ExhaustedError reports that every permitted ring node failed to serve

@@ -7,12 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/membership"
 	"repro/pkg/obs"
-	"repro/pkg/resultstore"
 )
 
 // Server is the HTTP API of the suite scheduler (served by cmd/simsched).
@@ -38,24 +37,18 @@ import (
 //	                         ?url=)
 //	GET    /v1/cache/stats   scheduler-tier response-store counters
 //	GET    /metrics          Prometheus text exposition (with WithMetrics)
-//	GET    /healthz          liveness
+//	GET    /healthz          readiness (503 while draining)
 type Server struct {
+	// Readiness gates /healthz: SetReady(false) flips it to 503 so load
+	// balancers stop routing here while the drain completes in-flight
+	// suites.
+	serve.Readiness
+
 	sched   *Scheduler
 	members *membership.Registry
 	metrics *obs.Registry
 	mux     *http.ServeMux
-	// ready gates /healthz: SetReady(false) flips it to 503 so load
-	// balancers stop routing here while srv.Shutdown drains in-flight
-	// suites.
-	ready atomic.Bool
 }
-
-// DefaultMaxBodyBytes caps request bodies accepted by the scheduler
-// API.  Suite requests are a benchmark list plus one configuration —
-// a megabyte is orders of magnitude above any legitimate request, and
-// the cap keeps a misbehaving client from buffering the node into the
-// ground.  Oversized bodies are rejected with 413.
-const DefaultMaxBodyBytes = 1 << 20
 
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
@@ -77,68 +70,50 @@ func WithMetrics(reg *obs.Registry) ServerOption {
 
 // NewServer builds the HTTP frontend over sched.
 func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
-	s := &Server{sched: sched, mux: http.NewServeMux()}
-	s.ready.Store(true)
+	s := &Server{sched: sched}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.handle("POST /v1/suites", s.handleSuite)
-	s.handle("POST /v1/suites/stream", s.handleSuiteStream)
-	s.handle("POST /v1/simulations", s.handleSimulate)
-	s.handle("GET /v1/ring", s.handleRing)
-	s.handle("POST /v1/ring/members", s.handleJoin)
-	s.handle("DELETE /v1/ring/members", s.handleLeave)
-	s.handle("GET /v1/cache/stats", s.handleCacheStats)
-	s.handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if !s.ready.Load() {
-			writeError(w, http.StatusServiceUnavailable, errors.New("scheduler: draining"))
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	if s.metrics != nil {
-		s.mux.Handle("GET /metrics", s.metrics.Handler())
-	}
+	s.mux = serve.Mux(routes, s, s.metrics)
 	return s
 }
 
-// handle mounts pattern, instrumented when a metrics registry is
-// configured.  The handler label is the route pattern, so the duration
-// histograms split by endpoint.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	if s.metrics != nil {
-		s.mux.Handle(pattern, s.metrics.InstrumentHandlerFunc(pattern, h))
-		return
-	}
-	s.mux.HandleFunc(pattern, h)
+// routes is simsched's route table: NewServer mounts it and Describe
+// lists it.  GET /metrics is mounted on top with WithMetrics.
+var routes = []serve.Route[*Server]{
+	{Pattern: "POST /v1/suites", Handler: (*Server).handleSuite},
+	{Pattern: "POST /v1/suites/stream", Handler: (*Server).handleSuiteStream},
+	{Pattern: "POST /v1/simulations", Handler: (*Server).handleSimulate},
+	{Pattern: "GET /v1/ring", Handler: (*Server).handleRing},
+	{Pattern: "POST /v1/ring/members", Handler: func(s *Server, w http.ResponseWriter, r *http.Request) {
+		s.handleMember(w, r, (*membership.Registry).Join, http.StatusBadRequest)
+	}},
+	{Pattern: "DELETE /v1/ring/members", Handler: func(s *Server, w http.ResponseWriter, r *http.Request) {
+		s.handleMember(w, r, (*membership.Registry).Leave, http.StatusNotFound)
+	}},
+	{Pattern: "GET /v1/cache/stats", Handler: func(s *Server, w http.ResponseWriter, r *http.Request) {
+		s.sched.reads.ServeCacheStats(w, r)
+	}},
+	{Pattern: "GET /healthz", Handler: (*Server).handleHealthz},
 }
 
-// SetReady flips the /healthz verdict.  cmd/simsched calls
-// SetReady(false) when shutdown begins, so load balancers drain this
-// frontend before srv.Shutdown stops accepting connections — in-flight
-// suite runs (including open NDJSON streams) still complete.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
+// Describe returns a one-line routing summary (used by cmd/simsched
+// startup logging).
+func Describe() string { return serve.Describe(routes) }
 
-// requestContext derives the handler context: the request's own,
-// bounded by the caller's X-Deadline-Budget when the hop carries one.
-func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return frontendsim.ApplyDeadlineBudget(r.Context(), r.Header.Get(frontendsim.DeadlineBudgetHeader))
+// handleHealthz is readiness: 503 while draining, 200 otherwise.
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if !s.Ready() {
+		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("scheduler: draining"))
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintln(w, "ok")
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(apiError{Error: err.Error()})
 }
 
 // statusFor maps dispatch errors to HTTP statuses: client cancellations
@@ -159,37 +134,17 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeStatus maps body-decode failures: an http.MaxBytesReader trip
-// is 413 (the client must shrink the request, not fix its syntax),
-// anything else is a plain 400.
-func decodeStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeBody caps r.Body at the configured limit and decodes one JSON
-// value into v, rejecting unknown fields.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	var suite frontendsim.SuiteRequest
-	if err := s.decodeBody(w, r, &suite); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("scheduler: decode suite request: %w", err))
+	if err := serve.DecodeJSON(w, r, &suite); err != nil {
+		serve.WriteError(w, serve.DecodeStatus(err), fmt.Errorf("scheduler: decode suite request: %w", err))
 		return
 	}
-	ctx, cancel := requestContext(r)
+	ctx, cancel := serve.RequestContext(r)
 	defer cancel()
 	res, served, err := s.sched.runSuite(ctx, suite, nil, false)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		serve.WriteError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -207,12 +162,12 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 // still walking the ring.
 func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 	var suite frontendsim.SuiteRequest
-	if err := s.decodeBody(w, r, &suite); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("scheduler: decode suite request: %w", err))
+	if err := serve.DecodeJSON(w, r, &suite); err != nil {
+		serve.WriteError(w, serve.DecodeStatus(err), fmt.Errorf("scheduler: decode suite request: %w", err))
 		return
 	}
 	if err := suite.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -230,7 +185,7 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	ctx, cancel := requestContext(r)
+	ctx, cancel := serve.RequestContext(r)
 	defer cancel()
 	// A failed shard of a partial-results run becomes a "shard-error"
 	// line: the stream keeps going and the terminal aggregate excludes it.
@@ -244,39 +199,20 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req frontendsim.Request
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("scheduler: decode request: %w", err))
+	if err := serve.DecodeJSON(w, r, &req); err != nil {
+		serve.WriteError(w, serve.DecodeStatus(err), fmt.Errorf("scheduler: decode request: %w", err))
 		return
 	}
-	ctx, cancel := requestContext(r)
+	ctx, cancel := serve.RequestContext(r)
 	defer cancel()
-	out, source, err := s.sched.serve(ctx, req)
+	body, _, source, err := s.sched.serve(ctx, req)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		serve.WriteError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", source.String())
-	w.Write(out.body)
-}
-
-// handleCacheStats reports the scheduler-tier response store's
-// counters, in the same shape as simd's /v1/cache/stats (an empty tier
-// list means the store is disabled).
-func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
-	tiers := s.sched.CacheStats()
-	entries, hits, misses := resultstore.Totals(tiers)
-	if tiers == nil {
-		tiers = []resultstore.TierStats{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Entries   int                     `json:"entries"`
-		Hits      uint64                  `json:"hits"`
-		Misses    uint64                  `json:"misses"`
-		Coalesced uint64                  `json:"coalesced"`
-		Tiers     []resultstore.TierStats `json:"tiers"`
-	}{Entries: entries, Hits: hits, Misses: misses, Coalesced: s.sched.Stats().Coalesced, Tiers: tiers})
+	w.Write(body)
 }
 
 // handleRing reports the ring topology (with per-member health when a
@@ -320,7 +256,7 @@ func (s *Server) decodeMemberURL(w http.ResponseWriter, r *http.Request) (string
 		return strings.TrimRight(u, "/"), nil
 	}
 	var req memberRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := serve.DecodeJSON(w, r, &req); err != nil {
 		return "", fmt.Errorf("scheduler: decode member request: %w", err)
 	}
 	if req.URL == "" {
@@ -329,19 +265,22 @@ func (s *Server) decodeMemberURL(w http.ResponseWriter, r *http.Request) (string
 	return strings.TrimRight(req.URL, "/"), nil
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
+// handleMember runs one ring admin verb, join or leave, on the member
+// the request names and answers the new epoch and members; status is
+// the verb's refusal.
+func (s *Server) handleMember(w http.ResponseWriter, r *http.Request, verb func(*membership.Registry, string) error, status int) {
 	if s.members == nil {
-		writeError(w, http.StatusNotImplemented,
+		serve.WriteError(w, http.StatusNotImplemented,
 			fmt.Errorf("scheduler: ring membership is static (no membership registry configured)"))
 		return
 	}
 	url, err := s.decodeMemberURL(w, r)
 	if err != nil {
-		writeError(w, decodeStatus(err), err)
+		serve.WriteError(w, serve.DecodeStatus(err), err)
 		return
 	}
-	if err := s.members.Join(url); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := verb(s.members, url); err != nil {
+		serve.WriteError(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -349,40 +288,4 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Epoch   uint64            `json:"epoch"`
 		Members []membership.Info `json:"members"`
 	}{Epoch: s.members.Epoch(), Members: s.members.Snapshot()})
-}
-
-func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	if s.members == nil {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("scheduler: ring membership is static (no membership registry configured)"))
-		return
-	}
-	url, err := s.decodeMemberURL(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	if err := s.members.Leave(url); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Epoch   uint64            `json:"epoch"`
-		Members []membership.Info `json:"members"`
-	}{Epoch: s.members.Epoch(), Members: s.members.Snapshot()})
-}
-
-// Describe returns a one-line routing summary (used by cmd/simsched
-// startup logging).
-func Describe() string {
-	return strings.Join([]string{
-		"POST /v1/suites",
-		"POST /v1/suites/stream",
-		"POST /v1/simulations",
-		"GET/POST/DELETE /v1/ring[/members]",
-		"GET /v1/cache/stats",
-		"GET /metrics",
-		"GET /healthz",
-	}, ", ")
 }

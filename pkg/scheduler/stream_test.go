@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 )
@@ -341,7 +342,7 @@ func TestSchedulerServerBodyCap(t *testing.T) {
 
 	// One byte over the cap, otherwise well-formed JSON.
 	const head, tail = `{"benchmarks":["gzip"],"pad":"`, `"}`
-	huge := head + strings.Repeat("x", DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
+	huge := head + strings.Repeat("x", serve.MaxBodyBytes+1-len(head)-len(tail)) + tail
 	for _, route := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/suites"},
 		{http.MethodPost, "/v1/suites/stream"},
@@ -352,7 +353,7 @@ func TestSchedulerServerBodyCap(t *testing.T) {
 		if w.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status = %d, want 413", route.path, w.Code)
 		}
-		var e apiError
+		var e serve.ErrorBody
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
 			t.Errorf("%s: non-JSON 413 body %q", route.path, w.Body.String())
 		}
